@@ -116,6 +116,14 @@ def lcp_insertion_core(
     return s, lcps
 
 
+def insertion_range(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
+    """LCP insertion sort of work[lo:hi] in place; the strings share `depth` chars."""
+    handles, _ = lcp_insertion_core(
+        sset.buffer, [int(v) for v in work[lo:hi]], depth, SortStats()
+    )
+    work[lo:hi] = handles
+
+
 def lcp_insertion_sort(
     sset: StringSet,
     depth: int = 0,

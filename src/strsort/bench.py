@@ -14,11 +14,11 @@ import csv
 import io
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, insertion_sort, lcp_insertion_sort
+from .basecase import insertion_sort, lcp_insertion_sort
 from .counters import SortStats
 from .lcpmerge import LcpStream, binary_lcp_mergesort, kway_lcp_merge
 from .mkqs import mkqs, mkqs_cached
@@ -54,14 +54,6 @@ def gen_suffixes(text: bytes, n: int | None = None) -> StringSet:
         raise ValueError("text contains byte 0, which conflicts with termination")
     count = len(text) if n is None else min(n, len(text))
     return StringSet(text + b"\0", np.arange(count, dtype=np.int64))
-
-
-def _with_lcps_sorter(fn):
-    def run(sset, threads, seed, stats):
-        res = fn(sset, stats)
-        return res
-
-    return run
 
 
 def _algo_insertion(sset, threads, seed, stats):
@@ -252,20 +244,23 @@ class Corpus:
         return StringSet(self.buffer, self._make())
 
 
+def _scanned_corpus(buf: bytes) -> Corpus:
+    """A corpus whose handles are re-derived by scanning the buffer for terminators."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+
+    def scan():
+        zeros = np.flatnonzero(arr == 0)
+        starts = np.zeros(len(zeros), dtype=np.int64)
+        starts[1:] = zeros[:-1] + 1
+        return starts
+
+    return Corpus(buf, scan)
+
+
 def _load_corpus(cfg: RunConfig) -> Corpus:
     if cfg.generator == "random":
         n = cfg.n if cfg.n is not None else 100_000
-        base = gen_random(n, cfg.seed)
-        buf = base.buffer
-        arr = np.frombuffer(buf, dtype=np.uint8)
-
-        def scan():
-            zeros = np.flatnonzero(arr == 0)
-            starts = np.zeros(len(zeros), dtype=np.int64)
-            starts[1:] = zeros[:-1] + 1
-            return starts
-
-        return Corpus(buf, scan)
+        return _scanned_corpus(gen_random(n, cfg.seed).buffer)
     if cfg.generator == "suffix":
         if cfg.input_path:
             text = _read_file(cfg.input_path, cfg.byte_limit)
@@ -285,16 +280,7 @@ def _load_corpus(cfg: RunConfig) -> Corpus:
             base = base.with_handles(base.handles[: cfg.n])
             handles = base.handles.copy()
             return Corpus(base.buffer, lambda: handles.copy())
-        buf = base.buffer
-        arr = np.frombuffer(buf, dtype=np.uint8)
-
-        def scan():
-            zeros = np.flatnonzero(arr == 0)
-            starts = np.zeros(len(zeros), dtype=np.int64)
-            starts[1:] = zeros[:-1] + 1
-            return starts
-
-        return Corpus(buf, scan)
+        return _scanned_corpus(base.buffer)
     raise ValueError("no input: pass an input path or a generator")
 
 

@@ -11,7 +11,7 @@ buffer are excluded from merge_buffer_cmps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basecase import SortedWithLcp, fill_dchar, lcp_insertion_core
+from .basecase import SortedWithLcp, fill_dchar, insertion_range
 from .counters import SortStats
 from .strset import (
     LCP_UNDEF,
@@ -28,13 +28,6 @@ INSERTION_THRESHOLD = 64
 
 def _median3(a: int, b: int, c: int) -> int:
     return sorted((int(a), int(b), int(c)))[1]
-
-
-def _insertion_base(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
-    handles, _ = lcp_insertion_core(
-        sset.buffer, [int(v) for v in work[lo:hi]], depth, SortStats()
-    )
-    work[lo:hi] = handles
 
 
 def mkqs_range(
@@ -57,7 +50,7 @@ def mkqs_range(
         n = hi - lo
         if n < INSERTION_THRESHOLD:
             if n > 1:
-                _insertion_base(sset, work, lo, hi, d)
+                insertion_range(sset, work, lo, hi, d)
             continue
         seg = work[lo:hi]
         chars = arr[seg + d]

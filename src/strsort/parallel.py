@@ -7,19 +7,27 @@ idea: a central queue holds coarse jobs, workers keep recursion on local
 stacks, and an unsynchronized idle counter tells busy workers when to
 donate their largest pending subproblems back to the queue.
 
-Fully parallel steps (classification/counting, global prefix sum,
-redistribution) are phased from the coordinating thread: shard jobs run on
-the pool, the prefix sum is sequential, and recursive subproblems below
-the fully-parallel threshold flow back into the queue as batch jobs.
+Parallel sample sort and parallel radix sort share one phased
+distribution engine.  A step over src[lo:hi] cuts the range into p shards;
+each shard job computes one bucket per string with the sorter's bucket
+function (classified word keys, or radix digits), stores it in a shared
+uint16 oracle and replies with its bucket counts.  The coordinator takes
+one interleaved, bucket-major prefix sum over the shard counts, then each
+shard job stably scatters its strings into dst.  The coordinator runs such
+steps on every subproblem of at least n/p strings and feeds the smaller
+ones to the pool as batch jobs, which sort sequentially and share when
+workers idle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -27,31 +35,29 @@ import numpy as np
 
 from .basecase import SortedWithLcp, fill_dchar
 from .counters import SortStats
-from .lcpmerge import LcpStream, MergeJob, kway_lcp_merge, run_merge_job, split_merge_jobs
+from .lcpmerge import LcpStream, MergeJob, run_merge_job, split_merge_jobs
 from .mkqs import INSERTION_THRESHOLD, _median3, mkqs_cached, mkqs_cached_items
 from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items
 from .ssss import (
+    DEFAULT_V,
     S5Context,
     T_MEDIUM,
+    bucket_word_range,
     classify_keys,
-    child_depths,
     draw_sample,
+    finish_buckets,
     s5_sort_items,
     select_splitters,
     tree_capacity,
+    write_boundary_lcps,
 )
-from .strset import (
-    LCP_UNDEF,
-    WORD_CHARS,
-    StringSet,
-    extract_keys,
-    lcp,
-    shared_chars,
-)
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, lcp
 
 _CTX = mp.get_context("fork")
 
 BLOCK_SIZE = 131072  # entries per partition block
+POLL_S = 0.1  # longest wait for a reply before the workers' exit codes are checked
+SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
 
 
 def shared_array(n: int, dtype) -> np.ndarray:
@@ -138,7 +144,8 @@ class WorkPool:
 
     Every enqueued job executes exactly once; the pool is quiescent when
     the outstanding-job counter returns to zero.  Worker exceptions abort
-    the run with the worker's traceback.
+    the run with the worker's traceback, and a worker that dies aborts it
+    with the worker's exit code.
     """
 
     def __init__(self, p: int, executor, ctx):
@@ -176,6 +183,23 @@ class WorkPool:
             self.outstanding.value += 1
         self.jobs.put(job)
 
+    def _reply(self, closing: bool = False):
+        """The next reply, or None when none arrived within POLL_S.
+
+        Workers exit only when the pool closes, so before that an exited
+        worker has died and its job will never finish: raise WorkerFailure.
+        """
+        try:
+            return self.replies.get(timeout=POLL_S)
+        except queue_mod.Empty:
+            pass
+        if not closing:
+            for i, w in enumerate(self.workers):
+                if w.exitcode is not None:
+                    self.stop.set()
+                    raise WorkerFailure(f"worker {i} died with exit code {w.exitcode}")
+        return None
+
     def _handle(self, msg) -> None:
         if msg[0] == "error":
             self.stop.set()
@@ -188,7 +212,9 @@ class WorkPool:
         """Wait for `count` phase replies, returning their payloads."""
         out = []
         while len(out) < count:
-            msg = self.replies.get()
+            msg = self._reply()
+            if msg is None:
+                continue
             if msg[0] == "phase":
                 out.append(msg[1])
                 if collect is not None:
@@ -199,34 +225,27 @@ class WorkPool:
 
     def wait_idle(self) -> None:
         """Block until all submitted jobs (and their descendants) finished."""
-        while True:
-            if self.fail.is_set():
-                msg = self.replies.get()  # the error diagnostic is in flight
+        # a failing worker sets `fail` before its job leaves the counter, so
+        # its diagnostic is awaited even when the counter already reads zero
+        while self.fail.is_set() or self.outstanding.value:
+            msg = self._reply()
+            if msg is not None:
                 self._handle(msg)
-                continue
-            with self.outstanding.get_lock():
-                if self.outstanding.value == 0:
-                    return
-            try:
-                msg = self.replies.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            self._handle(msg)
 
     def shutdown(self) -> None:
         if self._closed:
             return
         self._closed = True
         self.stop.set()
-        while self._stats_seen < len(self.workers):
-            try:
-                msg = self.replies.get(timeout=5.0)
-            except queue_mod.Empty:
-                break
-            try:
+        deadline = time.monotonic() + SHUTDOWN_S
+        # a worker that died abnormally never sends its stats
+        while (
+            self._stats_seen < sum(w.exitcode in (None, 0) for w in self.workers)
+            and time.monotonic() < deadline
+        ):
+            msg = self._reply(closing=True)
+            if msg is not None and msg[0] == "stats":
                 self._handle(msg)
-            except WorkerFailure:
-                pass
         for w in self.workers:
             w.join(timeout=5.0)
             if w.is_alive():
@@ -241,11 +260,10 @@ def pool_run(p: int, root_jobs: list, executor, ctx) -> SortStats:
         for job in root_jobs:
             pool.submit(job)
         pool.wait_idle()
-        pool.shutdown()
-        return pool.stats
+    return pool.stats
 
 
-def make_share_hook(env: _Env, job_of_entry):
+def make_share_hook(env: _Env, job_of_entry=lambda entries: ("batch", entries)):
     """Donate the largest pending stack entries when workers sit idle.
 
     `job_of_entry` wraps a list of stack entries into a queue job.  One
@@ -269,65 +287,156 @@ def make_share_hook(env: _Env, job_of_entry):
     return share
 
 
+def feed_batches(pool: WorkPool, entries: list) -> None:
+    """Submit entries as at most 2p batch jobs, then wait until the pool idles."""
+    if entries:
+        for chunk in np.array_split(np.arange(len(entries)), min(len(entries), 2 * pool.p)):
+            pool.submit(("batch", [entries[i] for i in chunk]))
+    pool.wait_idle()
+
+
+# ---------------------------------------------------------------------------
+# phased distribution engine: count -> prefix sum -> scatter
+
+
+@dataclass
+class _Phased:
+    """State of one phased sorter, shared with its forked workers."""
+
+    sset: StringSet
+    cur: np.ndarray  # handles; every finished range ends up here
+    other: np.ndarray  # target of the steps that start in cur
+    oracle: np.ndarray  # uint16 bucket of every position, from count to scatter
+    buckets: object  # (shared, src, lo, hi, arg) -> (bucket per string, summary)
+    batch: object  # (shared, entries, env): sort (lo, hi, depth, in_cur) entries
+    s5: S5Context | None = None
+
+    @classmethod
+    def create(cls, sset: StringSet, buckets, batch) -> "_Phased":
+        n = len(sset)
+        cur = shared_array(n, np.int64)
+        cur[:] = sset.handles
+        other = shared_array(n, np.int64)
+        return cls(sset, cur, other, shared_array(n, np.uint16), buckets, batch)
+
+
+def prefix_offsets(counts: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved prefix sum over (shards, buckets) counts.
+
+    Bucket-major, shard-minor: bucket b of shard s starts at offsets[s, b],
+    after every smaller bucket and after bucket b of the earlier shards.
+    Bucket b of the whole step occupies [lo + bounds[b], lo + bounds[b + 1]).
+    """
+    flat = counts.T.reshape(-1)
+    offsets = (lo + np.cumsum(flat) - flat).reshape(counts.shape[1], counts.shape[0]).T
+    bounds = np.zeros(counts.shape[1] + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    return offsets, bounds
+
+
+def scatter(items: np.ndarray, oracle: np.ndarray, offsets: np.ndarray, dst: np.ndarray) -> None:
+    """Stable counting scatter: the items of the j-th nonempty bucket go,
+    in input order, to dst[offsets[j]:]."""
+    order = np.argsort(oracle, kind="stable")
+    sizes = np.bincount(oracle)
+    sizes = sizes[sizes > 0]
+    pos = np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(oracle))
+    dst[pos] = items[order]
+
+
+def _phased_executor(sh: _Phased, job, env: _Env) -> None:
+    kind = job[0]
+    if kind == "batch":
+        sh.batch(sh, job[1], env)
+        return
+    _, lo, hi, in_cur = job[:4]
+    src, dst = (sh.cur, sh.other) if in_cur else (sh.other, sh.cur)
+    if kind == "count":
+        k, arg = job[4:]
+        buckets, summary = sh.buckets(sh, src, lo, hi, arg)
+        sh.oracle[lo:hi] = buckets
+        env.replies.put(("phase", (lo, np.bincount(buckets, minlength=k), summary)))
+    elif kind == "scatter":
+        scatter(src[lo:hi], sh.oracle[lo:hi], job[4], dst)
+        env.replies.put(("phase", None))
+    else:
+        raise ValueError(f"unknown phased job kind: {kind}")
+
+
+def phased_step(pool: WorkPool, lo: int, hi: int, in_cur: bool, k: int, arg):
+    """Distribute src[lo:hi] into k buckets of dst on the pool's p shards.
+
+    `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
+    b occupies [lo + bounds[b], lo + bounds[b + 1]) of dst, and summaries
+    holds the bucket function's second result per shard, in shard order.
+    """
+    cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
+    shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+    for slo, shi in shards:
+        pool.submit(("count", slo, shi, in_cur, k, arg))
+    parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
+    counts = np.stack([part[1] for part in parts])
+    offsets, bounds = prefix_offsets(counts, lo)
+    for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
+        pool.submit(("scatter", slo, shi, in_cur, shard_offsets[shard_counts > 0]))
+    pool.wait_phase(len(shards))
+    return bounds, [part[2] for part in parts]
+
+
+def phased_sort(pool: WorkPool, n: int, step) -> None:
+    """Sort [0, n): phased steps on subproblems of at least n/p strings,
+    then the smaller ones as batch jobs.
+
+    step(lo, hi, depth, in_cur) runs one phased step, settles finished
+    buckets in cur and returns the others as (lo, hi, depth, in_cur).
+    """
+    threshold = max(-(-n // pool.p), 2 * INSERTION_THRESHOLD)
+    pending = [(0, n, 0, True)]
+    small: list[tuple[int, int, int, bool]] = []
+    while pending:
+        item = pending.pop()
+        if item[1] - item[0] < threshold:
+            small.append(item)
+            continue
+        for child in step(*item):
+            (pending if child[1] - child[0] >= threshold else small).append(child)
+    feed_batches(pool, small)
+
+
 # ---------------------------------------------------------------------------
 # parallel super scalar string sample sort
 
 
-@dataclass
-class _S5Shared:
-    sset: StringSet
-    cur: np.ndarray
-    other: np.ndarray
-    cache: np.ndarray
-    lcps: np.ndarray | None
-    seed: int
-    variant: str
-    v: int
-    t_medium: int
-
-    def seq_ctx(self, stats: SortStats) -> S5Context:
-        return S5Context(
-            self.sset, self.cur, self.other, self.cache, self.lcps,
-            stats, self.seed, self.variant, self.v, None, self.t_medium,
-        )
+def _s5_buckets(sh: _Phased, src, lo: int, hi: int, arg):
+    depth, tree = arg
+    keys = extract_keys(sh.sset, src[lo:hi], depth)
+    oracle = classify_keys(keys, tree)
+    if sh.s5.lcps is None:
+        return oracle, None
+    return oracle, bucket_word_range(oracle, keys, tree.num_buckets)
 
 
-def _s5_executor(shared: _S5Shared, job, env: _Env) -> None:
-    kind = job[0]
-    if kind == "classify":
-        _, lo, hi, depth, in_cur, tree = job
-        src = shared.cur if in_cur else shared.other
-        keys = extract_keys(shared.sset, src[lo:hi], depth)
-        oracle = classify_keys(keys, tree, shared.variant)
-        counts = np.bincount(oracle, minlength=tree.num_buckets)
-        env.replies.put(("phase", (lo, hi, oracle, counts, keys)))
-    elif kind == "distribute":
-        _, lo, hi, in_cur, oracle, keys, offsets = job
-        src = shared.cur if in_cur else shared.other
-        dst = shared.other if in_cur else shared.cur
-        order = np.argsort(oracle, kind="stable")
-        sorted_keys = keys[order]
-        counts = np.bincount(oracle, minlength=len(offsets))
-        nonzero = np.flatnonzero(counts)
-        sizes = counts[nonzero]
-        group_starts = np.zeros(len(nonzero), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=group_starts[1:])
-        within = np.arange(len(oracle), dtype=np.int64) - np.repeat(group_starts, sizes)
-        pos = np.repeat(offsets[nonzero], sizes) + within
-        dst[pos] = src[lo:hi][order]
-        kmin = np.minimum.reduceat(sorted_keys, group_starts)
-        kmax = np.maximum.reduceat(sorted_keys, group_starts)
-        env.replies.put(("phase", (nonzero, kmin, kmax)))
-    elif kind == "batch":
-        _, entries = job
-        ctx = shared.seq_ctx(env.stats)
-        s5_sort_items(ctx, entries, share=make_share_hook(env, lambda d: ("batch", d)))
-    else:
-        raise ValueError(f"unknown s5 job kind: {kind}")
+def _s5_batch(sh: _Phased, entries, env: _Env) -> None:
+    ctx = dataclasses.replace(sh.s5, stats=env.stats)
+    s5_sort_items(ctx, entries, share=make_share_hook(env))
+
+
+def _s5_shared(sset: StringSet, want_lcps: bool, seed: int, t_medium: int) -> _Phased:
+    sh = _Phased.create(sset, _s5_buckets, _s5_batch)
+    n = len(sset)
+    lcps = None
+    if want_lcps:
+        lcps = shared_array(n, np.int64)
+        lcps.fill(LCP_UNDEF)
+    sh.s5 = S5Context(
+        sset, sh.cur, sh.other, shared_array(n, np.uint64), lcps, SortStats(),
+        seed, "unroll", DEFAULT_V, None, t_medium,
+    )
+    return sh
 
 
 class _ParallelS5Run:
-    """One parallel sample-sort run: arena, pool, and phased orchestration."""
+    """One parallel sample sort: its shared arrays, pool and phased steps."""
 
     def __init__(
         self,
@@ -335,219 +444,76 @@ class _ParallelS5Run:
         p: int,
         want_lcps: bool = False,
         seed: int = 1,
-        variant: str = "unroll",
-        v: int = 8191,
         t_medium: int = T_MEDIUM,
     ):
-        self.sset = sset
-        self.p = max(1, p)
-        n = len(sset)
-        self.n = n
-        cur = shared_array(n, np.int64)
-        cur[:] = sset.handles
-        other = shared_array(n, np.int64)
-        cache = shared_array(n, np.uint64)
-        lcps = None
-        if want_lcps:
-            lcps = shared_array(n, np.int64)
-            lcps.fill(LCP_UNDEF)
-        self.shared = _S5Shared(
-            sset, cur, other, cache, lcps, seed, variant, v, t_medium
-        )
-        self.pool = WorkPool(self.p, _s5_executor, self.shared)
-
-    def _phased_step(self, lo: int, hi: int, depth: int, in_cur: bool):
-        """Classify/count on shards, prefix-sum globally, redistribute."""
-        sh = self.shared
-        n_sub = hi - lo
-        v = tree_capacity(n_sub, sh.v)
-        rng = np.random.default_rng((sh.seed, lo, hi, depth))
-        src = sh.cur if in_cur else sh.other
-        sample = draw_sample(sh.sset, src[lo:hi], depth, v, rng)
-        tree = select_splitters(sample, v)
-        k = tree.num_buckets
-        cuts = np.linspace(lo, hi, self.p + 1).astype(np.int64)
-        shards = [
-            (int(cuts[i]), int(cuts[i + 1]))
-            for i in range(self.p)
-            if cuts[i] < cuts[i + 1]
-        ]
-        for slo, shi in shards:
-            self.pool.submit(("classify", slo, shi, depth, in_cur, tree))
-        parts = self.pool.wait_phase(len(shards))
-        parts.sort(key=lambda t: t[0])
-        counts = np.stack([pt[3] for pt in parts])  # (shards, buckets)
-        # interleaved prefix sum: bucket-major, shard-minor write regions
-        flat = counts.T.reshape(-1)
-        starts = np.zeros(len(flat), dtype=np.int64)
-        np.cumsum(flat[:-1], out=starts[1:])
-        starts += lo
-        offsets = starts.reshape(k, len(parts)).T  # per shard, per bucket
-        for i, (slo, shi, oracle, _, keys) in enumerate(parts):
-            self.pool.submit(
-                ("distribute", slo, shi, in_cur, oracle, keys, offsets[i].copy())
-            )
-        minmax = self.pool.wait_phase(len(parts))
-        bucket_min = np.full(k, np.iinfo(np.uint64).max, dtype=np.uint64)
-        bucket_max = np.zeros(k, dtype=np.uint64)
-        for nonzero, kmin, kmax in minmax:
-            np.minimum.at(bucket_min, nonzero, kmin)
-            np.maximum.at(bucket_max, nonzero, kmax)
-        bounds = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts.sum(axis=0), out=bounds[1:])
-        return tree, bounds, bucket_min, bucket_max
+        self.shared = _s5_shared(sset, want_lcps, seed, t_medium)
+        self.pool = WorkPool(max(1, p), _phased_executor, self.shared)
 
     def execute(self) -> None:
-        sh = self.shared
-        n = self.n
-        if n == 0:
-            return
-        par_threshold = max((n + self.p - 1) // self.p, INSERTION_THRESHOLD)
-        pending = [(0, n, 0, True)]
-        small: list[tuple[int, int, int, bool]] = []
-        while pending:
-            lo, hi, depth, in_cur = pending.pop()
-            if hi - lo < par_threshold or hi - lo < 2 * INSERTION_THRESHOLD:
-                small.append((lo, hi, depth, in_cur))
-                continue
-            tree, bounds, bmin, bmax = self._phased_step(lo, hi, depth, in_cur)
-            depths = child_depths(tree, depth)
-            dst_in_cur = not in_cur
-            if sh.lcps is not None:
-                self._boundary_lcps(lo, depth, bounds, bmin, bmax)
-            for i in range(tree.num_buckets):
-                clo = lo + int(bounds[i])
-                chi = lo + int(bounds[i + 1])
-                size = chi - clo
-                if size == 0:
-                    continue
-                if i % 2 == 1 and tree.eq_final[i // 2]:
-                    if not dst_in_cur:
-                        sh.cur[clo:chi] = sh.other[clo:chi]
-                    if sh.lcps is not None and size > 1:
-                        sh.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
-                    continue
-                if size == 1:
-                    if not dst_in_cur:
-                        sh.cur[clo:chi] = sh.other[clo:chi]
-                    continue
-                if size >= par_threshold:
-                    pending.append((clo, chi, int(depths[i]), dst_in_cur))
-                else:
-                    small.append((clo, chi, int(depths[i]), dst_in_cur))
-        # feed the sequential tiers as batched jobs; workers share when idle
-        if small:
-            batches = max(1, min(len(small), 2 * self.p))
-            chunks = np.array_split(np.arange(len(small)), batches)
-            for chunk in chunks:
-                if len(chunk):
-                    self.pool.submit(("batch", [small[i] for i in chunk]))
-        self.pool.wait_idle()
+        phased_sort(self.pool, len(self.shared.sset), self._step)
 
-    def _boundary_lcps(self, lo, depth, bounds, bmin, bmax) -> None:
-        sh = self.shared
-        sizes = np.diff(bounds)
-        nonempty = np.flatnonzero(sizes)
-        for t in range(1, len(nonempty)):
-            pos = lo + int(bounds[nonempty[t]])
-            sh.lcps[pos] = depth + shared_chars(
-                int(bmax[nonempty[t - 1]]), int(bmin[nonempty[t]])
-            )
+    def _step(self, lo: int, hi: int, depth: int, in_cur: bool) -> list:
+        ctx = self.shared.s5
+        src = ctx.cur if in_cur else ctx.other
+        v = tree_capacity(hi - lo, ctx.v)
+        rng = np.random.default_rng((ctx.seed, lo, hi, depth))
+        tree = select_splitters(draw_sample(ctx.sset, src[lo:hi], depth, v, rng), v)
+        bounds, ranges = phased_step(self.pool, lo, hi, in_cur, tree.num_buckets, (depth, tree))
+        if ctx.lcps is not None:
+            mins = np.min([r[0] for r in ranges], axis=0)
+            maxs = np.max([r[1] for r in ranges], axis=0)
+            write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
+        return finish_buckets(ctx, tree, bounds, lo, depth, in_cur)
 
-    def finish(self, want_dchar: bool = False):
+    def finish(self):
         self.pool.shutdown()
-        out = self.sset.with_handles(self.shared.cur.copy())
-        if self.shared.lcps is None:
-            return out, None, self.pool.stats
-        lcps = self.shared.lcps.copy()
-        if len(lcps):
-            lcps[0] = LCP_UNDEF
-        return out, lcps, self.pool.stats
+        ctx = self.shared.s5
+        lcps = None if ctx.lcps is None else ctx.lcps.copy()  # entry 0 is never written
+        return ctx.sset.with_handles(ctx.cur.copy()), lcps, self.pool.stats
 
 
 def parallel_s5(
     sset: StringSet,
     p: int | None = None,
     want_lcps: bool = False,
-    want_dchar: bool = False,
     seed: int = 1,
-    variant: str = "unroll",
     stats: SortStats | None = None,
     t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sample sort on p workers; content order matches the sequential sorter."""
     p = default_workers() if p is None else p
-    run = _ParallelS5Run(
-        sset, p, want_lcps or want_dchar, seed, variant, t_medium=t_medium
-    )
+    run = _ParallelS5Run(sset, p, want_lcps, seed, t_medium)
     try:
         run.execute()
     finally:
         out, lcps, run_stats = run.finish()
     if stats is not None:
         stats.add(run_stats)
-    if not (want_lcps or want_dchar):
+    if not want_lcps:
         return out
-    dchar = fill_dchar(out, lcps) if want_dchar else None
-    return SortedWithLcp(out, lcps, dchar, run_stats)
+    return SortedWithLcp(out, lcps, None, run_stats)
 
 
 # ---------------------------------------------------------------------------
 # parallel radix sort
 
 
-@dataclass
-class _RadixShared:
-    sset: StringSet
-    cur: np.ndarray
-    other: np.ndarray
-    oracle: np.ndarray
-
-
-def _radix_digits(shared: _RadixShared, src, lo, hi, depth, width):
+def _radix_buckets(sh: _Phased, src, lo: int, hi: int, arg):
+    depth, width = arg
     if width == 16:
-        return _digits16(shared.sset, src[lo:hi], depth)
-    return _digits8(shared.sset, src, lo, hi, depth).astype(np.int64)
+        return _digits16(sh.sset, src[lo:hi], depth), None
+    return _digits8(sh.sset, src, lo, hi, depth), None
 
 
-def _radix_executor(shared: _RadixShared, job, env: _Env) -> None:
-    kind = job[0]
-    if kind == "count":
-        _, lo, hi, depth, in_cur, width = job
-        src = shared.cur if in_cur else shared.other
-        digs = _radix_digits(shared, src, lo, hi, depth, width)
-        counts = np.bincount(digs, minlength=1 << width)
-        env.replies.put(("phase", (lo, hi, counts)))
-    elif kind == "distribute":
-        _, lo, hi, depth, in_cur, width, offsets = job
-        src = shared.cur if in_cur else shared.other
-        dst = shared.other if in_cur else shared.cur
-        digs = _radix_digits(shared, src, lo, hi, depth, width)
-        order = np.argsort(digs, kind="stable")
-        counts = np.bincount(digs, minlength=len(offsets))
-        nonzero = np.flatnonzero(counts)
-        sizes = counts[nonzero]
-        group_starts = np.zeros(len(nonzero), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=group_starts[1:])
-        within = np.arange(hi - lo, dtype=np.int64) - np.repeat(group_starts, sizes)
-        pos = np.repeat(offsets[nonzero], sizes) + within
-        dst[pos] = src[lo:hi][order]
-        env.replies.put(("phase", None))
-    elif kind == "batch":
-        _, entries = job
-        items = []
-        for lo, hi, depth, in_cur in entries:
-            if not in_cur:
-                shared.cur[lo:hi] = shared.other[lo:hi]
-            if depth >= 0 and hi - lo > 1:
-                items.append((lo, hi, depth))
-        if items:
-            share = make_share_hook(
-                env, lambda d: ("batch", [(a, b, c, True) for a, b, c in d])
-            )
-            radix8_items(shared.sset, shared.cur, items, shared.oracle, share)
-    else:
-        raise ValueError(f"unknown radix job kind: {kind}")
+def _radix_batch(sh: _Phased, entries, env: _Env) -> None:
+    items = []
+    for lo, hi, depth, in_cur in entries:
+        if not in_cur:
+            sh.cur[lo:hi] = sh.other[lo:hi]
+        if hi - lo > 1:
+            items.append((lo, hi, depth))
+    share = make_share_hook(env, lambda d: ("batch", [(a, b, c, True) for a, b, c in d]))
+    radix8_items(sh.sset, sh.cur, items, sh.oracle, share)
 
 
 def parallel_radix(
@@ -562,75 +528,27 @@ def parallel_radix(
     sharing.  Terminator buckets are final and never recursed.
     """
     p = default_workers() if p is None else max(1, p)
-    n = len(sset)
-    if n == 0:
+    if len(sset) == 0:
         return sset.with_handles(sset.handles.copy())
-    cur = shared_array(n, np.int64)
-    cur[:] = sset.handles
-    other = shared_array(n, np.int64)
-    oracle = shared_array(n, np.uint8)
-    shared = _RadixShared(sset, cur, other, oracle)
-    par_threshold = max((n + p - 1) // p, 2 * INSERTION_THRESHOLD)
-    pool = WorkPool(p, _radix_executor, shared)
-    try:
-        pending = [(0, n, 0, True)]
-        small: list[tuple[int, int, int, bool]] = []
-        while pending:
-            lo, hi, depth, in_cur = pending.pop()
-            size = hi - lo
-            if size < par_threshold:
-                small.append((lo, hi, depth, in_cur))
-                continue
-            width = 16 if size >= RADIX16_THRESHOLD else 8
-            k = 1 << width
-            cuts = np.linspace(lo, hi, p + 1).astype(np.int64)
-            shards = [
-                (int(cuts[i]), int(cuts[i + 1]))
-                for i in range(p)
-                if cuts[i] < cuts[i + 1]
-            ]
-            for slo, shi in shards:
-                pool.submit(("count", slo, shi, depth, in_cur, width))
-            parts = pool.wait_phase(len(shards))
-            parts.sort(key=lambda t: t[0])
-            counts = np.stack([pt[2] for pt in parts])
-            flat = counts.T.reshape(-1)
-            starts = np.zeros(len(flat), dtype=np.int64)
-            np.cumsum(flat[:-1], out=starts[1:])
-            starts += lo
-            offsets = starts.reshape(k, len(parts)).T
-            for i, (slo, shi, _) in enumerate(parts):
-                pool.submit(
-                    ("distribute", slo, shi, depth, in_cur, width, offsets[i].copy())
-                )
-            pool.wait_phase(len(parts))
-            total = counts.sum(axis=0)
-            bounds = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(total, out=bounds[1:])
-            dst_in_cur = not in_cur
-            nonzero = np.flatnonzero(total)
-            for b in nonzero:
-                clo = lo + int(bounds[b])
-                chi = lo + int(bounds[b + 1])
-                final = b == 0 or (width == 16 and (b & 0xFF) == 0)
-                if final or chi - clo == 1:
-                    small.append((clo, chi, -1, dst_in_cur))
-                elif chi - clo >= par_threshold:
-                    pending.append((clo, chi, depth + width // 8, dst_in_cur))
-                else:
-                    small.append((clo, chi, depth + width // 8, dst_in_cur))
-        if small:
-            batches = max(1, min(len(small), 2 * p))
-            chunks = np.array_split(np.arange(len(small)), batches)
-            for chunk in chunks:
-                if len(chunk):
-                    pool.submit(("batch", [small[i] for i in chunk]))
-        pool.wait_idle()
-    finally:
-        pool.shutdown()
+    sh = _Phased.create(sset, _radix_buckets, _radix_batch)
+
+    def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
+        width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
+        bounds, _ = phased_step(pool, lo, hi, in_cur, 1 << width, (depth, width))
+        children = []
+        for b in np.flatnonzero(np.diff(bounds)):
+            clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
+            if b & 0xFF and chi - clo > 1:  # a zero low byte ends the strings
+                children.append((clo, chi, depth + width // 8, not in_cur))
+            elif in_cur:
+                sh.cur[clo:chi] = sh.other[clo:chi]
+        return children
+
+    with WorkPool(p, _phased_executor, sh) as pool:
+        phased_sort(pool, len(sset), step)
     if stats is not None:
         stats.add(pool.stats)
-    return sset.with_handles(cur.copy())
+    return sset.with_handles(sh.cur.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +616,14 @@ def _mkqs_partition_worker(shared: _MkqsShared, job, env: _Env) -> None:
     env.replies.put(("phase", (out[0], out[1], out[2], free)))
 
 
-def _mkqs_seq_executor(shared: _MkqsShared, job, env: _Env) -> None:
+def _mkqs_executor(shared: _MkqsShared, job, env: _Env) -> None:
     kind = job[0]
     if kind == "partition":
         _mkqs_partition_worker(shared, job, env)
-    elif kind == "seq":
-        _, entries = job
-        share = make_share_hook(env, lambda d: ("seq", d))
+    elif kind == "batch":
         mkqs_cached_items(
-            shared.sset, shared.out_h, shared.out_c, entries, None, env.stats, share
+            shared.sset, shared.out_h, shared.out_c, job[1], None, env.stats,
+            make_share_hook(env),
         )
     else:
         raise ValueError(f"unknown mkqs job kind: {kind}")
@@ -752,7 +669,7 @@ def parallel_mkqs(
     free = [(nblocks + i) * B for i in range(extra)]
     par_threshold = max((n + p - 1) // p, B)
     max_partials = 0
-    pool = WorkPool(p, _mkqs_seq_executor, shared)
+    pool = WorkPool(p, _mkqs_executor, shared)
 
     def compact(blocks: list[tuple[int, int]], olo: int) -> None:
         pos = olo
@@ -820,13 +737,7 @@ def parallel_mkqs(
                     stack.append((cblocks, nd, clo, chi))
                 else:
                     stack.append((cblocks, depth, clo, chi))
-        if seq_entries:
-            batches = max(1, min(len(seq_entries), 2 * p))
-            chunks = np.array_split(np.arange(len(seq_entries)), batches)
-            for chunk in chunks:
-                if len(chunk):
-                    pool.submit(("seq", [seq_entries[i] for i in chunk]))
-        pool.wait_idle()
+        feed_batches(pool, seq_entries)
     finally:
         pool.shutdown()
     stats.add(pool.stats)
@@ -847,7 +758,6 @@ class _MergeShared:
     out_h: np.ndarray
     out_l: np.ndarray
     use_cache: bool
-    target_jobs: int
 
 
 def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
@@ -865,21 +775,25 @@ def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
     _, _, emitted, leftover = run_merge_job(
         shared.streams, mjob, env.stats, shared.use_cache, out_h, out_l, poll
     )
+    out_l[:1] = LCP_UNDEF  # the LCP to the previous job's last string is not known here
     if leftover:
         subjobs = split_merge_jobs(
             [shared.streams[k].slice(s, l) for k, s, l in leftover],
             max(2, env.idle_workers() + 1),
             mjob.shared_prefix,
         )
-        remap = {i: k for i, (k, _, _) in enumerate(leftover)}
-        base = {i: s for i, (k, s, _) in enumerate(leftover)}
         pos = offset + emitted
         for sub in subjobs:
-            ranges = [(remap[i], base[i] + s, l) for i, s, l in sub.ranges]
+            ranges = [(leftover[i][0], leftover[i][1] + s, l) for i, s, l in sub.ranges]
             env.enqueue(("merge", MergeJob(ranges, sub.shared_prefix), pos))
-            env.replies.put(("boundary", pos))
             pos += sub.size
         env.record_share()
+
+
+def fill_job_lcps(sset: StringSet, handles: np.ndarray, lcps: np.ndarray) -> None:
+    """Compute the LCPs that merge jobs left LCP_UNDEF at their first slot."""
+    for pos in np.flatnonzero(lcps[1:] == LCP_UNDEF) + 1:
+        lcps[pos] = lcp(sset, int(handles[pos - 1]), int(handles[pos]))
 
 
 def partitioned_merge_sort(
@@ -941,44 +855,14 @@ def partitioned_merge_sort(
         streams.append(LcpStream(sset, out.handles, lcps, dchar))
     out_h = shared_array(n, np.int64)
     out_l = shared_array(n, np.int64)
-    target_jobs = 8 * p
-    jobs = split_merge_jobs(streams, target_jobs)
-    shared = _MergeShared(sset, streams, out_h, out_l, use_cache, target_jobs)
-    pool = WorkPool(p, _merge_executor, shared)
-    boundaries = [0]
-    try:
+    jobs = split_merge_jobs(streams, 8 * p)
+    shared = _MergeShared(sset, streams, out_h, out_l, use_cache)
+    with WorkPool(p, _merge_executor, shared) as pool:
         offset = 0
         for job in jobs:
             pool.submit(("merge", job, offset))
-            boundaries.append(offset)
             offset += job.size
-        while True:
-            if pool.fail.is_set():
-                pool._handle(pool.replies.get())
-                continue
-            with pool.outstanding.get_lock():
-                if pool.outstanding.value == 0:
-                    break
-            try:
-                msg = pool.replies.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "boundary":
-                boundaries.append(msg[1])
-            else:
-                pool._handle(msg)
-        # drain any boundary notices that raced with the last decrement
-        while True:
-            try:
-                msg = pool.replies.get_nowait()
-            except queue_mod.Empty:
-                break
-            if msg[0] == "boundary":
-                boundaries.append(msg[1])
-            else:
-                pool._handle(msg)
-    finally:
-        pool.shutdown()
+        pool.wait_idle()
     merge_stats.add(pool.stats)
     if stats is not None:
         stats.add(pool.stats)
@@ -986,9 +870,5 @@ def partitioned_merge_sort(
     if not want_lcps:
         return out
     lcps = out_l.copy()
-    for pos in sorted(set(boundaries)):
-        if 0 < pos < n:
-            lcps[pos] = lcp(sset, int(out_h[pos - 1]), int(out_h[pos]))
-    if n:
-        lcps[0] = LCP_UNDEF
+    fill_job_lcps(sset, out_h, lcps)
     return SortedWithLcp(out, lcps, None, merge_stats)

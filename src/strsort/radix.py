@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basecase import lcp_insertion_core
+from .basecase import insertion_range
 from .counters import SortStats
 from .strset import StringSet
 
 INSERTION_THRESHOLD = 64
 RADIX16_THRESHOLD = 65536
-
-
-def _insertion_base(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
-    handles, _ = lcp_insertion_core(
-        sset.buffer, [int(v) for v in work[lo:hi]], depth, SortStats()
-    )
-    work[lo:hi] = handles
 
 
 def _digits8(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> np.ndarray:
@@ -64,7 +57,7 @@ def radix8_items(
         n = hi - lo
         if n < INSERTION_THRESHOLD:
             if n > 1:
-                _insertion_base(sset, work, lo, hi, d)
+                insertion_range(sset, work, lo, hi, d)
             continue
         digs = _digits8(sset, work, lo, hi, d)
         counts = np.bincount(digs, minlength=256)

@@ -12,7 +12,7 @@ lockstep over the whole batch, one tree level per pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,35 +181,13 @@ def classify_keys(keys: np.ndarray, tree: SplitterTree, variant: str = "unroll")
     raise ValueError(f"unknown classify variant: {variant}")
 
 
-def classify(
-    sset: StringSet,
-    handles: np.ndarray,
-    depth: int,
-    tree: SplitterTree,
-    variant: str = "unroll",
-) -> np.ndarray:
-    return classify_keys(extract_keys(sset, handles, depth), tree, variant)
-
-
-def distribute(
-    handles: np.ndarray,
-    oracle: np.ndarray,
-    num_buckets: int,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counting redistribution; returns (permuted handles, bucket bounds).
-
-    bounds has num_buckets+1 entries; bucket i occupies [bounds[i], bounds[i+1]).
-    """
-    counts = np.bincount(oracle, minlength=num_buckets)
-    bounds = np.zeros(num_buckets + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    order = np.argsort(oracle, kind="stable")
-    permuted = handles[order]
-    if out is not None:
-        out[: len(permuted)] = permuted
-        permuted = out[: len(permuted)]
-    return permuted, bounds
+def bucket_word_range(oracle: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest word of each of k buckets; empty buckets hold (max, 0)."""
+    mins = np.full(k, np.iinfo(np.uint64).max, dtype=np.uint64)
+    maxs = np.zeros(k, dtype=np.uint64)
+    np.minimum.at(mins, oracle, keys)
+    np.maximum.at(maxs, oracle, keys)
+    return mins, maxs
 
 
 @dataclass
@@ -239,28 +217,49 @@ class S5Context:
     t_medium: int = T_MEDIUM
 
 
-def _write_boundary_lcps(
-    ctx: S5Context, keys_sorted: np.ndarray, lo: int, depth: int, bounds: np.ndarray
+def write_boundary_lcps(
+    lcps: np.ndarray,
+    lo: int,
+    depth: int,
+    bounds: np.ndarray,
+    mins: np.ndarray,
+    maxs: np.ndarray,
 ) -> None:
     """LCPs at bucket boundaries from the classification words.
 
     Adjacent buckets hold disjoint word ranges, so the LCP of the last
     string of one bucket and the first of the next is the depth plus the
     shared characters of the left bucket's maximum word and the right
-    bucket's minimum word.
+    bucket's minimum word.  mins/maxs come from bucket_word_range.
     """
-    if ctx.lcps is None:
-        return
-    sizes = np.diff(bounds)
-    nonempty = np.flatnonzero(sizes)
-    if len(nonempty) <= 1:
-        return
-    starts = bounds[:-1][nonempty]
-    mins = np.minimum.reduceat(keys_sorted, starts)
-    maxs = np.maximum.reduceat(keys_sorted, starts)
-    for k in range(1, len(nonempty)):
-        pos = lo + int(bounds[nonempty[k]])
-        ctx.lcps[pos] = depth + shared_chars(int(maxs[k - 1]), int(mins[k]))
+    nonempty = np.flatnonzero(np.diff(bounds))
+    for left, right in zip(nonempty[:-1], nonempty[1:]):
+        lcps[lo + int(bounds[right])] = depth + shared_chars(int(maxs[left]), int(mins[right]))
+
+
+def finish_buckets(
+    ctx: S5Context, tree: SplitterTree, bounds: np.ndarray, lo: int, depth: int, in_cur: bool
+) -> list[tuple[int, int, int, bool]]:
+    """Settle the buckets of one step that moved src -> dst; return the rest.
+
+    Equality buckets whose splitter covers the terminator hold equal strings
+    and single-string buckets are sorted: both are copied into ctx.cur.  The
+    other buckets come back as (lo, hi, depth, data_in_cur) subproblems.
+    """
+    depths = child_depths(tree, depth)
+    out_cur = not in_cur
+    children = []
+    for i in np.flatnonzero(np.diff(bounds)):
+        clo, chi = lo + int(bounds[i]), lo + int(bounds[i + 1])
+        equal = i % 2 == 1 and tree.eq_final[i // 2]
+        if not equal and chi - clo > 1:
+            children.append((clo, chi, int(depths[i]), out_cur))
+            continue
+        if not out_cur:
+            ctx.cur[clo:chi] = ctx.other[clo:chi]
+        if equal and ctx.lcps is not None and chi - clo > 1:
+            ctx.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
+    return children
 
 
 def _insertion_leaf(ctx: S5Context, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
@@ -280,8 +279,11 @@ def _mkqs_leaf(ctx: S5Context, lo: int, hi: int, depth: int) -> None:
 
 def s5_step(
     ctx: S5Context, src: np.ndarray, dst: np.ndarray, lo: int, hi: int, depth: int
-) -> tuple[np.ndarray, SplitterTree, np.ndarray]:
-    """One classification/distribution step; returns (bounds, tree, sorted keys)."""
+) -> tuple[np.ndarray, SplitterTree]:
+    """One classification/distribution step; returns (bounds, tree).
+
+    With ctx.lcps set, the LCPs at the bucket boundaries are written too.
+    """
     n = hi - lo
     v = tree_capacity(n, ctx.v)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
@@ -294,7 +296,10 @@ def s5_step(
     np.cumsum(counts, out=bounds[1:])
     order = np.argsort(oracle, kind="stable")
     dst[lo:hi] = src[lo:hi][order]
-    return bounds, tree, keys[order]
+    if ctx.lcps is not None:
+        mins, maxs = bucket_word_range(oracle, keys, tree.num_buckets)
+        write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
+    return bounds, tree
 
 
 def child_depths(tree: SplitterTree, depth: int) -> np.ndarray:
@@ -334,28 +339,10 @@ def s5_sort_items(
                 _mkqs_leaf(ctx, lo, hi, d)
             continue
         dst = ctx.other if in_cur else ctx.cur
-        bounds, tree, keys_sorted = s5_step(ctx, src, dst, lo, hi, d)
-        depths = child_depths(tree, d)
-        _write_boundary_lcps(ctx, keys_sorted, lo, d, bounds)
+        bounds, tree = s5_step(ctx, src, dst, lo, hi, d)
         if ctx.step_hook is not None:
-            ctx.step_hook(StepRecord(lo, hi, d, bounds, depths, tree))
-        for i in range(tree.num_buckets):
-            clo = lo + int(bounds[i])
-            chi = lo + int(bounds[i + 1])
-            if chi - clo == 0:
-                continue
-            if i % 2 == 1 and tree.eq_final[i // 2]:
-                # splitter word covers the terminator: bucket strings are equal
-                if dst is not ctx.cur:
-                    ctx.cur[clo:chi] = dst[clo:chi]
-                if ctx.lcps is not None and chi - clo > 1:
-                    ctx.lcps[clo + 1 : chi] = d + int(tree.term_pos[i // 2])
-                continue
-            if chi - clo == 1:
-                if dst is not ctx.cur:
-                    ctx.cur[clo:chi] = dst[clo:chi]
-                continue
-            stack.append((clo, chi, int(depths[i]), not in_cur))
+            ctx.step_hook(StepRecord(lo, hi, d, bounds, child_depths(tree, d), tree))
+        stack.extend(finish_buckets(ctx, tree, bounds, lo, d, in_cur))
 
 
 def s5_sort(

@@ -1,3 +1,7 @@
+import multiprocessing as mp
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -11,20 +15,31 @@ from corpus import (
     suffix_set,
 )
 from strsort.counters import SortStats
-from strsort.lcpmerge import LcpStream
+from strsort.basecase import fill_dchar
+from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, MergeJob
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
+    WorkerFailure,
     WorkPool,
+    _merge_executor,
+    _MergeShared,
+    fill_job_lcps,
     parallel_mkqs,
     parallel_radix,
     parallel_s5,
     partitioned_merge_sort,
     pool_run,
+    prefix_offsets,
+    scatter,
     shared_array,
 )
 from strsort.radix import radix16_adaptive
 from strsort.ssss import s5_sort
 from strsort.strset import dist_stats, from_strings, lcp_array_oracle, verify
+
+
+def _exit_executor(shared, job, env):
+    os._exit(3)  # stands in for a worker killed mid-job
 
 
 def _touch_executor(shared, job, env):
@@ -36,6 +51,23 @@ def _touch_executor(shared, job, env):
         _, count = job
         for i in range(count):
             env.enqueue(("mark", i))
+
+
+class _IdleEnv:
+    """A scheduler stand-in that always reports one idle worker."""
+
+    def __init__(self):
+        self.queue = []
+        self.stats = SortStats()
+
+    def idle_workers(self):
+        return 1
+
+    def enqueue(self, job):
+        self.queue.append(job)
+
+    def record_share(self):
+        self.stats.share_events += 1
 
 
 class TestWorkPool:
@@ -73,6 +105,28 @@ class TestWorkPool:
 
         with pytest.raises(Exception, match="job exploded"):
             pool_run(2, [("x",)], boom, None)
+
+    def test_dead_worker_raises_promptly(self):
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure, match="exit code 3"):
+            pool_run(2, [0, 1, 2], _exit_executor, None)
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
+
+def test_phased_engine_interleaves_shards():
+    # shard 0 holds positions [0, 3), shard 1 [3, 6); regions are bucket-major
+    handles = np.arange(6, dtype=np.int64)
+    oracle = np.array([2, 0, 2, 1, 0, 2], dtype=np.uint16)
+    shards = ((0, 3), (3, 6))
+    counts = np.stack([np.bincount(oracle[lo:hi], minlength=3) for lo, hi in shards])
+    offsets, bounds = prefix_offsets(counts, 10)
+    out = np.full(16, -1, dtype=np.int64)
+    for s, (lo, hi) in enumerate(shards):
+        scatter(handles[lo:hi], oracle[lo:hi], offsets[s][counts[s] > 0], out)
+    assert list(bounds) == [0, 2, 3, 6]
+    assert list(out[10:]) == [1, 4, 3, 0, 2, 5]
+    assert (out[:10] == -1).all()
 
 
 CORPORA = {
@@ -194,6 +248,31 @@ class TestPartitionedMergeSort:
         assert list(a.lcps) == list(b.lcps)
         assert m_cached.merge_buffer_cmps < m_plain.merge_buffer_cmps
 
+    def test_merge_job_resplit_when_workers_idle(self):
+        # a job only splits after MERGE_POLL_INTERVAL emitted strings, so the
+        # executor runs directly here with a scheduler that always reports an
+        # idle worker; every subjob it enqueues runs the same way
+        s = random_set(4 * 2500, seed=21)
+        streams = []
+        for k in range(4):
+            sub = s.with_handles(s.handles[k * 2500 : (k + 1) * 2500])
+            res = s5_sort(sub, want_lcps=True, t_medium=512)
+            streams.append(LcpStream(s, res.set.handles, res.lcps, fill_dchar(res.set, res.lcps)))
+        n = len(s)
+        assert n > MERGE_POLL_INTERVAL
+        out_h = np.zeros(n, dtype=np.int64)
+        out_l = np.zeros(n, dtype=np.int64)
+        shared = _MergeShared(s, streams, out_h, out_l, True)
+        env = _IdleEnv()
+        _merge_executor(shared, ("merge", MergeJob([(k, 0, 2500) for k in range(4)], 0), 0), env)
+        assert env.queue and env.stats.share_events == 1
+        while env.queue:
+            _merge_executor(shared, env.queue.pop(0), env)
+        fill_job_lcps(s, out_h, out_l)
+        want = sorted(ref_strings(s))
+        assert ref_strings(s.with_handles(out_h)) == want
+        assert list(out_l) == ref_lcps(want)
+
     def test_disjoint_parts_concat(self):
         # four groups with disjoint leading characters, grouped in buffer order
         items = []
@@ -208,16 +287,11 @@ class TestPartitionedMergeSort:
 def test_scheduler_share_event_with_single_root():
     # one sequential root job on a multi-worker pool must trigger sharing
     s = random_set(60_000, seed=13)
-    from strsort.parallel import _S5Shared, _s5_executor
-    from strsort.strset import LCP_UNDEF
+    from strsort.parallel import _phased_executor, _s5_shared
 
-    cur = shared_array(len(s), np.int64)
-    cur[:] = s.handles
-    other = shared_array(len(s), np.int64)
-    cache = shared_array(len(s), np.uint64)
-    shared = _S5Shared(s, cur, other, cache, None, 1, "unroll", 8191, 2048)
-    stats = pool_run(4, [("batch", [(0, len(s), 0, True)])], _s5_executor, shared)
-    out = s.with_handles(cur.copy())
+    shared = _s5_shared(s, want_lcps=False, seed=1, t_medium=2048)
+    stats = pool_run(4, [("batch", [(0, len(s), 0, True)])], _phased_executor, shared)
+    out = s.with_handles(shared.cur.copy())
     assert verify(s, out).ok
     assert stats.share_events >= 1
     assert stats.jobs_executed == stats.jobs_enqueued + 1  # root included

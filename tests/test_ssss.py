@@ -12,14 +12,13 @@ from corpus import (
 )
 from strsort.ssss import (
     SplitterTree,
-    classify,
     classify_keys,
-    distribute,
     draw_sample,
     s5_sort,
     select_splitters,
     tree_capacity,
 )
+from strsort.parallel import prefix_offsets, scatter
 from strsort.strset import WORD_CHARS, extract_keys, from_strings, lcp, verify
 
 text_bytes = st.binary(min_size=0, max_size=12).map(
@@ -103,7 +102,7 @@ class TestClassify:
         s = from_strings([b"a", b"m", b"z"])
         sample = np.full(3, word(b"m"), dtype=np.uint64)
         tree = select_splitters(sample, 1)
-        oracle = classify(s, s.handles, 0, tree, "unroll")
+        oracle = classify_keys(extract_keys(s, s.handles, 0), tree, "unroll")
         assert list(oracle) == [0, 1, 2]
 
     def test_bucket_count_v7(self):
@@ -120,8 +119,9 @@ class TestClassify:
         v = tree_capacity(len(items), 7)
         sample = draw_sample(s, s.handles, 0, v, rng)
         tree = select_splitters(sample, v)
-        a = classify(s, s.handles, 0, tree, "unroll")
-        b = classify(s, s.handles, 0, tree, "equal")
+        keys = extract_keys(s, s.handles, 0)
+        a = classify_keys(keys, tree, "unroll")
+        b = classify_keys(keys, tree, "equal")
         assert np.array_equal(a, b)
 
     def test_unroll_equals_equal_with_duplicate_splitters(self):
@@ -157,6 +157,16 @@ class TestClassify:
                     assert k > int(tree.inorder[j - 1])
                 if j < v:
                     assert k < int(tree.inorder[j])
+
+
+def distribute(handles, oracle, num_buckets):
+    """One-shard run of the phased engine's prefix sum and scatter."""
+    oracle = np.asarray(oracle, dtype=np.uint16)
+    counts = np.bincount(oracle, minlength=num_buckets)[None, :]
+    offsets, bounds = prefix_offsets(counts)
+    out = np.empty(len(handles), dtype=np.int64)
+    scatter(handles, oracle, offsets[0][counts[0] > 0], out)
+    return out, bounds
 
 
 class TestDistribute:
