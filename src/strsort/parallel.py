@@ -11,12 +11,17 @@ Parallel sample sort and parallel radix sort share one phased
 distribution engine.  A step over src[lo:hi] cuts the range into p shards;
 each shard job computes one bucket per string with the sorter's bucket
 function (classified word keys, or radix digits), stores it in a shared
-uint16 oracle and replies with its bucket counts.  The coordinator takes
-one interleaved, bucket-major prefix sum over the shard counts, then each
-shard job stably scatters its strings into dst.  The coordinator runs such
-steps on every subproblem of at least n/p strings and feeds the smaller
-ones to the pool as batch jobs, which sort sequentially and share when
-workers idle.
+uint16 oracle and its bucket counts in a shared (p, buckets) table, and
+replies.  The coordinator takes one interleaved, bucket-major prefix sum
+over the shard counts, then each shard job stably scatters its strings
+into dst.  The coordinator runs such steps on every subproblem of at least
+n/p strings and feeds the smaller ones to the pool as batch jobs, which
+sort sequentially and share when workers idle.
+
+The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
+are the roots of one sample sort over the whole set, so a part of at least
+n/p strings takes phased steps on all p workers and smaller parts run as
+batch jobs; the K-way LCP merge then runs as merge jobs on the same pool.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -307,17 +311,19 @@ class _Phased:
     cur: np.ndarray  # handles; every finished range ends up here
     other: np.ndarray  # target of the steps that start in cur
     oracle: np.ndarray  # uint16 bucket of every position, from count to scatter
+    counts: np.ndarray  # (p, max buckets): the bucket counts of each shard's count job
     buckets: object  # (shared, src, lo, hi, arg) -> (bucket per string, summary)
     batch: object  # (shared, entries, env): sort (lo, hi, depth, in_cur) entries
     s5: S5Context | None = None
 
     @classmethod
-    def create(cls, sset: StringSet, buckets, batch) -> "_Phased":
+    def create(cls, sset: StringSet, p: int, max_k: int, buckets, batch) -> "_Phased":
         n = len(sset)
         cur = shared_array(n, np.int64)
         cur[:] = sset.handles
         other = shared_array(n, np.int64)
-        return cls(sset, cur, other, shared_array(n, np.uint16), buckets, batch)
+        counts = shared_array(p * max_k, np.int64).reshape(p, max_k)
+        return cls(sset, cur, other, shared_array(n, np.uint16), counts, buckets, batch)
 
 
 def prefix_offsets(counts: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +358,11 @@ def _phased_executor(sh: _Phased, job, env: _Env) -> None:
     _, lo, hi, in_cur = job[:4]
     src, dst = (sh.cur, sh.other) if in_cur else (sh.other, sh.cur)
     if kind == "count":
-        k, arg = job[4:]
+        row, k, arg = job[4:]
         buckets, summary = sh.buckets(sh, src, lo, hi, arg)
         sh.oracle[lo:hi] = buckets
-        env.replies.put(("phase", (lo, np.bincount(buckets, minlength=k), summary)))
+        sh.counts[row, :k] = np.bincount(buckets, minlength=k)
+        env.replies.put(("phase", (lo, summary)))
     elif kind == "scatter":
         scatter(src[lo:hi], sh.oracle[lo:hi], job[4], dst)
         env.replies.put(("phase", None))
@@ -363,7 +370,7 @@ def _phased_executor(sh: _Phased, job, env: _Env) -> None:
         raise ValueError(f"unknown phased job kind: {kind}")
 
 
-def phased_step(pool: WorkPool, lo: int, hi: int, in_cur: bool, k: int, arg):
+def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, in_cur: bool, k: int, arg):
     """Distribute src[lo:hi] into k buckets of dst on the pool's p shards.
 
     `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
@@ -372,26 +379,27 @@ def phased_step(pool: WorkPool, lo: int, hi: int, in_cur: bool, k: int, arg):
     """
     cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
     shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
-    for slo, shi in shards:
-        pool.submit(("count", slo, shi, in_cur, k, arg))
+    for row, (slo, shi) in enumerate(shards):
+        pool.submit(("count", slo, shi, in_cur, row, k, arg))
     parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
-    counts = np.stack([part[1] for part in parts])
+    counts = sh.counts[: len(shards), :k]
     offsets, bounds = prefix_offsets(counts, lo)
     for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
         pool.submit(("scatter", slo, shi, in_cur, shard_offsets[shard_counts > 0]))
     pool.wait_phase(len(shards))
-    return bounds, [part[2] for part in parts]
+    return bounds, [part[1] for part in parts]
 
 
-def phased_sort(pool: WorkPool, n: int, step) -> None:
-    """Sort [0, n): phased steps on subproblems of at least n/p strings,
-    then the smaller ones as batch jobs.
+def phased_sort(pool: WorkPool, roots: list, step) -> None:
+    """Sort the (lo, hi, depth, in_cur) roots: phased steps on subproblems
+    of at least total/p strings, then the smaller ones as batch jobs.
 
     step(lo, hi, depth, in_cur) runs one phased step, settles finished
     buckets in cur and returns the others as (lo, hi, depth, in_cur).
     """
-    threshold = max(-(-n // pool.p), 2 * INSERTION_THRESHOLD)
-    pending = [(0, n, 0, True)]
+    total = sum(hi - lo for lo, hi, _, _ in roots)
+    threshold = max(-(-total // pool.p), 2 * INSERTION_THRESHOLD)
+    pending = list(roots)
     small: list[tuple[int, int, int, bool]] = []
     while pending:
         item = pending.pop()
@@ -421,8 +429,8 @@ def _s5_batch(sh: _Phased, entries, env: _Env) -> None:
     s5_sort_items(ctx, entries, share=make_share_hook(env))
 
 
-def _s5_shared(sset: StringSet, want_lcps: bool, seed: int, t_medium: int) -> _Phased:
-    sh = _Phased.create(sset, _s5_buckets, _s5_batch)
+def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: int) -> _Phased:
+    sh = _Phased.create(sset, p, 2 * DEFAULT_V + 1, _s5_buckets, _s5_batch)
     n = len(sset)
     lcps = None
     if want_lcps:
@@ -435,41 +443,19 @@ def _s5_shared(sset: StringSet, want_lcps: bool, seed: int, t_medium: int) -> _P
     return sh
 
 
-class _ParallelS5Run:
-    """One parallel sample sort: its shared arrays, pool and phased steps."""
-
-    def __init__(
-        self,
-        sset: StringSet,
-        p: int,
-        want_lcps: bool = False,
-        seed: int = 1,
-        t_medium: int = T_MEDIUM,
-    ):
-        self.shared = _s5_shared(sset, want_lcps, seed, t_medium)
-        self.pool = WorkPool(max(1, p), _phased_executor, self.shared)
-
-    def execute(self) -> None:
-        phased_sort(self.pool, len(self.shared.sset), self._step)
-
-    def _step(self, lo: int, hi: int, depth: int, in_cur: bool) -> list:
-        ctx = self.shared.s5
-        src = ctx.cur if in_cur else ctx.other
-        v = tree_capacity(hi - lo, ctx.v)
-        rng = np.random.default_rng((ctx.seed, lo, hi, depth))
-        tree = select_splitters(draw_sample(ctx.sset, src[lo:hi], depth, v, rng), v)
-        bounds, ranges = phased_step(self.pool, lo, hi, in_cur, tree.num_buckets, (depth, tree))
-        if ctx.lcps is not None:
-            mins = np.min([r[0] for r in ranges], axis=0)
-            maxs = np.max([r[1] for r in ranges], axis=0)
-            write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
-        return finish_buckets(ctx, tree, bounds, lo, depth, in_cur)
-
-    def finish(self):
-        self.pool.shutdown()
-        ctx = self.shared.s5
-        lcps = None if ctx.lcps is None else ctx.lcps.copy()  # entry 0 is never written
-        return ctx.sset.with_handles(ctx.cur.copy()), lcps, self.pool.stats
+def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int, in_cur: bool) -> list:
+    """One phased sample-sort step; returns the buckets left to sort."""
+    ctx = sh.s5
+    src = ctx.cur if in_cur else ctx.other
+    v = tree_capacity(hi - lo, ctx.v)
+    rng = np.random.default_rng((ctx.seed, lo, hi, depth))
+    tree = select_splitters(draw_sample(ctx.sset, src[lo:hi], depth, v, rng), v)
+    bounds, ranges = phased_step(pool, sh, lo, hi, in_cur, tree.num_buckets, (depth, tree))
+    if ctx.lcps is not None:
+        mins = np.min([r[0] for r in ranges], axis=0)
+        maxs = np.max([r[1] for r in ranges], axis=0)
+        write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
+    return finish_buckets(ctx, tree, bounds, lo, depth, in_cur)
 
 
 def parallel_s5(
@@ -481,17 +467,16 @@ def parallel_s5(
     t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sample sort on p workers; content order matches the sequential sorter."""
-    p = default_workers() if p is None else p
-    run = _ParallelS5Run(sset, p, want_lcps, seed, t_medium)
-    try:
-        run.execute()
-    finally:
-        out, lcps, run_stats = run.finish()
+    p = default_workers() if p is None else max(1, p)
+    sh = _s5_shared(sset, p, want_lcps, seed, t_medium)
+    with WorkPool(p, _phased_executor, sh) as pool:
+        phased_sort(pool, [(0, len(sset), 0, True)], lambda *item: _s5_step(pool, sh, *item))
     if stats is not None:
-        stats.add(run_stats)
+        stats.add(pool.stats)
+    out = sset.with_handles(sh.cur.copy())
     if not want_lcps:
         return out
-    return SortedWithLcp(out, lcps, None, run_stats)
+    return SortedWithLcp(out, sh.s5.lcps.copy(), None, pool.stats)  # entry 0 is never written
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +515,11 @@ def parallel_radix(
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:
         return sset.with_handles(sset.handles.copy())
-    sh = _Phased.create(sset, _radix_buckets, _radix_batch)
+    sh = _Phased.create(sset, p, 1 << 16, _radix_buckets, _radix_batch)
 
     def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
-        bounds, _ = phased_step(pool, lo, hi, in_cur, 1 << width, (depth, width))
+        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
         children = []
         for b in np.flatnonzero(np.diff(bounds)):
             clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
@@ -545,7 +530,7 @@ def parallel_radix(
         return children
 
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, len(sset), step)
+        phased_sort(pool, [(0, len(sset), 0, True)], step)
     if stats is not None:
         stats.add(pool.stats)
     return sset.with_handles(sh.cur.copy())
@@ -748,12 +733,11 @@ def parallel_mkqs(
 
 
 # ---------------------------------------------------------------------------
-# partitioned top-level sort: independent part sorts, then K-way LCP merge
+# partitioned top-level sort: part sorts, then K-way LCP merge, on one pool
 
 
 @dataclass
 class _MergeShared:
-    sset: StringSet
     streams: list
     out_h: np.ndarray
     out_l: np.ndarray
@@ -761,9 +745,6 @@ class _MergeShared:
 
 
 def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
-    kind = job[0]
-    if kind != "merge":
-        raise ValueError(f"unknown merge job kind: {kind}")
     _, mjob, offset = job
     size = mjob.size
     out_h = shared.out_h[offset : offset + size]
@@ -790,6 +771,15 @@ def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
         env.record_share()
 
 
+def _pmerge_executor(ctx, job, env: _Env) -> None:
+    """Merge jobs go to the merge state, the part sorts' jobs to the S5 state."""
+    phased, merge = ctx
+    if job[0] == "merge":
+        _merge_executor(merge, job, env)
+    else:
+        _phased_executor(phased, job, env)
+
+
 def fill_job_lcps(sset: StringSet, handles: np.ndarray, lcps: np.ndarray) -> None:
     """Compute the LCPs that merge jobs left LCP_UNDEF at their first slot."""
     for pos in np.flatnonzero(lcps[1:] == LCP_UNDEF) + 1:
@@ -804,25 +794,24 @@ def partitioned_merge_sort(
     want_lcps: bool = False,
     seed: int = 1,
     stats: SortStats | None = None,
-    merge_stats: SortStats | None = None,
     t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
-    """Sort K byte-balanced parts independently, then merge with LCPs.
+    """Sort K byte-balanced parts, then merge them with LCPs, on one pool.
 
-    Each part runs the parallel sample sorter with about p/K workers and
-    records LCPs (and distinguishing characters when use_cache is set); the
-    parts are then merged by independent jobs on the full pool, re-split
-    when workers go idle.  Cached distinguishing characters answer the
-    first comparison of every game, so merge-phase buffer reads shrink to
-    the LCP-sum growth of the merge.
+    The parts are the roots of one parallel sample sort that records LCPs:
+    a part of at least n/p strings takes phased steps on all p workers and
+    smaller parts run as batch jobs.  The coordinator then derives the
+    distinguishing characters (when use_cache is set) and merges the parts
+    by independent jobs on the same pool, re-split when workers go idle.
+    Cached distinguishing characters answer the first comparison of every
+    game, so merge-phase buffer reads shrink to the LCP-sum growth of the
+    merge.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
-    merge_stats = merge_stats if merge_stats is not None else SortStats()
     if n == 0 or K <= 1:
-        out = parallel_s5(sset, p, want_lcps=want_lcps, seed=seed, stats=stats,
-                          t_medium=t_medium)
-        return out
+        return parallel_s5(sset, p, want_lcps=want_lcps, seed=seed, stats=stats,
+                           t_medium=t_medium)
     # split characters into K contiguous, byte-balanced parts (whole strings)
     lens = sset.ends() - sset.handles + 1
     cum = np.cumsum(lens)
@@ -832,43 +821,30 @@ def partitioned_merge_sort(
         cuts.append(int(np.searchsorted(cum, total * k / K)))
     cuts.append(n)
     parts = [(cuts[k], cuts[k + 1]) for k in range(K) if cuts[k] < cuts[k + 1]]
-    workers_each = max(1, p // max(1, len(parts)))
-    runs = []
-    for lo, hi in parts:
-        sub = sset.with_handles(sset.handles[lo:hi])
-        runs.append(
-            _ParallelS5Run(sub, workers_each, want_lcps=True, seed=seed,
-                           t_medium=t_medium)
-        )
-    # pools are forked before any orchestration threads start
-    threads = [threading.Thread(target=r.execute) for r in runs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    streams = []
-    for r in runs:
-        out, lcps, run_stats = r.finish()
-        if stats is not None:
-            stats.add(run_stats)
-        dchar = fill_dchar(out, lcps) if use_cache else None
-        streams.append(LcpStream(sset, out.handles, lcps, dchar))
-    out_h = shared_array(n, np.int64)
-    out_l = shared_array(n, np.int64)
-    jobs = split_merge_jobs(streams, 8 * p)
-    shared = _MergeShared(sset, streams, out_h, out_l, use_cache)
-    with WorkPool(p, _merge_executor, shared) as pool:
+    # everything the merge jobs read is allocated before the pool forks
+    sh = _s5_shared(sset, p, True, seed, t_medium)
+    lcps = sh.s5.lcps
+    dchar = shared_array(n, np.uint8) if use_cache else None
+    streams = [
+        LcpStream(sset, sh.cur[lo:hi], lcps[lo:hi], None if dchar is None else dchar[lo:hi])
+        for lo, hi in parts
+    ]
+    merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64), use_cache)
+    with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
+        roots = [(lo, hi, 0, True) for lo, hi in parts]
+        phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
+        if dchar is not None:
+            dchar[:] = fill_dchar(sset.with_handles(sh.cur), lcps)
         offset = 0
-        for job in jobs:
+        for job in split_merge_jobs(streams, 8 * p):
             pool.submit(("merge", job, offset))
             offset += job.size
         pool.wait_idle()
-    merge_stats.add(pool.stats)
     if stats is not None:
         stats.add(pool.stats)
-    out = sset.with_handles(out_h.copy())
+    out = sset.with_handles(merge.out_h.copy())
     if not want_lcps:
         return out
-    lcps = out_l.copy()
-    fill_job_lcps(sset, out_h, lcps)
-    return SortedWithLcp(out, lcps, None, merge_stats)
+    out_l = merge.out_l.copy()
+    fill_job_lcps(sset, merge.out_h, out_l)
+    return SortedWithLcp(out, out_l, None, pool.stats)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import ref_strings
+from corpus import all_empty_set, all_equal_set, random_set, ref_strings
 from strsort.bench import (
     ALGORITHMS,
     RunConfig,
@@ -13,7 +13,23 @@ from strsort.bench import (
     run,
 )
 from strsort.cli import main
-from strsort.strset import dist_stats, verify
+from strsort.counters import SortStats
+from strsort.strset import dist_stats, from_strings, verify
+
+ADVERSARIAL = {
+    "bytes_1_255": lambda: from_strings(
+        [bytes(range(1, 256)), bytes(range(255, 0, -1)), b"\xff" * 9, b"\xff\x01", b"\x01\xff"]
+        + ref_strings(random_set(500, seed=4, lo=1, hi=256))
+    ),
+    "suffixes_a700": lambda: gen_suffixes(b"a" * 700),
+    "one_huge_among_tiny": lambda: from_strings(
+        [bytes([97 + i % 26]) for i in range(400)] + [b"m" * 5000]
+        + [bytes([97 + i % 26]) for i in range(400)]
+    ),
+    "all_equal": lambda: all_equal_set(600, b"same-string"),
+    "all_empty": lambda: all_empty_set(300),
+    "empty_set": lambda: from_strings([]),
+}
 
 
 class TestGenRandom:
@@ -113,6 +129,15 @@ class TestRun:
                             threads=2, seed=2, verify=True)
             res = run(cfg)
             assert res.verify_ok, name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("corpus", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_registered_algorithm_sorts_adversarial(self, name, corpus, threads):
+        s = ADVERSARIAL[corpus]()
+        out = ALGORITHMS[name](s, threads, 2, SortStats())
+        assert verify(s, out).ok
+        assert ref_strings(out) == sorted(ref_strings(s))
 
 
 class TestOutputFormats:

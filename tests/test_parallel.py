@@ -14,6 +14,7 @@ from corpus import (
     shared_prefix_clusters,
     suffix_set,
 )
+from strsort import parallel
 from strsort.counters import SortStats
 from strsort.basecase import fill_dchar
 from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, MergeJob
@@ -38,7 +39,7 @@ from strsort.ssss import s5_sort
 from strsort.strset import dist_stats, from_strings, lcp_array_oracle, verify
 
 
-def _exit_executor(shared, job, env):
+def _exit_worker(*args):
     os._exit(3)  # stands in for a worker killed mid-job
 
 
@@ -109,7 +110,16 @@ class TestWorkPool:
     def test_dead_worker_raises_promptly(self):
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
-            pool_run(2, [0, 1, 2], _exit_executor, None)
+            pool_run(2, [0, 1, 2], _exit_worker, None)
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
+    def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch):
+        # the count job of the first phased step kills its worker
+        monkeypatch.setattr(parallel, "_radix_buckets", _exit_worker)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure, match="exit code 3"):
+            parallel_radix(random_set(20_000), p=2)
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
 
@@ -238,11 +248,11 @@ class TestPartitionedMergeSort:
         m_plain = SortStats()
         a = partitioned_merge_sort(
             s, K=4, p=2, use_cache=True, want_lcps=True,
-            merge_stats=m_cached, t_medium=512,
+            stats=m_cached, t_medium=512,
         )
         b = partitioned_merge_sort(
             s, K=4, p=2, use_cache=False, want_lcps=True,
-            merge_stats=m_plain, t_medium=512,
+            stats=m_plain, t_medium=512,
         )
         assert ref_strings(a.set) == ref_strings(b.set)
         assert list(a.lcps) == list(b.lcps)
@@ -262,7 +272,7 @@ class TestPartitionedMergeSort:
         assert n > MERGE_POLL_INTERVAL
         out_h = np.zeros(n, dtype=np.int64)
         out_l = np.zeros(n, dtype=np.int64)
-        shared = _MergeShared(s, streams, out_h, out_l, True)
+        shared = _MergeShared(streams, out_h, out_l, True)
         env = _IdleEnv()
         _merge_executor(shared, ("merge", MergeJob([(k, 0, 2500) for k in range(4)], 0), 0), env)
         assert env.queue and env.stats.share_events == 1
@@ -272,6 +282,17 @@ class TestPartitionedMergeSort:
         want = sorted(ref_strings(s))
         assert ref_strings(s.with_handles(out_h)) == want
         assert list(out_l) == ref_lcps(want)
+
+    def test_part_sort_failure_raises(self, monkeypatch):
+        def boom(shared, entries, env):
+            raise ValueError("part sort exploded")
+
+        monkeypatch.setattr(parallel, "_s5_batch", boom)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure, match="part sort exploded"):
+            partitioned_merge_sort(random_set(4000), K=4, p=2)
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
 
     def test_disjoint_parts_concat(self):
         # four groups with disjoint leading characters, grouped in buffer order
@@ -289,7 +310,7 @@ def test_scheduler_share_event_with_single_root():
     s = random_set(60_000, seed=13)
     from strsort.parallel import _phased_executor, _s5_shared
 
-    shared = _s5_shared(s, want_lcps=False, seed=1, t_medium=2048)
+    shared = _s5_shared(s, 4, want_lcps=False, seed=1, t_medium=2048)
     stats = pool_run(4, [("batch", [(0, len(s), 0, True)])], _phased_executor, shared)
     out = s.with_handles(shared.cur.copy())
     assert verify(s, out).ok
