@@ -17,6 +17,8 @@ import numpy as np
 from .counters import SortStats
 from .strset import LCP_UNDEF, StringSet
 
+INSERTION_THRESHOLD = 64  # below this many strings, recursive sorters insertion-sort
+
 
 @dataclass
 class SortedWithLcp:

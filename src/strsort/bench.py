@@ -140,10 +140,6 @@ ALGORITHMS = {
 }
 
 
-def register_algorithm(name: str, fn) -> None:
-    ALGORITHMS[name] = fn
-
-
 @dataclass
 class RunConfig:
     algorithm: str

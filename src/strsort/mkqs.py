@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basecase import SortedWithLcp, fill_dchar, insertion_range
+from .basecase import INSERTION_THRESHOLD, SortedWithLcp, fill_dchar, insertion_range
 from .counters import SortStats
 from .strset import (
     LCP_UNDEF,
@@ -22,8 +22,6 @@ from .strset import (
     word_has_terminator,
     word_terminator_pos,
 )
-
-INSERTION_THRESHOLD = 64
 
 
 def _median3(a: int, b: int, c: int) -> int:

@@ -7,16 +7,17 @@ idea: a central queue holds coarse jobs, workers keep recursion on local
 stacks, and an unsynchronized idle counter tells busy workers when to
 donate their largest pending subproblems back to the queue.
 
-Parallel sample sort and parallel radix sort share one phased
-distribution engine.  A step over src[lo:hi] cuts the range into p shards;
-each shard job computes one bucket per string with the sorter's bucket
-function (classified word keys, or radix digits), stores it in a shared
-uint16 oracle and its bucket counts in a shared (p, buckets) table, and
-replies.  The coordinator takes one interleaved, bucket-major prefix sum
-over the shard counts, then each shard job stably scatters its strings
-into dst.  The coordinator runs such steps on every subproblem of at least
-n/p strings and feeds the smaller ones to the pool as batch jobs, which
-sort sequentially and share when workers idle.
+Parallel sample sort, radix sort and caching multikey quicksort share one
+phased distribution engine.  A step over src[lo:hi] cuts the range into p
+shards; each shard job computes one bucket per string with the sorter's
+bucket function (classified word keys, radix digits, or the word's side of
+a pivot word), stores it in a shared uint16 oracle and its bucket counts in
+a shared (p, buckets) table, and replies.  The coordinator takes one
+interleaved, bucket-major prefix sum over the shard counts, then each shard
+job stably scatters its strings into dst.  The coordinator runs such steps
+on every subproblem of at least n/p strings and feeds the smaller ones to
+the pool as batch jobs, which sort sequentially and share when workers
+idle.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, fill_dchar
+from .basecase import INSERTION_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
 from .lcpmerge import LcpStream, MergeJob, run_merge_job, split_merge_jobs
-from .mkqs import INSERTION_THRESHOLD, _median3, mkqs_cached, mkqs_cached_items
+from .mkqs import _median3, mkqs_cached_items
 from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items
 from .ssss import (
     DEFAULT_V,
@@ -55,11 +56,10 @@ from .ssss import (
     tree_capacity,
     write_boundary_lcps,
 )
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, lcp
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, lcp, word_has_terminator
 
 _CTX = mp.get_context("fork")
 
-BLOCK_SIZE = 131072  # entries per partition block
 POLL_S = 0.1  # longest wait for a reply before the workers' exit codes are checked
 SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
 
@@ -315,6 +315,7 @@ class _Phased:
     buckets: object  # (shared, src, lo, hi, arg) -> (bucket per string, summary)
     batch: object  # (shared, entries, env): sort (lo, hi, depth, in_cur) entries
     s5: S5Context | None = None
+    cache: np.ndarray | None = None  # pmkqs: each position's word at its range's depth
 
     @classmethod
     def create(cls, sset: StringSet, p: int, max_k: int, buckets, batch) -> "_Phased":
@@ -438,7 +439,7 @@ def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: in
         lcps.fill(LCP_UNDEF)
     sh.s5 = S5Context(
         sset, sh.cur, sh.other, shared_array(n, np.uint64), lcps, SortStats(),
-        seed, "unroll", DEFAULT_V, None, t_medium,
+        seed, "unroll", None, t_medium,
     )
     return sh
 
@@ -447,10 +448,14 @@ def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int, in_cur: 
     """One phased sample-sort step; returns the buckets left to sort."""
     ctx = sh.s5
     src = ctx.cur if in_cur else ctx.other
-    v = tree_capacity(hi - lo, ctx.v)
+    v = tree_capacity(hi - lo)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
     tree = select_splitters(draw_sample(ctx.sset, src[lo:hi], depth, v, rng), v)
-    bounds, ranges = phased_step(pool, sh, lo, hi, in_cur, tree.num_buckets, (depth, tree))
+    # count jobs pickle only what classify_keys(..., "unroll") reads
+    search = dataclasses.replace(
+        tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None
+    )
+    bounds, ranges = phased_step(pool, sh, lo, hi, in_cur, tree.num_buckets, (depth, search))
     if ctx.lcps is not None:
         mins = np.min([r[0] for r in ranges], axis=0)
         maxs = np.max([r[1] for r in ranges], axis=0)
@@ -537,199 +542,75 @@ def parallel_radix(
 
 
 # ---------------------------------------------------------------------------
-# parallel caching multikey quicksort (block-based ternary partition)
+# parallel caching multikey quicksort
 
 
-@dataclass
-class _MkqsShared:
-    sset: StringSet
-    h_arr: np.ndarray  # block arena handles
-    c_arr: np.ndarray  # block arena cache words
-    out_h: np.ndarray  # compacted output entries
-    out_c: np.ndarray
-    claim: object  # shared index into the current phase's block list
-    block_size: int
-
-
-def _mkqs_partition_worker(shared: _MkqsShared, job, env: _Env) -> None:
-    _, blocks, pivot, spares = job
-    B = shared.block_size
-    h_arr, c_arr = shared.h_arr, shared.c_arr
-    free = list(spares)
+def _mkqs_buckets(sh: _Phased, src, lo: int, hi: int, arg):
+    depth, pivot = arg
+    keys = extract_keys(sh.sset, src[lo:hi], depth)
     pv = np.uint64(pivot)
-    out = {0: [], 1: [], 2: []}
-    open_blocks = {c: (free.pop(), 0) for c in (0, 1, 2)}
-
-    def append(cls: int, h_chunk: np.ndarray, c_chunk: np.ndarray) -> None:
-        done = 0
-        while done < len(h_chunk):
-            slot, fill = open_blocks[cls]
-            take = min(B - fill, len(h_chunk) - done)
-            h_arr[slot + fill : slot + fill + take] = h_chunk[done : done + take]
-            c_arr[slot + fill : slot + fill + take] = c_chunk[done : done + take]
-            fill += take
-            done += take
-            if fill == B:
-                out[cls].append((slot, B))
-                open_blocks[cls] = (free.pop(), 0)
-            else:
-                open_blocks[cls] = (slot, fill)
-
-    while True:
-        with shared.claim.get_lock():
-            i = shared.claim.value
-            shared.claim.value += 1
-        if i >= len(blocks):
-            break
-        start, fill = blocks[i]
-        h_loc = h_arr[start : start + fill].copy()
-        c_loc = c_arr[start : start + fill].copy()
-        free.append(start)  # consumed input block becomes a write slot
-        lt = c_loc < pv
-        eq = c_loc == pv
-        append(0, h_loc[lt], c_loc[lt])
-        append(1, h_loc[eq], c_loc[eq])
-        gt = ~(lt | eq)
-        append(2, h_loc[gt], c_loc[gt])
-    # second phase: flush the (at most three) partially filled blocks
-    for cls in (0, 1, 2):
-        slot, fill = open_blocks[cls]
-        if fill:
-            out[cls].append((slot, fill))
-        else:
-            free.append(slot)
-    env.replies.put(("phase", (out[0], out[1], out[2], free)))
+    return (keys >= pv).astype(np.uint16) + (keys > pv), None  # 0 less, 1 equal, 2 greater
 
 
-def _mkqs_executor(shared: _MkqsShared, job, env: _Env) -> None:
-    kind = job[0]
-    if kind == "partition":
-        _mkqs_partition_worker(shared, job, env)
-    elif kind == "batch":
-        mkqs_cached_items(
-            shared.sset, shared.out_h, shared.out_c, job[1], None, env.stats,
-            make_share_hook(env),
-        )
-    else:
-        raise ValueError(f"unknown mkqs job kind: {kind}")
+def _mkqs_batch(sh: _Phased, entries, env: _Env) -> None:
+    """Caching mkqs of the entries in cur.
+
+    Entries from the coordinator are (lo, hi, depth, in_cur) and get their
+    words fetched here; ranges a worker donated are mkqs stack items
+    (lo, hi, depth), already in cur with their words cached.
+    """
+    items = []
+    for entry in entries:
+        lo, hi, depth = entry[:3]
+        if len(entry) == 4:
+            if not entry[3]:
+                sh.cur[lo:hi] = sh.other[lo:hi]
+            if hi - lo < 2:
+                continue
+            sh.cache[lo:hi] = extract_keys(sh.sset, sh.cur[lo:hi], depth)
+            env.stats.word_fetches += hi - lo
+        items.append((lo, hi, depth))
+    mkqs_cached_items(sh.sset, sh.cur, sh.cache, items, None, env.stats, make_share_hook(env))
 
 
 def parallel_mkqs(
     sset: StringSet,
     p: int | None = None,
     stats: SortStats | None = None,
-    block_size: int = BLOCK_SIZE,
-    debug: dict | None = None,
 ) -> StringSet:
-    """Caching multikey quicksort with block-wise parallel ternary partition.
+    """Caching multikey quicksort with fully parallel ternary partitioning steps.
 
-    Workers claim input blocks of (handle, word) entries, classify them
-    against a globally selected pivot word into three private write blocks,
-    and publish full blocks to the class sets; a second phase flushes the
-    at most 3p partial blocks.  Classes recurse with refreshed words for
-    the equal set; small classes are compacted and sorted sequentially.
+    A phased step fetches every string's word at the current depth and puts
+    it into the less, equal or greater bucket of the median-of-3 pivot word.
+    The equal bucket is settled when the pivot word holds the terminator and
+    otherwise recurses a word deeper.  Smaller subproblems run as batched
+    caching-mkqs jobs with voluntary sharing.  Handles match mkqs_cached.
     """
     p = default_workers() if p is None else max(1, p)
-    n = len(sset)
-    stats = stats if stats is not None else SortStats()
-    if n == 0:
-        return sset.with_handles(sset.handles.copy())
-    if p == 1 or n <= block_size:
-        res = mkqs_cached(sset, stats=stats)
-        return res.set
-    B = block_size
-    nblocks = (n + B - 1) // B
-    spares_per_worker = 6
-    extra = spares_per_worker * p + 8
-    cap = (nblocks + extra) * B
-    h_arr = shared_array(cap, np.int64)
-    c_arr = shared_array(cap, np.uint64)
-    out_h = shared_array(n, np.int64)
-    out_c = shared_array(n, np.uint64)
-    h_arr[:n] = sset.handles
-    c_arr[:n] = extract_keys(sset, sset.handles, 0)
-    stats.word_fetches += n
-    claim = _CTX.Value("q", 0)
-    shared = _MkqsShared(sset, h_arr, c_arr, out_h, out_c, claim, B)
-    free = [(nblocks + i) * B for i in range(extra)]
-    par_threshold = max((n + p - 1) // p, B)
-    max_partials = 0
-    pool = WorkPool(p, _mkqs_executor, shared)
+    sh = _Phased.create(sset, p, 3, _mkqs_buckets, _mkqs_batch)
+    sh.cache = shared_array(len(sset), np.uint64)
 
-    def compact(blocks: list[tuple[int, int]], olo: int) -> None:
-        pos = olo
-        for slot, fill in blocks:
-            out_h[pos : pos + fill] = h_arr[slot : slot + fill]
-            out_c[pos : pos + fill] = c_arr[slot : slot + fill]
-            pos += fill
-            free.append(slot)
+    def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
+        src = sh.cur if in_cur else sh.other
+        ends = extract_keys(sset, src[[lo, lo + (hi - lo) // 2, hi - 1]], depth)
+        pivot = _median3(*ends)
+        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 3, (depth, pivot))
+        pool.stats.word_fetches += hi - lo + 3
+        equal_done = word_has_terminator(pivot)  # equal strings end within the word
+        children = []
+        for b in np.flatnonzero(np.diff(bounds)):
+            clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
+            if chi - clo > 1 and not (b == 1 and equal_done):
+                children.append((clo, chi, depth + WORD_CHARS if b == 1 else depth, not in_cur))
+            elif in_cur:
+                sh.cur[clo:chi] = sh.other[clo:chi]
+        return children
 
-    try:
-        initial = [(i * B, min(B, n - i * B)) for i in range(nblocks)]
-        stack = [(initial, 0, 0, n)]
-        seq_entries: list[tuple[int, int, int]] = []
-        while stack:
-            blocks, depth, olo, ohi = stack.pop()
-            size = ohi - olo
-            if size < par_threshold or len(blocks) <= 1 or len(free) < spares_per_worker * p:
-                compact(blocks, olo)
-                if size > 1:
-                    seq_entries.append((olo, ohi, depth))
-                continue
-            first = blocks[0]
-            mid = blocks[len(blocks) // 2]
-            last = blocks[-1]
-            pivot = _median3(
-                int(c_arr[first[0]]),
-                int(c_arr[mid[0] + mid[1] // 2]),
-                int(c_arr[last[0] + last[1] - 1]),
-            )
-            with claim.get_lock():
-                claim.value = 0
-            spare_sets = [
-                [free.pop() for _ in range(spares_per_worker)] for _ in range(p)
-            ]
-            for spares in spare_sets:
-                pool.submit(("partition", blocks, pivot, spares))
-            replies = pool.wait_phase(p)
-            class_blocks = {0: [], 1: [], 2: []}
-            partials = 0
-            for lt_b, eq_b, gt_b, freed in replies:
-                for cls, lst in ((0, lt_b), (1, eq_b), (2, gt_b)):
-                    class_blocks[cls].extend(lst)
-                    partials += sum(1 for _, f in lst if f < B)
-                free.extend(freed)
-            max_partials = max(max_partials, partials)
-            sizes = {c: sum(f for _, f in class_blocks[c]) for c in (0, 1, 2)}
-            next_lo = olo
-            for cls in (0, 1, 2):
-                clo, chi = next_lo, next_lo + sizes[cls]
-                next_lo = chi
-                cblocks = class_blocks[cls]
-                if sizes[cls] == 0:
-                    continue
-                if cls == 1:
-                    term = b"\0" in int(pivot).to_bytes(WORD_CHARS, "big")
-                    if term:
-                        compact(cblocks, clo)  # equal strings, already done
-                        continue
-                    nd = depth + WORD_CHARS
-                    for slot, fill in cblocks:
-                        c_arr[slot : slot + fill] = extract_keys(
-                            sset, h_arr[slot : slot + fill], nd
-                        )
-                    stats.word_fetches += sizes[cls]
-                    stack.append((cblocks, nd, clo, chi))
-                else:
-                    stack.append((cblocks, depth, clo, chi))
-        feed_batches(pool, seq_entries)
-    finally:
-        pool.shutdown()
-    stats.add(pool.stats)
-    if debug is not None:
-        debug["max_partials"] = max_partials
-        debug["partial_limit"] = 3 * p
-    return sset.with_handles(out_h.copy())
+    with WorkPool(p, _phased_executor, sh) as pool:
+        phased_sort(pool, [(0, len(sset), 0, True)], step)
+    if stats is not None:
+        stats.add(pool.stats)
+    return sset.with_handles(sh.cur.copy())
 
 
 # ---------------------------------------------------------------------------

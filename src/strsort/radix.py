@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basecase import insertion_range
+from .basecase import INSERTION_THRESHOLD, insertion_range
 from .counters import SortStats
 from .strset import StringSet
 
-INSERTION_THRESHOLD = 64
 RADIX16_THRESHOLD = 65536
 
 

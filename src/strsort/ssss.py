@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, fill_dchar, lcp_insertion_core
+from .basecase import INSERTION_THRESHOLD, SortedWithLcp, lcp_insertion_core
 from .counters import SortStats
 from .mkqs import mkqs_cached_range
 from .strset import (
@@ -30,7 +30,6 @@ from .strset import (
 
 DEFAULT_V = 8191
 OVERSAMPLE = 2  # alpha
-T_INSERTION = 64  # below this: LCP insertion sort
 T_MEDIUM = 1 << 20  # below this: caching multikey quicksort
 
 
@@ -212,7 +211,6 @@ class S5Context:
     stats: SortStats
     seed: int
     variant: str
-    v: int
     step_hook: object = None
     t_medium: int = T_MEDIUM
 
@@ -285,7 +283,7 @@ def s5_step(
     With ctx.lcps set, the LCPs at the bucket boundaries are written too.
     """
     n = hi - lo
-    v = tree_capacity(n, ctx.v)
+    v = tree_capacity(n)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
     sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
     tree = select_splitters(sample, v)
@@ -333,7 +331,7 @@ def s5_sort_items(
                 ctx.cur[lo:hi] = src[lo:hi]
             if n < 2:
                 continue
-            if n < T_INSERTION:
+            if n < INSERTION_THRESHOLD:
                 _insertion_leaf(ctx, ctx.cur, lo, hi, d)
             else:
                 _mkqs_leaf(ctx, lo, hi, d)
@@ -349,9 +347,7 @@ def s5_sort(
     sset: StringSet,
     depth: int = 0,
     want_lcps: bool = False,
-    want_dchar: bool = False,
     variant: str = "unroll",
-    v: int = DEFAULT_V,
     seed: int = 1,
     stats: SortStats | None = None,
     step_hook=None,
@@ -365,10 +361,9 @@ def s5_sort(
     cache = np.zeros(n, dtype=np.uint64)
     stats.scratch_words += n
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
-    ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, v, step_hook, t_medium)
+    ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, step_hook, t_medium)
     s5_sort_items(ctx, [(0, n, depth, True)])
     out = sset.with_handles(cur)
     if not want_lcps:
         return out
-    dchar = fill_dchar(out, lcps) if want_dchar else None
-    return SortedWithLcp(out, lcps, dchar, stats)
+    return SortedWithLcp(out, lcps, None, stats)

@@ -9,7 +9,6 @@ from strsort.bench import (
     VerificationError,
     gen_random,
     gen_suffixes,
-    register_algorithm,
     run,
 )
 from strsort.cli import main
@@ -96,17 +95,14 @@ class TestRun:
         with pytest.raises(KeyError, match="unknown algorithm"):
             run(RunConfig(algorithm="nope", generator="random", n=10))
 
-    def test_broken_algorithm_fails_verification(self):
+    def test_broken_algorithm_fails_verification(self, monkeypatch):
         def broken(sset, threads, seed, stats):
             return sset.with_handles(sset.handles[::-1].copy())
 
-        register_algorithm("test-broken", broken)
-        try:
-            with pytest.raises(VerificationError):
-                run(RunConfig(algorithm="test-broken", generator="random",
-                              n=100, verify=True))
-        finally:
-            ALGORITHMS.pop("test-broken")
+        monkeypatch.setitem(ALGORITHMS, "test-broken", broken)
+        with pytest.raises(VerificationError):
+            run(RunConfig(algorithm="test-broken", generator="random",
+                          n=100, verify=True))
 
     def test_counters_match_dist_stats(self):
         cfg = RunConfig(
@@ -176,19 +172,16 @@ class TestCli:
     def test_unknown_algo_exit_code(self, capsys):
         assert main(["--algo", "bogus", "--gen", "random", "--n", "10"]) == 1
 
-    def test_verification_failure_exit_code(self, capsys):
+    def test_verification_failure_exit_code(self, capsys, monkeypatch):
         def broken(sset, threads, seed, stats):
             h = sset.handles.copy()
             if len(h) > 1:
                 h[0], h[1] = h[1], h[0]
             return sset.with_handles(h)
 
-        register_algorithm("test-broken-cli", broken)
-        try:
-            rc = main(["--algo", "test-broken-cli", "--gen", "random",
-                       "--n", "64", "--seed", "3", "--verify"])
-        finally:
-            ALGORITHMS.pop("test-broken-cli")
+        monkeypatch.setitem(ALGORITHMS, "test-broken-cli", broken)
+        rc = main(["--algo", "test-broken-cli", "--gen", "random",
+                   "--n", "64", "--seed", "3", "--verify"])
         assert rc == 2
 
     def test_file_input_newline(self, tmp_path, capsys):

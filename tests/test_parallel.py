@@ -24,6 +24,10 @@ from strsort.parallel import (
     WorkPool,
     _merge_executor,
     _MergeShared,
+    _mkqs_batch,
+    _mkqs_buckets,
+    _Phased,
+    _phased_executor,
     fill_job_lcps,
     parallel_mkqs,
     parallel_radix,
@@ -114,12 +118,16 @@ class TestWorkPool:
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
 
-    def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "buckets, sorter",
+        [("_radix_buckets", parallel_radix), ("_mkqs_buckets", parallel_mkqs)],
+    )
+    def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch, buckets, sorter):
         # the count job of the first phased step kills its worker
-        monkeypatch.setattr(parallel, "_radix_buckets", _exit_worker)
+        monkeypatch.setattr(parallel, buckets, _exit_worker)
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
-            parallel_radix(random_set(20_000), p=2)
+            sorter(random_set(20_000), p=2)
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
 
@@ -193,25 +201,30 @@ class TestParallelMkqs:
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
     def test_verify_and_reference(self, corpus, p):
         s = CORPORA[corpus]()
-        out = parallel_mkqs(s, p=p, block_size=256)
+        out = parallel_mkqs(s, p=p)
         assert verify(s, out).ok
         assert ref_strings(out) == sorted(ref_strings(s))
-
-    def test_small_input_equals_sequential(self):
-        s = random_set(500, seed=6)
-        out = parallel_mkqs(s, p=4)  # n <= block size: sequential path
+        # both sorts are stable, so the phased steps partition exactly as mkqs_cached
         assert np.array_equal(out.handles, mkqs_cached(s).set.handles)
 
-    def test_partial_blocks_within_limit(self):
-        s = random_set(20_000, seed=7)
-        debug = {}
-        out = parallel_mkqs(s, p=3, block_size=512, debug=debug)
-        assert verify(s, out).ok
-        assert debug["max_partials"] <= debug["partial_limit"]
+    def test_donated_ranges_keep_their_words(self):
+        # a batch that always sees an idle worker donates at every stack pop;
+        # the donated ranges must sort on their cached words, not fetch them again
+        s = random_set(3000, seed=12)
+        seq = mkqs_cached(s)
+        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
+        sh.cache = np.zeros(len(s), dtype=np.uint64)
+        env = _IdleEnv()
+        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        while env.queue:
+            _phased_executor(sh, env.queue.pop(), env)
+        assert env.stats.share_events > 0
+        assert np.array_equal(sh.cur, seq.set.handles)
+        assert env.stats.word_fetches == seq.stats.word_fetches
 
     def test_all_equal_terminates(self):
         s = all_equal_set(6000, b"zzzzzzzzzzzzzzzz")
-        out = parallel_mkqs(s, p=2, block_size=512)
+        out = parallel_mkqs(s, p=2)
         assert verify(s, out).ok
 
 
@@ -308,7 +321,7 @@ class TestPartitionedMergeSort:
 def test_scheduler_share_event_with_single_root():
     # one sequential root job on a multi-worker pool must trigger sharing
     s = random_set(60_000, seed=13)
-    from strsort.parallel import _phased_executor, _s5_shared
+    from strsort.parallel import _s5_shared
 
     shared = _s5_shared(s, 4, want_lcps=False, seed=1, t_medium=2048)
     stats = pool_run(4, [("batch", [(0, len(s), 0, True)])], _phased_executor, shared)
