@@ -6,6 +6,10 @@ skip regions whose recorded LCP already proves a mismatch.  The LCP-aware
 variant charges one ternary character comparison per character position it
 examines; its total stays within L + n(n-1)/2 where L is the LCP sum of the
 sorted output.
+
+lcp_insertion_core is the one LCP insertion loop: every small subproblem of
+radix sort, both multikey quicksorts and sample sort ends in
+insertion_range, which sorts a slice of a handle array in place.
 """
 
 from __future__ import annotations
@@ -118,12 +122,29 @@ def lcp_insertion_core(
     return s, lcps
 
 
-def insertion_range(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
-    """LCP insertion sort of work[lo:hi] in place; the strings share `depth` chars."""
-    handles, _ = lcp_insertion_core(
-        sset.buffer, [int(v) for v in work[lo:hi]], depth, SortStats()
+def insertion_range(
+    sset: StringSet,
+    work: np.ndarray,
+    lo: int,
+    hi: int,
+    depth: int,
+    lcps: np.ndarray | None = None,
+    stats: SortStats | None = None,
+) -> list[int]:
+    """LCP insertion sort of work[lo:hi] in place; the strings share `depth` chars.
+
+    Returns the leaf's LCPs (entry 0 is LCP_UNDEF) and writes the interior
+    ones into lcps[lo+1:hi] when given; the entry at lo, the boundary to the
+    preceding range, is left to the caller.
+    """
+    handles, leaf = lcp_insertion_core(
+        sset.buffer, [int(v) for v in work[lo:hi]], depth,
+        stats if stats is not None else SortStats(),
     )
     work[lo:hi] = handles
+    if lcps is not None and hi - lo > 1:
+        lcps[lo + 1 : hi] = leaf[1:]
+    return leaf
 
 
 def lcp_insertion_sort(

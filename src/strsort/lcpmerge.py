@@ -346,22 +346,9 @@ def kway_lcp_merge(
     Character comparisons stay within dL + n*log2(K) + K, where dL is the
     growth of the LCP sum from inputs to output.
     """
-    stats = stats if stats is not None else SortStats()
-    streams = [s for s in streams]
-    n = sum(s.length for s in streams)
-    out_h = out_handles if out_handles is not None else np.empty(n, dtype=np.int64)
-    out_l = out_lcps if out_lcps is not None else np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out_h, out_l
-    if len(streams) == 1:
-        st = streams[0]
-        out_h[:n] = st.handles[st.start : st.start + n]
-        out_l[:n] = st.lcps[st.start : st.start + n]
-        if out_lcps is None:
-            out_l[0] = LCP_UNDEF
-        return out_h, out_l
-    kway_merge_partial(streams, shared, stats, cached, out_h, out_l)
-    if out_lcps is None:
+    job = MergeJob([(k, 0, st.length) for k, st in enumerate(streams)], shared)
+    out_h, out_l, n, _ = run_merge_job(streams, job, stats, cached, out_handles, out_lcps)
+    if out_lcps is None and n:
         out_l[0] = LCP_UNDEF
     return out_h, out_l
 
@@ -453,8 +440,7 @@ def run_merge_job(
     out_lcps: np.ndarray | None = None,
     poll=None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[tuple[int, int, int]] | None]:
-    """Execute one merge job: copy for one run, binary merge for two,
-    tournament merge otherwise.
+    """Execute one merge job: copy for one run, tournament merge otherwise.
 
     Returns (out_handles, out_lcps, emitted, leftover).  leftover is None
     when the job completed; when poll stopped it early, it lists the
@@ -475,11 +461,6 @@ def run_merge_job(
         st = parts[0][1]
         out_h[:n] = st.handles[st.start : st.start + n]
         out_l[:n] = st.lcps[st.start : st.start + n]
-        return out_h, out_l, n, None
-    if len(parts) == 2 and not cached and poll is None:
-        binary_lcp_merge(
-            parts[0][1], parts[1][1], job.shared_prefix, stats, out_h, out_l
-        )
         return out_h, out_l, n, None
     runs = [p for _, p in parts]
     emitted, cursors = kway_merge_partial(

@@ -4,7 +4,9 @@ The plain variant partitions on one character per level.  The caching
 variant keeps the next word of every string alongside its handle and
 partitions on whole words, so each string's characters are fetched from the
 buffer at most once per word: total random accesses stay within
-floor(D / WORD_CHARS) + n for distinguishing-prefix total D.
+floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Both finish
+small ranges with basecase.insertion_range; the caching variant charges a
+leaf one word fetch per word its comparisons read past the cached one.
 """
 
 from __future__ import annotations
@@ -74,41 +76,6 @@ def mkqs(sset: StringSet, depth: int = 0) -> StringSet:
     return sset.with_handles(work)
 
 
-class _BlockReader:
-    """Character access for one string through counted word fetches.
-
-    Reads are served from whole-word blocks anchored at the base depth; the
-    block covering the base depth is seeded from the partitioning cache, so
-    the base-case sorter never re-fetches characters the partitioner
-    already paid for.
-    """
-
-    __slots__ = ("sset", "handle", "base", "blocks", "stats")
-
-    def __init__(self, sset: StringSet, handle: int, base: int, word: int, stats: SortStats):
-        self.sset = sset
-        self.handle = handle
-        self.base = base
-        self.blocks = {0: int(word)}
-        self.stats = stats
-
-    def char_at(self, pos: int) -> int:
-        off = pos - self.base
-        blk, rel = divmod(off, WORD_CHARS)
-        word = self.blocks.get(blk)
-        if word is None:
-            word = int(
-                extract_keys(
-                    self.sset,
-                    np.asarray([self.handle], dtype=np.int64),
-                    self.base + blk * WORD_CHARS,
-                )[0]
-            )
-            self.stats.word_fetches += 1
-            self.blocks[blk] = word
-        return (word >> (8 * (WORD_CHARS - 1 - rel))) & 0xFF
-
-
 def _cached_insertion(
     sset: StringSet,
     work_h: np.ndarray,
@@ -119,48 +86,20 @@ def _cached_insertion(
     lcps: np.ndarray | None,
     stats: SortStats,
 ) -> None:
-    """Insertion sort of cached entries; character reads go through blocks."""
-    n = hi - lo
-    readers = [
-        _BlockReader(sset, int(work_h[lo + k]), depth, int(work_c[lo + k]), stats)
-        for k in range(n)
-    ]
-    order = list(range(n))
-    h = [depth] * (n + 1)
-    for j in range(1, n):
-        i = j
-        x = order[j]
-        rx = readers[x]
-        hp = depth
-        while i > 0:
-            hi_ = h[i]
-            if hi_ < hp:
-                break
-            if hi_ == hp:
-                p = hp
-                ry = readers[order[i - 1]]
-                while True:
-                    cx = rx.char_at(hp)
-                    cy = ry.char_at(hp)
-                    stats.char_cmps += 1
-                    if cx != 0 and cx == cy:
-                        hp += 1
-                        continue
-                    break
-                if cx >= cy:
-                    h[i] = hp
-                    hp = p
-                    break
-            order[i] = order[i - 1]
-            h[i + 1] = h[i]
-            i -= 1
-        order[i] = x
-        h[i + 1] = hp
-    idx = np.asarray(order, dtype=np.int64)
-    work_h[lo:hi] = work_h[lo:hi][idx]
-    work_c[lo:hi] = work_c[lo:hi][idx]
-    if lcps is not None and n > 1:
-        lcps[lo + 1 : hi] = np.asarray(h[1:n], dtype=np.int64)
+    """The LCP insertion sort as a caching-mkqs leaf; charges its word fetches.
+
+    Each string's word at `depth` is cached, so a string costs one fetch per
+    further word its comparisons read.  No comparison reads a string past
+    its LCP with the other string, and every such LCP is at most the
+    string's larger LCP to a neighbour in the sorted leaf (its reach), so
+    (reach - depth) // WORD_CHARS words per string bound the fetches.
+    work_c is not reordered: no caller reads the words of a finished leaf.
+    """
+    inner = insertion_range(sset, work_h, lo, hi, depth, lcps, stats)[1:]
+    stats.word_fetches += sum(
+        (max(left, right) - depth) // WORD_CHARS
+        for left, right in zip([depth] + inner, inner + [depth])
+    )
 
 
 def mkqs_cached_range(

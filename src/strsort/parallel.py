@@ -164,6 +164,7 @@ class WorkPool:
         self.stats = SortStats()
         self._stats_seen = 0
         self._closed = False
+        self._aborting = False
         self.workers = []
         for i in range(p):
             env = _Env(
@@ -180,6 +181,8 @@ class WorkPool:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        # a failing run, KeyboardInterrupt included, must not wait for busy workers
+        self._aborting = exc_type is not None
         self.shutdown()
 
     def submit(self, job) -> None:
@@ -237,23 +240,30 @@ class WorkPool:
                 self._handle(msg)
 
     def shutdown(self) -> None:
+        """Stop the workers and collect their stats; when aborting, terminate
+        them at once instead."""
         if self._closed:
             return
         self._closed = True
         self.stop.set()
-        deadline = time.monotonic() + SHUTDOWN_S
-        # a worker that died abnormally never sends its stats
-        while (
-            self._stats_seen < sum(w.exitcode in (None, 0) for w in self.workers)
-            and time.monotonic() < deadline
-        ):
-            msg = self._reply(closing=True)
-            if msg is not None and msg[0] == "stats":
-                self._handle(msg)
+        if not self._aborting:
+            deadline = time.monotonic() + SHUTDOWN_S
+            # a worker that died abnormally never sends its stats
+            while (
+                self._stats_seen < sum(w.exitcode in (None, 0) for w in self.workers)
+                and time.monotonic() < deadline
+            ):
+                msg = self._reply(closing=True)
+                if msg is not None and msg[0] == "stats":
+                    self._handle(msg)
+            for w in self.workers:
+                w.join(timeout=5.0)
         for w in self.workers:
-            w.join(timeout=5.0)
             if w.is_alive():
                 w.terminate()
+                w.join()
+        # jobs no worker took may still sit in the feeder's buffer
+        self.jobs.cancel_join_thread()
         self.jobs.close()
         self.replies.close()
 
@@ -439,7 +449,7 @@ def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: in
         lcps.fill(LCP_UNDEF)
     sh.s5 = S5Context(
         sset, sh.cur, sh.other, shared_array(n, np.uint64), lcps, SortStats(),
-        seed, "unroll", None, t_medium,
+        seed, "unroll", t_medium,
     )
     return sh
 

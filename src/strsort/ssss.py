@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import INSERTION_THRESHOLD, SortedWithLcp, lcp_insertion_core
+from .basecase import INSERTION_THRESHOLD, SortedWithLcp, insertion_range
 from .counters import SortStats
 from .mkqs import mkqs_cached_range
 from .strset import (
@@ -190,18 +190,6 @@ def bucket_word_range(oracle: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.
 
 
 @dataclass
-class StepRecord:
-    """Trace of one classification step, for bucket-property checks."""
-
-    lo: int
-    hi: int
-    depth: int
-    bounds: np.ndarray
-    child_depths: np.ndarray
-    tree: SplitterTree
-
-
-@dataclass
 class S5Context:
     sset: StringSet
     cur: np.ndarray
@@ -211,7 +199,6 @@ class S5Context:
     stats: SortStats
     seed: int
     variant: str
-    step_hook: object = None
     t_medium: int = T_MEDIUM
 
 
@@ -258,15 +245,6 @@ def finish_buckets(
         if equal and ctx.lcps is not None and chi - clo > 1:
             ctx.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
     return children
-
-
-def _insertion_leaf(ctx: S5Context, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
-    handles, lcps = lcp_insertion_core(
-        ctx.sset.buffer, [int(x) for x in work[lo:hi]], depth, ctx.stats
-    )
-    work[lo:hi] = handles
-    if ctx.lcps is not None and hi - lo > 1:
-        ctx.lcps[lo + 1 : hi] = np.asarray(lcps[1:], dtype=np.int64)
 
 
 def _mkqs_leaf(ctx: S5Context, lo: int, hi: int, depth: int) -> None:
@@ -332,14 +310,12 @@ def s5_sort_items(
             if n < 2:
                 continue
             if n < INSERTION_THRESHOLD:
-                _insertion_leaf(ctx, ctx.cur, lo, hi, d)
+                insertion_range(ctx.sset, ctx.cur, lo, hi, d, ctx.lcps, ctx.stats)
             else:
                 _mkqs_leaf(ctx, lo, hi, d)
             continue
         dst = ctx.other if in_cur else ctx.cur
         bounds, tree = s5_step(ctx, src, dst, lo, hi, d)
-        if ctx.step_hook is not None:
-            ctx.step_hook(StepRecord(lo, hi, d, bounds, child_depths(tree, d), tree))
         stack.extend(finish_buckets(ctx, tree, bounds, lo, d, in_cur))
 
 
@@ -350,7 +326,6 @@ def s5_sort(
     variant: str = "unroll",
     seed: int = 1,
     stats: SortStats | None = None,
-    step_hook=None,
     t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sample sort a set; with want_lcps returns SortedWithLcp."""
@@ -361,7 +336,7 @@ def s5_sort(
     cache = np.zeros(n, dtype=np.uint64)
     stats.scratch_words += n
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
-    ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, step_hook, t_medium)
+    ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, t_medium)
     s5_sort_items(ctx, [(0, n, depth, True)])
     out = sset.with_handles(cur)
     if not want_lcps:

@@ -9,6 +9,7 @@ from corpus import (
     ref_strings,
     url_like_set,
 )
+from strsort.basecase import INSERTION_THRESHOLD
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs, mkqs_cached
 from strsort.strset import WORD_CHARS, dist_stats, from_strings, verify
@@ -79,6 +80,20 @@ class TestMkqsCached:
         n = len(items)
         # one initial fill plus exactly one refill per string at depth 8
         assert res.stats.word_fetches == 2 * n
+
+    def test_base_case_fetches_each_word_it_reads(self):
+        # fewer strings than INSERTION_THRESHOLD: the whole sort is one base
+        # case, whose comparisons read every string through depth 21
+        tails = [bytes([a, b]) for a in b"bcdefgh" for b in b"stuvwxyz"][:40]
+        items = [b"a" * 20 + t for t in tails]
+        rng = np.random.default_rng(1)
+        s = from_strings([items[i] for i in rng.permutation(len(items))])
+        assert len(s) < INSERTION_THRESHOLD
+        res = mkqs_cached(s)
+        # the cached word plus the words at depths 8 and 16
+        assert res.stats.word_fetches == 3 * len(items)
+        assert ref_strings(res.set) == sorted(items)
+        assert list(res.lcps) == ref_lcps(sorted(items))
 
     def test_access_bound_random(self):
         s = random_set(3000, seed=9)

@@ -47,6 +47,17 @@ def _exit_worker(*args):
     os._exit(3)  # stands in for a worker killed mid-job
 
 
+def _fail_or_sleep(fail, job, env):
+    """Job 0 fails by `fail`; job 1 keeps its worker busy far past any bound."""
+    if job == 0:
+        fail()
+    time.sleep(20)
+
+
+def _raise():
+    raise ValueError("job exploded")
+
+
 def _touch_executor(shared, job, env):
     kind = job[0]
     if kind == "mark":
@@ -115,6 +126,14 @@ class TestWorkPool:
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
             pool_run(2, [0, 1, 2], _exit_worker, None)
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
+    @pytest.mark.parametrize("fail", [_raise, lambda: os._exit(3)], ids=["raise", "exit"])
+    def test_failure_does_not_wait_for_busy_worker(self, fail):
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure):
+            pool_run(2, [1, 0], _fail_or_sleep, fail)
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
 

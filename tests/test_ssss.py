@@ -10,8 +10,10 @@ from corpus import (
     ref_strings,
     shared_prefix_clusters,
 )
+from strsort import ssss
 from strsort.ssss import (
     SplitterTree,
+    child_depths,
     classify_keys,
     draw_sample,
     s5_sort,
@@ -24,6 +26,20 @@ from strsort.strset import WORD_CHARS, extract_keys, from_strings, lcp, verify
 text_bytes = st.binary(min_size=0, max_size=12).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
 )
+
+
+def record_steps(monkeypatch) -> list:
+    """Record (lo, depth, bounds, child depths, tree) of every s5_step call."""
+    records = []
+    step = ssss.s5_step
+
+    def recording(ctx, src, dst, lo, hi, depth):
+        bounds, tree = step(ctx, src, dst, lo, hi, depth)
+        records.append((lo, depth, bounds, child_depths(tree, depth), tree))
+        return bounds, tree
+
+    monkeypatch.setattr(ssss, "s5_step", recording)
+    return records
 
 
 def word(b: bytes) -> int:
@@ -212,18 +228,18 @@ class TestS5Sort:
         b = s5_sort(s, variant="equal", t_medium=256)
         assert ref_strings(a) == ref_strings(b) == sorted(ref_strings(s))
 
-    def test_equality_buckets_advance_depth_by_word(self):
+    def test_equality_buckets_advance_depth_by_word(self, monkeypatch):
         s = shared_prefix_clusters(4000, seed=1, prefix_len=8)
-        records = []
-        res = s5_sort(s, want_lcps=True, t_medium=512, step_hook=records.append)
+        records = record_steps(monkeypatch)
+        res = s5_sort(s, want_lcps=True, t_medium=512)
         assert verify(s, res.set).ok
         assert records, "expected at least one classification step"
         # clusters share exactly 8 characters: every deep recursion entered
         # through an equality bucket must advance by WORD_CHARS
-        root = records[0]
-        odd_depths = root.child_depths[1::2]
-        assert (odd_depths == root.depth + WORD_CHARS).all()
-        deeper = [r for r in records[1:] if r.depth == WORD_CHARS]
+        _, root_depth, _, root_child_depths, _ = records[0]
+        odd_depths = root_child_depths[1::2]
+        assert (odd_depths == root_depth + WORD_CHARS).all()
+        deeper = [r for r in records[1:] if r[1] == WORD_CHARS]
         assert deeper, "expected recursion into an equality bucket at depth 8"
 
     def test_all_equal_terminates(self):
@@ -238,24 +254,24 @@ class TestS5Sort:
         b = s5_sort(s, seed=77, t_medium=256)
         assert np.array_equal(a.handles, b.handles)
 
-    def test_bucket_lcp_property(self):
+    def test_bucket_lcp_property(self, monkeypatch):
         # within every produced bucket, pairs share at least the documented
         # prefix credit
         s = random_set(10_000, seed=13)
-        records = []
-        res = s5_sort(s, t_medium=1024, step_hook=records.append)
+        records = record_steps(monkeypatch)
+        res = s5_sort(s, t_medium=1024)
         assert verify(s, res).ok
         rng = np.random.default_rng(0)
         checked = 0
-        for rec in records:
+        for step_lo, _, bounds, depths, tree in records:
             # bucket member handles were written into the destination array;
             # recompute membership from bounds against the *final* sorted set
-            for i in range(rec.tree.num_buckets):
-                lo = rec.lo + int(rec.bounds[i])
-                hi = rec.lo + int(rec.bounds[i + 1])
+            for i in range(tree.num_buckets):
+                lo = step_lo + int(bounds[i])
+                hi = step_lo + int(bounds[i + 1])
                 if hi - lo < 2:
                     continue
-                credit = int(rec.child_depths[i])
+                credit = int(depths[i])
                 take = min(20, hi - lo)
                 idx = rng.integers(lo, hi, size=(take, 2))
                 for a, b in idx:
