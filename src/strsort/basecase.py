@@ -1,15 +1,17 @@
-"""Insertion sorts used as recursion base cases.
+"""Recursion base cases: insertion sorts and the batched word-cached leaf.
 
-Two variants: a plain one treating strings as atomic suffixes, and an
-LCP-aware one that maintains the LCP array while inserting and uses it to
+Two insertion sorts: a plain one treating strings as atomic suffixes, and
+an LCP-aware one that maintains the LCP array while inserting and uses it to
 skip regions whose recorded LCP already proves a mismatch.  The LCP-aware
 variant charges one ternary character comparison per character position it
 examines; its total stays within L + n(n-1)/2 where L is the LCP sum of the
-sorted output.
+sorted output.  Its loop, lcp_insertion_core, ends the small subproblems of
+radix sort and plain multikey quicksort through insertion_range.
 
-lcp_insertion_core is the one LCP insertion loop: every small subproblem of
-radix sort, both multikey quicksorts and sample sort ends in
-insertion_range, which sorts a slice of a handle array in place.
+The word-caching sorters (caching multikey quicksort, and through it sample
+sort) instead collect their small ranges and hand them to word_leaves,
+which sorts all of them together, one 8-character word per string and
+level, in numpy passes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import SortStats
-from .strset import LCP_UNDEF, StringSet
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, shared_chars
 
-INSERTION_THRESHOLD = 64  # below this many strings, recursive sorters insertion-sort
+INSERTION_THRESHOLD = 64  # below this many strings, radix and plain mkqs insertion-sort
+LEAF_THRESHOLD = 1024  # below this many strings, a word-cached range is a word_leaves leaf
+LEAF_FLUSH = 1 << 16  # collected leaf strings that make a driver sort them before going on
 
 
 @dataclass
@@ -145,6 +149,69 @@ def insertion_range(
     if lcps is not None and hi - lo > 1:
         lcps[lo + 1 : hi] = leaf[1:]
     return leaf
+
+
+def range_positions(items: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of (lo, hi, depth) ranges, concatenated in item order,
+    with each position's depth and range index."""
+    lo, hi, depth = (np.array(col, dtype=np.int64) for col in zip(*items))
+    sizes = hi - lo
+    pos = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+    return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(items)), sizes)
+
+
+def word_leaves(
+    sset: StringSet,
+    work: np.ndarray,
+    cache: np.ndarray,
+    items: list[tuple[int, int, int]],
+    lcps: np.ndarray | None,
+    stats: SortStats,
+) -> None:
+    """Sort every (lo, hi, depth) range of work in place, all ranges at once.
+
+    The strings of a range share `depth` characters and cache[i] holds the
+    word at that depth of the string work[i].  Each level stably sorts every
+    live string by (range, word) in one lexsort, so equal strings keep
+    their order.  An adjacent pair of one range is settled at the first
+    byte where its words differ or, for equal words, at their terminator;
+    its LCP goes into lcps (the entry at lo is left to the caller) and
+    LCP - depth + 1 into char_cmps.  Runs of equal words without a
+    terminator become the ranges of the next level, one word deeper, and
+    fetch that word: one word fetch per string and tied level.  cache is
+    not reordered: no caller reads the words of a finished leaf.
+    """
+    items = [item for item in items if item[1] - item[0] > 1]
+    if not items:
+        return
+    slot, base, group = range_positions(items)
+    handles = work[slot]
+    words = cache[slot]
+    level = 0
+    while len(slot):
+        # groups are contiguous and their slots ascend, so sorted entry i lands in slot[i]
+        order = np.lexsort((words, group))
+        handles = handles[order]
+        words = words[order]
+        work[slot] = handles
+        shared = shared_chars(words[:-1], words[1:])
+        same = group[1:] == group[:-1]
+        tied = same & (shared == WORD_CHARS)
+        done = same & ~tied
+        past_depth = level + shared[done]  # each settled pair's LCP minus its leaf depth
+        if lcps is not None:
+            lcps[slot[1:][done]] = base[1:][done] + past_depth
+        stats.char_cmps += int((past_depth + 1).sum())
+        live = np.zeros(len(slot), dtype=bool)
+        live[:-1] = tied
+        live[1:] |= tied
+        first = live.copy()
+        first[1:] &= ~tied
+        group = np.cumsum(first)[live]
+        slot, handles, base = slot[live], handles[live], base[live]
+        level += WORD_CHARS
+        words = extract_keys(sset, handles, base + level)
+        stats.word_fetches += len(handles)
 
 
 def lcp_insertion_sort(

@@ -15,9 +15,15 @@ class SortStats:
     """Mutable tally of the events the library accounts for.
 
     char_cmps
-        Ternary character comparisons (one per character position examined).
+        Ternary character comparisons.  lcp_insertion_core, the reference
+        base case, charges exactly one per character position it examines;
+        basecase.word_leaves charges each adjacent pair of a leaf once, its
+        LCP - leaf depth + 1.
     word_fetches
-        Random accesses fetching one word of characters from the buffer.
+        Random accesses fetching one word of characters from the buffer:
+        one per key a sample-sort step samples or classifies, one per string
+        when caching mkqs first caches its word or refetches it for an equal
+        partition, and one per string and tied level in word_leaves.
     merge_buffer_cmps
         Character comparisons during merging that had to read the buffer
         (i.e. were not answered from a cached distinguishing character).

@@ -4,26 +4,26 @@ The plain variant partitions on one character per level.  The caching
 variant keeps the next word of every string alongside its handle and
 partitions on whole words, so each string's characters are fetched from the
 buffer at most once per word: total random accesses stay within
-floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Both finish
-small ranges with basecase.insertion_range; the caching variant charges a
-leaf one word fetch per word its comparisons read past the cached one.
+floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  The plain
+variant finishes small ranges with basecase.insertion_range; the caching
+variant collects them and sorts them together with basecase.word_leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basecase import INSERTION_THRESHOLD, SortedWithLcp, fill_dchar, insertion_range
-from .counters import SortStats
-from .strset import (
-    LCP_UNDEF,
-    WORD_CHARS,
-    StringSet,
-    extract_keys,
-    shared_chars,
-    word_has_terminator,
-    word_terminator_pos,
+from .basecase import (
+    INSERTION_THRESHOLD,
+    LEAF_FLUSH,
+    LEAF_THRESHOLD,
+    SortedWithLcp,
+    fill_dchar,
+    insertion_range,
+    word_leaves,
 )
+from .counters import SortStats
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
 
 def _median3(a: int, b: int, c: int) -> int:
@@ -86,20 +86,8 @@ def _cached_insertion(
     lcps: np.ndarray | None,
     stats: SortStats,
 ) -> None:
-    """The LCP insertion sort as a caching-mkqs leaf; charges its word fetches.
-
-    Each string's word at `depth` is cached, so a string costs one fetch per
-    further word its comparisons read.  No comparison reads a string past
-    its LCP with the other string, and every such LCP is at most the
-    string's larger LCP to a neighbour in the sorted leaf (its reach), so
-    (reach - depth) // WORD_CHARS words per string bound the fetches.
-    work_c is not reordered: no caller reads the words of a finished leaf.
-    """
-    inner = insertion_range(sset, work_h, lo, hi, depth, lcps, stats)[1:]
-    stats.word_fetches += sum(
-        (max(left, right) - depth) // WORD_CHARS
-        for left, right in zip([depth] + inner, inner + [depth])
-    )
+    """One word-cached leaf; perfbench/tracing.py still looks this name up."""
+    word_leaves(sset, work_h, work_c, [(lo, hi, depth)], lcps, stats)
 
 
 def mkqs_cached_range(
@@ -132,19 +120,31 @@ def mkqs_cached_items(
     stats: SortStats,
     share=None,
 ) -> None:
-    """mkqs_cached_range seeded with several independent (lo, hi, depth) ranges."""
+    """mkqs_cached_range seeded with several independent (lo, hi, depth) ranges.
+
+    Ranges below LEAF_THRESHOLD are collected and sorted by one word_leaves
+    call when the loop ends (or when LEAF_FLUSH strings are pending), also
+    when the share hook empties the stack: donated ranges never overlap the
+    collected leaves.
+    """
     stack = list(items)
+    leaves = []
+    pending = 0
     while stack:
         if share is not None:
             share(stack)
             if not stack:
-                return
+                break
         lo, hi, d = stack.pop()
         n = hi - lo
         if n <= 1:
             continue
-        if n < INSERTION_THRESHOLD:
-            _cached_insertion(sset, work_h, work_c, lo, hi, d, lcps, stats)
+        if n < LEAF_THRESHOLD:
+            leaves.append((lo, hi, d))
+            pending += n
+            if pending >= LEAF_FLUSH:
+                word_leaves(sset, work_h, work_c, leaves, lcps, stats)
+                leaves, pending = [], 0
             continue
         seg_h = work_h[lo:hi]
         seg_c = work_c[lo:hi]
@@ -162,18 +162,17 @@ def mkqs_cached_items(
             # boundary LCPs from the words alone: the last sorted string of a
             # partition carries its max word, the first its min word
             if len(lt):
-                left_max = int(work_c[lo:b1].max())
-                lcps[b1] = d + shared_chars(left_max, piv)
+                lcps[b1] = d + shared_chars(work_c[lo:b1].max(), pv)
             if len(gt):
-                right_min = int(work_c[b2:hi].min())
-                lcps[b2] = d + shared_chars(piv, right_min)
+                lcps[b2] = d + shared_chars(pv, work_c[b2:hi].min())
         if len(gt) > 1:
             stack.append((b2, hi, d))
         if len(eq) > 1:
-            if word_has_terminator(piv):
+            term = int(first_zero_byte(pv))
+            if term < WORD_CHARS:
                 # equal through the terminator: the whole group is one string value
                 if lcps is not None:
-                    lcps[b1 + 1 : b2] = d + word_terminator_pos(piv)
+                    lcps[b1 + 1 : b2] = d + term
             else:
                 nd = d + WORD_CHARS
                 work_c[b1:b2] = extract_keys(sset, work_h[b1:b2], nd)
@@ -181,6 +180,7 @@ def mkqs_cached_items(
                 stack.append((b1, b2, nd))
         if len(lt) > 1:
             stack.append((lo, b1, d))
+    word_leaves(sset, work_h, work_c, leaves, lcps, stats)
 
 
 def mkqs_cached(

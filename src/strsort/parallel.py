@@ -56,7 +56,7 @@ from .ssss import (
     tree_capacity,
     write_boundary_lcps,
 )
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, lcp, word_has_terminator
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, lcp
 
 _CTX = mp.get_context("fork")
 
@@ -325,7 +325,13 @@ class _Phased:
     buckets: object  # (shared, src, lo, hi, arg) -> (bucket per string, summary)
     batch: object  # (shared, entries, env): sort (lo, hi, depth, in_cur) entries
     s5: S5Context | None = None
-    cache: np.ndarray | None = None  # pmkqs: each position's word at its range's depth
+    # pmkqs: each position's word at its range's depth, paired with cur and with other
+    cache: np.ndarray | None = None
+    other_cache: np.ndarray | None = None
+
+    def words(self, in_cur: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The (src, dst) word arrays of a step whose data starts in cur when in_cur."""
+        return (self.cache, self.other_cache) if in_cur else (self.other_cache, self.cache)
 
     @classmethod
     def create(cls, sset: StringSet, p: int, max_k: int, buckets, batch) -> "_Phased":
@@ -376,6 +382,9 @@ def _phased_executor(sh: _Phased, job, env: _Env) -> None:
         env.replies.put(("phase", (lo, summary)))
     elif kind == "scatter":
         scatter(src[lo:hi], sh.oracle[lo:hi], job[4], dst)
+        if sh.cache is not None:  # pmkqs: the words move with their handles
+            src_words, dst_words = sh.words(in_cur)
+            scatter(src_words[lo:hi], sh.oracle[lo:hi], job[4], dst_words)
         env.replies.put(("phase", None))
     else:
         raise ValueError(f"unknown phased job kind: {kind}")
@@ -460,7 +469,9 @@ def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int, in_cur: 
     src = ctx.cur if in_cur else ctx.other
     v = tree_capacity(hi - lo)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
-    tree = select_splitters(draw_sample(ctx.sset, src[lo:hi], depth, v, rng), v)
+    sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
+    tree = select_splitters(sample, v)
+    pool.stats.word_fetches += len(sample) + hi - lo  # the count jobs fetch hi - lo keys
     # count jobs pickle only what classify_keys(..., "unroll") reads
     search = dataclasses.replace(
         tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None
@@ -556,18 +567,16 @@ def parallel_radix(
 
 
 def _mkqs_buckets(sh: _Phased, src, lo: int, hi: int, arg):
-    depth, pivot = arg
-    keys = extract_keys(sh.sset, src[lo:hi], depth)
-    pv = np.uint64(pivot)
+    keys = sh.words(src is sh.cur)[0][lo:hi]
+    pv = np.uint64(arg)
     return (keys >= pv).astype(np.uint16) + (keys > pv), None  # 0 less, 1 equal, 2 greater
 
 
 def _mkqs_batch(sh: _Phased, entries, env: _Env) -> None:
-    """Caching mkqs of the entries in cur.
+    """Caching mkqs of the entries, whose words the steps left in the caches.
 
-    Entries from the coordinator are (lo, hi, depth, in_cur) and get their
-    words fetched here; ranges a worker donated are mkqs stack items
-    (lo, hi, depth), already in cur with their words cached.
+    Entries from the coordinator are (lo, hi, depth, in_cur); ranges a
+    worker donated are mkqs stack items (lo, hi, depth), already in cur.
     """
     items = []
     for entry in entries:
@@ -575,10 +584,9 @@ def _mkqs_batch(sh: _Phased, entries, env: _Env) -> None:
         if len(entry) == 4:
             if not entry[3]:
                 sh.cur[lo:hi] = sh.other[lo:hi]
+                sh.cache[lo:hi] = sh.other_cache[lo:hi]
             if hi - lo < 2:
                 continue
-            sh.cache[lo:hi] = extract_keys(sh.sset, sh.cur[lo:hi], depth)
-            env.stats.word_fetches += hi - lo
         items.append((lo, hi, depth))
     mkqs_cached_items(sh.sset, sh.cur, sh.cache, items, None, env.stats, make_share_hook(env))
 
@@ -590,34 +598,45 @@ def parallel_mkqs(
 ) -> StringSet:
     """Caching multikey quicksort with fully parallel ternary partitioning steps.
 
-    A phased step fetches every string's word at the current depth and puts
-    it into the less, equal or greater bucket of the median-of-3 pivot word.
-    The equal bucket is settled when the pivot word holds the terminator and
-    otherwise recurses a word deeper.  Smaller subproblems run as batched
-    caching-mkqs jobs with voluntary sharing.  Handles match mkqs_cached.
+    Every string's word at the current depth rides along with its handle:
+    the coordinator fetches the words once, a phased step puts each string
+    into the less, equal or greater bucket of the median-of-3 pivot word and
+    scatters the words with the handles.  The equal bucket is settled when
+    the pivot word holds the terminator and otherwise recurses a word
+    deeper, after the coordinator fetches its next words.  Smaller
+    subproblems run as batched caching-mkqs jobs with voluntary sharing.
+    Handles and word fetches match mkqs_cached.
     """
     p = default_workers() if p is None else max(1, p)
+    n = len(sset)
     sh = _Phased.create(sset, p, 3, _mkqs_buckets, _mkqs_batch)
-    sh.cache = shared_array(len(sset), np.uint64)
+    sh.cache = shared_array(n, np.uint64)
+    sh.other_cache = shared_array(n, np.uint64)
+    sh.cache[:] = extract_keys(sset, sset.handles, 0)
 
     def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
-        src = sh.cur if in_cur else sh.other
-        ends = extract_keys(sset, src[[lo, lo + (hi - lo) // 2, hi - 1]], depth)
-        pivot = _median3(*ends)
-        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 3, (depth, pivot))
-        pool.stats.word_fetches += hi - lo + 3
-        equal_done = word_has_terminator(pivot)  # equal strings end within the word
+        src_words, dst_words = sh.words(in_cur)
+        pivot = _median3(src_words[lo], src_words[lo + (hi - lo) // 2], src_words[hi - 1])
+        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 3, pivot)
+        equal_done = first_zero_byte(np.uint64(pivot)) < WORD_CHARS  # equal strings end within the word
+        dst = sh.other if in_cur else sh.cur
         children = []
         for b in np.flatnonzero(np.diff(bounds)):
             clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
             if chi - clo > 1 and not (b == 1 and equal_done):
-                children.append((clo, chi, depth + WORD_CHARS if b == 1 else depth, not in_cur))
+                child_depth = depth
+                if b == 1:
+                    child_depth += WORD_CHARS
+                    dst_words[clo:chi] = extract_keys(sset, dst[clo:chi], child_depth)
+                    pool.stats.word_fetches += chi - clo
+                children.append((clo, chi, child_depth, not in_cur))
             elif in_cur:
                 sh.cur[clo:chi] = sh.other[clo:chi]
         return children
 
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, [(0, len(sset), 0, True)], step)
+        pool.stats.word_fetches += n
+        phased_sort(pool, [(0, n, 0, True)], step)
     if stats is not None:
         stats.add(pool.stats)
     return sset.with_handles(sh.cur.copy())

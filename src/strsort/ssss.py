@@ -7,7 +7,9 @@ bucket 2i+1 holds exact word matches with in-order splitter i), and
 redistributes handles out of place.  Equality buckets recurse with the
 depth advanced by a full word; range buckets advance by the LCP of their
 bounding splitters.  Classification is branch-free: all descents proceed in
-lockstep over the whole batch, one tree level per pass.
+lockstep over the whole batch, one tree level per pass.  Subproblems below
+the medium threshold are sorted by caching multikey quicksort, whose small
+ranges end in basecase.word_leaves.
 """
 
 from __future__ import annotations
@@ -16,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import INSERTION_THRESHOLD, SortedWithLcp, insertion_range
+from .basecase import SortedWithLcp, range_positions
 from .counters import SortStats
-from .mkqs import mkqs_cached_range
-from .strset import (
-    LCP_UNDEF,
-    WORD_CHARS,
-    StringSet,
-    extract_keys,
-    shared_chars,
-    word_terminator_pos,
-)
+from .mkqs import mkqs_cached_items
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
 DEFAULT_V = 8191
 OVERSAMPLE = 2  # alpha
@@ -131,9 +126,8 @@ def select_splitters(sample: np.ndarray, v: int) -> SplitterTree:
     build(1, 0, v)
 
     slcp = np.zeros(v + 1, dtype=np.int64)
-    for i in range(1, v):
-        slcp[i] = shared_chars(int(inorder[i - 1]), int(inorder[i]))
-    term_pos = np.array([word_terminator_pos(int(x)) for x in inorder], dtype=np.int64)
+    slcp[1:v] = shared_chars(inorder[:-1], inorder[1:])
+    term_pos = first_zero_byte(inorder).astype(np.int64)
     eq_final = term_pos < WORD_CHARS
 
     eq_leftmost = np.zeros(v, dtype=np.int64)
@@ -218,8 +212,8 @@ def write_boundary_lcps(
     bucket's minimum word.  mins/maxs come from bucket_word_range.
     """
     nonempty = np.flatnonzero(np.diff(bounds))
-    for left, right in zip(nonempty[:-1], nonempty[1:]):
-        lcps[lo + int(bounds[right])] = depth + shared_chars(int(maxs[left]), int(mins[right]))
+    left, right = nonempty[:-1], nonempty[1:]
+    lcps[lo + bounds[right]] = depth + shared_chars(maxs[left], mins[right])
 
 
 def finish_buckets(
@@ -247,10 +241,14 @@ def finish_buckets(
     return children
 
 
-def _mkqs_leaf(ctx: S5Context, lo: int, hi: int, depth: int) -> None:
-    ctx.cache[lo:hi] = extract_keys(ctx.sset, ctx.cur[lo:hi], depth)
-    ctx.stats.word_fetches += hi - lo
-    mkqs_cached_range(ctx.sset, ctx.cur, ctx.cache, lo, hi, depth, ctx.lcps, ctx.stats)
+def _mkqs_leaves(ctx: S5Context, items: list[tuple[int, int, int]]) -> None:
+    """Caching mkqs of (lo, hi, depth) ranges of ctx.cur, after one fetch of their words."""
+    if not items:
+        return
+    pos, depth, _ = range_positions(items)
+    ctx.cache[pos] = extract_keys(ctx.sset, ctx.cur[pos], depth)
+    ctx.stats.word_fetches += len(pos)
+    mkqs_cached_items(ctx.sset, ctx.cur, ctx.cache, items, ctx.lcps, ctx.stats)
 
 
 def s5_step(
@@ -266,6 +264,7 @@ def s5_step(
     sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
     tree = select_splitters(sample, v)
     keys = extract_keys(ctx.sset, src[lo:hi], depth)
+    ctx.stats.word_fetches += len(sample) + n
     oracle = classify_keys(keys, tree, ctx.variant)
     counts = np.bincount(oracle, minlength=tree.num_buckets)
     bounds = np.zeros(tree.num_buckets + 1, dtype=np.int64)
@@ -294,29 +293,32 @@ def s5_sort_items(
     share=None,
 ) -> None:
     """Recursive sample-sort driver over independent (lo, hi, depth, data_in_cur)
-    subproblems; results land in ctx.cur."""
+    subproblems; results land in ctx.cur.
+
+    Subproblems below ctx.t_medium are collected and sorted together by
+    caching mkqs when the loop ends, also when the share hook empties the
+    stack.
+    """
     stack = list(items)
+    medium = []
     while stack:
         if share is not None:
             share(stack)
             if not stack:
-                return
+                break
         lo, hi, d, in_cur = stack.pop()
         n = hi - lo
         src = ctx.cur if in_cur else ctx.other
         if n < ctx.t_medium:
             if not in_cur:
                 ctx.cur[lo:hi] = src[lo:hi]
-            if n < 2:
-                continue
-            if n < INSERTION_THRESHOLD:
-                insertion_range(ctx.sset, ctx.cur, lo, hi, d, ctx.lcps, ctx.stats)
-            else:
-                _mkqs_leaf(ctx, lo, hi, d)
+            if n > 1:
+                medium.append((lo, hi, d))
             continue
         dst = ctx.other if in_cur else ctx.cur
         bounds, tree = s5_step(ctx, src, dst, lo, hi, d)
         stack.extend(finish_buckets(ctx, tree, bounds, lo, d, in_cur))
+    _mkqs_leaves(ctx, medium)
 
 
 def s5_sort(

@@ -27,6 +27,7 @@ import numpy as np
 
 WORD_CHARS = 8
 WORD_BYTES_SHIFTS = np.arange(WORD_CHARS - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
+KEY_CHUNK = 1 << 16  # handles per pass of extract_keys
 
 LCP_UNDEF = -1
 
@@ -149,25 +150,27 @@ def from_strings(strings: Iterable[bytes]) -> StringSet:
     return StringSet(buf, offs)
 
 
-def extract_keys(sset: StringSet, handles: np.ndarray, depth: int) -> np.ndarray:
+def extract_keys(sset: StringSet, handles: np.ndarray, depth) -> np.ndarray:
     """Word keys (uint64) for the given handles at character depth `depth`.
 
     Reads up to WORD_CHARS characters starting at position depth of each
     string and zero-pads past its terminator, so the keys order exactly like
-    the underlying terminator-padded substrings.
+    the underlying terminator-padded substrings.  `depth` is one int or one
+    depth per handle.
     """
     h = np.ascontiguousarray(handles, dtype=np.int64)
-    n = len(h)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
     arr = sset.char_array()
     starts = h + depth
     remaining = sset.ends(h) - starts  # chars before the terminator
-    idx = starts[:, None] + np.arange(WORD_CHARS, dtype=np.int64)
-    valid = np.arange(WORD_CHARS, dtype=np.int64) < remaining[:, None]
-    np.clip(idx, 0, len(arr) - 1, out=idx)
-    chars = np.where(valid, arr[idx], 0).astype(np.uint64)
-    return (chars << WORD_BYTES_SHIFTS).sum(axis=1, dtype=np.uint64)
+    keys = np.empty(len(h), dtype=np.uint64)
+    # chunks cap the (handles, WORD_CHARS) temporaries
+    for a in range(0, len(h), KEY_CHUNK):
+        idx = starts[a : a + KEY_CHUNK, None] + np.arange(WORD_CHARS, dtype=np.int64)
+        valid = np.arange(WORD_CHARS, dtype=np.int64) < remaining[a : a + KEY_CHUNK, None]
+        np.clip(idx, 0, len(arr) - 1, out=idx)
+        chars = np.where(valid, arr[idx], 0).astype(np.uint64)
+        keys[a : a + KEY_CHUNK] = (chars << WORD_BYTES_SHIFTS).sum(axis=1, dtype=np.uint64)
+    return keys
 
 
 def extract_key(sset: StringSet, handle: int, depth: int) -> int:
@@ -175,35 +178,40 @@ def extract_key(sset: StringSet, handle: int, depth: int) -> int:
     return int(extract_keys(sset, np.asarray([handle], dtype=np.int64), depth)[0])
 
 
-def word_bytes(key: int) -> bytes:
-    return int(key).to_bytes(WORD_CHARS, "big")
+_BYTE_BOUNDS = np.uint64(1) << (np.arange(WORD_CHARS, dtype=np.uint64) * np.uint64(8))
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 
-def word_has_terminator(key: int) -> bool:
-    """True when the packed word covers the end of its string."""
-    return b"\0" in word_bytes(key)
+def _leading_zero_bytes(x) -> np.ndarray:
+    return WORD_CHARS - np.searchsorted(_BYTE_BOUNDS, x, side="right")
 
 
-def word_terminator_pos(key: int) -> int:
-    """Character count before the first terminator byte (WORD_CHARS if none)."""
-    b = word_bytes(key)
-    i = b.find(b"\0")
-    return WORD_CHARS if i < 0 else i
+def first_diff_byte(a, b) -> np.ndarray:
+    """Index of the first byte where word keys a and b differ (WORD_CHARS where equal).
 
-
-def shared_chars(a: int, b: int) -> int:
-    """Number of leading characters two word keys share, capped at the terminator.
-
-    For differing keys this is the plain count of equal leading bytes; for
-    equal keys the count stops at the first terminator byte, matching the
-    LCP of the underlying strings.
+    Works elementwise on uint64 arrays or scalars.
     """
-    ba = word_bytes(a)
-    bb = word_bytes(b)
-    i = 0
-    while i < WORD_CHARS and ba[i] == bb[i] and ba[i] != 0:
-        i += 1
-    return i
+    return _leading_zero_bytes(np.bitwise_xor(a, b, dtype=np.uint64))
+
+
+def first_zero_byte(words) -> np.ndarray:
+    """Characters before the first terminator byte of each word key (WORD_CHARS if none).
+
+    Adding 0x7F to the low seven bits of every byte sets its high bit
+    unless the byte is zero, without a carry into the next byte.
+    """
+    w = np.asarray(words, dtype=np.uint64)
+    return _leading_zero_bytes(~(((w & _LOW7) + _LOW7) | w | _LOW7))
+
+
+def shared_chars(a, b) -> np.ndarray:
+    """Leading characters word keys a and b share, capped at a's terminator.
+
+    For differing keys this is the count of equal leading bytes; for equal
+    keys it stops at the first terminator byte, matching the LCP of the
+    underlying strings.  Works elementwise on uint64 arrays or scalars.
+    """
+    return np.minimum(first_diff_byte(a, b), first_zero_byte(a))
 
 
 def lcp(sset: StringSet, ha: int, hb: int) -> int:

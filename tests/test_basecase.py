@@ -2,10 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_set, ref_lcps, ref_strings
-from strsort.basecase import insertion_sort, lcp_insertion_sort
+from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings
+from strsort import mkqs
+from strsort.basecase import LEAF_FLUSH, insertion_sort, lcp_insertion_sort, word_leaves
 from strsort.counters import SortStats
-from strsort.strset import LCP_UNDEF, from_strings, lcp_sum
+from strsort.mkqs import mkqs_cached
+from strsort.strset import LCP_UNDEF, WORD_CHARS, extract_keys, from_strings, lcp_sum
 
 text_bytes = st.binary(min_size=0, max_size=10).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -90,3 +92,98 @@ class TestLcpInsertionSort:
             want = sorted(ref_strings(s))
             assert ref_strings(res.set) == want
             assert list(res.lcps) == ref_lcps(want)
+
+
+def leaf_ranges() -> list[tuple[int, list[bytes]]]:
+    """(depth, strings) of each range: every range shares `depth` characters."""
+    rng = np.random.default_rng(5)
+    long = b"x" * 30  # ties that last more than three words
+    ranges = [
+        (0, [b"", b"b", b"", b"a", b""]),  # empty strings
+        (0, [b"q", b"p"]),  # two strings
+        (3, [b"abc" + t for t in (b"", b"d", b"", b"dd")]),
+        (8, [b"prefix--" + long + t for t in (b"b", b"a", b"", b"a", b"b", b"")]),
+        (13, [b"p" * 13 + t for t in (long + long + b"q", long + long + b"p", long, long)]),
+        (0, [bytes(range(1, 256)), bytes(range(255, 0, -1)), b"\xff" * 9, b"\xff\x01", b"\x01\xff"]),
+        (2, [b"zz"]),  # a single string is already sorted
+    ]
+    ranges.append((0, [bytes(rng.integers(1, 4, size=rng.integers(0, 20), dtype=np.uint8)) for _ in range(300)]))
+    ranges.append((5, [b"same!" * 4] * 7))  # equal strings
+    return ranges
+
+
+class TestWordLeaves:
+    def _run(self, ranges, order):
+        items, strings = [], []
+        for depth, strs in ranges:
+            items.append((len(strings), len(strings) + len(strs), depth))
+            strings += strs
+        s = from_strings(strings)
+        work = s.handles.copy()
+        for lo, hi, _ in items:
+            work[lo:hi] = work[lo:hi][np.random.default_rng(lo).permutation(hi - lo)]
+        start = work.copy()
+        cache = np.zeros(len(work), dtype=np.uint64)
+        for lo, hi, depth in items:
+            cache[lo:hi] = extract_keys(s, work[lo:hi], depth)
+        lcps = np.full(len(work), -7, dtype=np.int64)
+        stats = SortStats()
+        word_leaves(s, work, cache, [items[i] for i in order], lcps, stats)
+        return s, items, start, work, lcps, stats
+
+    def test_many_ranges_in_one_call(self):
+        ranges = leaf_ranges()
+        order = np.random.default_rng(2).permutation(len(ranges))
+        s, items, start, work, lcps, stats = self._run(ranges, order)
+        fetches = cmps = 0
+        for lo, hi, depth in items:
+            out = s.with_handles(work[lo:hi])
+            want = ref_sorted_strings(s.with_handles(start[lo:hi]))
+            assert ref_strings(out) == want
+            # stable: equal strings keep their order in the range
+            stable = sorted(start[lo:hi], key=lambda h: ref_strings(s.with_handles(np.array([h])))[0])
+            assert list(work[lo:hi]) == stable
+            expect = ref_lcps(want)
+            assert lcps[lo] == -7  # the boundary entry belongs to the caller
+            assert list(lcps[lo + 1 : hi]) == expect[1:]
+            inner = [depth] + expect[1:] + [depth]
+            fetches += sum((max(a, b) - depth) // WORD_CHARS for a, b in zip(inner, inner[1:]))
+            cmps += sum(x - depth + 1 for x in expect[1:])
+        assert stats.word_fetches == fetches
+        assert stats.char_cmps == cmps
+        assert fetches > 0
+
+    def test_range_order_does_not_matter(self):
+        ranges = leaf_ranges()
+        a = self._run(ranges, range(len(ranges)))
+        b = self._run(ranges, range(len(ranges))[::-1])
+        assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])
+        assert a[5] == b[5]
+
+    def test_no_ranges(self):
+        s = from_strings([b"b", b"a"])
+        work = s.handles.copy()
+        word_leaves(s, work, np.zeros(2, np.uint64), [], None, SortStats())
+        assert list(work) == list(s.handles)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_mkqs_cached_flushes_its_leaves_once(monkeypatch):
+    s = random_set(20_000, seed=3)
+    calls = count_calls(monkeypatch, mkqs, "word_leaves")
+    res = mkqs_cached(s)
+    assert len(calls) <= 1 + len(s) // LEAF_FLUSH
+    want = ref_sorted_strings(s)
+    assert ref_strings(res.set) == want
+    assert list(res.lcps) == ref_lcps(want)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import all_empty_set, all_equal_set, random_set, ref_strings
+from corpus import all_empty_set, all_equal_set, random_set, ref_strings, url_like_set
 from strsort.bench import (
     ALGORITHMS,
     RunConfig,
@@ -29,6 +29,29 @@ ADVERSARIAL = {
     "all_empty": lambda: all_empty_set(300),
     "empty_set": lambda: from_strings([]),
 }
+
+
+WORD_CACHED = ("mkqs-cached", "s5-unroll", "s5-equal", "kway-merge", "ps5", "pmkqs", "pmergesort")
+DUPLICATES = {
+    "few_values": lambda: random_set(3000, seed=6, max_len=4, lo=97, hi=100),
+    "long_ties": lambda: from_strings(
+        [b"w" * 40 + bytes([97 + i % 3]) * (i % 4) for i in range(1500)]
+        + [b"w" * (i % 50) for i in range(1500)]
+    ),
+    "urls": lambda: url_like_set(4000),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("corpus", sorted(DUPLICATES))
+@pytest.mark.parametrize("name", WORD_CACHED)
+def test_word_cached_sorters_keep_equal_strings_in_input_order(name, corpus, threads):
+    s = DUPLICATES[corpus]()
+    s = s.with_handles(s.handles[np.random.default_rng(3).permutation(len(s))])
+    strings = ref_strings(s)
+    stable = s.handles[sorted(range(len(s)), key=strings.__getitem__)]
+    out = ALGORITHMS[name](s, threads, 2, SortStats())
+    assert np.array_equal(out.handles, stable)
 
 
 class TestGenRandom:

@@ -14,9 +14,9 @@ from corpus import (
     shared_prefix_clusters,
     suffix_set,
 )
-from strsort import parallel
+from strsort import mkqs, parallel
 from strsort.counters import SortStats
-from strsort.basecase import fill_dchar
+from strsort.basecase import LEAF_FLUSH, fill_dchar
 from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, MergeJob
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
@@ -40,7 +40,7 @@ from strsort.parallel import (
 )
 from strsort.radix import radix16_adaptive
 from strsort.ssss import s5_sort
-from strsort.strset import dist_stats, from_strings, lcp_array_oracle, verify
+from strsort.strset import dist_stats, extract_keys, from_strings, lcp_array_oracle, verify
 
 
 def _exit_worker(*args):
@@ -198,6 +198,35 @@ class TestParallelS5:
         par = parallel_s5(s, p=1, t_medium=512)
         assert np.array_equal(par.handles, seq.handles)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_counters_match_sequential(self, corpus, p):
+        # t_medium is below n/p, so both sorters take the same steps
+        s = CORPORA[corpus]()
+        seq, par = SortStats(), SortStats()
+        s5_sort(s, seed=3, stats=seq, t_medium=256)
+        parallel_s5(s, p=p, seed=3, stats=par, t_medium=256)
+        assert seq.word_fetches > len(s)  # the steps charge their sample and keys
+        assert (par.word_fetches, par.char_cmps) == (seq.word_fetches, seq.char_cmps)
+
+    def test_sharing_batch_flushes_its_leaves_once(self, monkeypatch):
+        # a batch whose share hook always sees an idle worker shares at every
+        # stack pop; the leaves it keeps are still sorted by one flush
+        s = random_set(20_000, seed=14)
+        sh = parallel._s5_shared(s, 1, want_lcps=True, seed=1, t_medium=256)
+        env = _IdleEnv()
+        calls = []
+        leaves = mkqs.word_leaves
+        monkeypatch.setattr(mkqs, "word_leaves", lambda *args: calls.append(1) or leaves(*args))
+        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        assert env.stats.share_events > 100
+        assert 1 <= len(calls) <= 1 + len(s) // LEAF_FLUSH
+        while env.queue:
+            _phased_executor(sh, env.queue.pop(), env)
+        want = sorted(ref_strings(s))
+        assert ref_strings(s.with_handles(sh.cur)) == want
+        assert list(sh.s5.lcps) == ref_lcps(want)
+
 
 class TestParallelRadix:
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -232,14 +261,40 @@ class TestParallelMkqs:
         s = random_set(3000, seed=12)
         seq = mkqs_cached(s)
         sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
-        sh.cache = np.zeros(len(s), dtype=np.uint64)
+        # the coordinator fetches and charges the root's words; batches fetch none
+        sh.cache = extract_keys(s, s.handles, 0)
         env = _IdleEnv()
+        env.stats.word_fetches = len(s)
         _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
         assert env.stats.share_events > 0
         assert np.array_equal(sh.cur, seq.set.handles)
         assert env.stats.word_fetches == seq.stats.word_fetches
+
+    def test_sharing_batch_flushes_its_leaves_once(self, monkeypatch):
+        s = random_set(20_000, seed=15)
+        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
+        sh.cache = extract_keys(s, s.handles, 0)
+        env = _IdleEnv()
+        calls = []
+        leaves = mkqs.word_leaves
+        monkeypatch.setattr(mkqs, "word_leaves", lambda *args: calls.append(1) or leaves(*args))
+        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        assert env.stats.share_events > 1
+        assert 1 <= len(calls) <= 1 + len(s) // LEAF_FLUSH
+        while env.queue:
+            _phased_executor(sh, env.queue.pop(), env)
+        assert ref_strings(s.with_handles(sh.cur)) == sorted(ref_strings(s))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_word_fetches_match_mkqs_cached(self, corpus, p):
+        # the words ride along with the handles, so no string is fetched twice
+        s = CORPORA[corpus]()
+        stats = SortStats()
+        parallel_mkqs(s, p=p, stats=stats)
+        assert stats.word_fetches == mkqs_cached(s).stats.word_fetches
 
     def test_all_equal_terminates(self):
         s = all_equal_set(6000, b"zzzzzzzzzzzzzzzz")

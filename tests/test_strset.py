@@ -9,6 +9,8 @@ from strsort.strset import (
     dist_stats,
     extract_key,
     extract_keys,
+    first_diff_byte,
+    first_zero_byte,
     from_strings,
     lcp,
     lcp_array_oracle,
@@ -157,19 +159,53 @@ class TestDistStats:
         assert d.D >= d.L
 
 
-class TestSharedChars:
-    def test_plain(self):
-        a = int.from_bytes(b"abcdefgh", "big")
-        b = int.from_bytes(b"abcxefgh", "big")
-        assert shared_chars(a, b) == 3
+def _words(*items: bytes) -> np.ndarray:
+    return np.array([int.from_bytes(b.ljust(8, b"\0"), "big") for b in items], dtype=np.uint64)
+
+
+class TestWordHelpers:
+    def test_shared_chars_plain(self):
+        assert shared_chars(_words(b"abcdefgh"), _words(b"abcxefgh"))[0] == 3
 
     def test_equal_words_cap_at_terminator(self):
-        a = int.from_bytes(b"ab\0\0\0\0\0\0", "big")
-        assert shared_chars(a, a) == 2
+        a = _words(b"ab")
+        assert shared_chars(a, a)[0] == 2
 
     def test_fully_equal_no_terminator(self):
-        a = int.from_bytes(b"abcdefgh", "big")
-        assert shared_chars(a, a) == 8
+        a = _words(b"abcdefgh")
+        assert shared_chars(a, a)[0] == 8
+
+    def test_scalars(self):
+        a, b = _words(b"abc", b"abd")
+        assert shared_chars(a, b) == 2
+        assert first_zero_byte(a) == 3
+
+    def test_first_diff_byte(self):
+        a = _words(b"abcdefgh", b"", b"\xff", b"a\x01")
+        b = _words(b"abcdefgx", b"", b"\x01", b"a")
+        assert list(first_diff_byte(a, b)) == [7, 8, 0, 1]
+
+    def test_first_zero_byte_of_any_word(self):
+        # an exact test per byte: a zero byte after a 0x01 byte, or before
+        # nonzero bytes, is found as the first zero
+        words = np.array(
+            [0, 1 << 56, 0x0100000000000000 + 0x01, 0xFFFFFFFFFFFFFFFF, 0x01FF00FF01000000],
+            dtype=np.uint64,
+        )
+        assert list(first_zero_byte(words)) == [0, 1, 1, 8, 2]
+
+    @given(st.lists(text_bytes, min_size=2, max_size=2), st.integers(0, 4))
+    @settings(max_examples=200)
+    def test_match_the_strings(self, pair, depth):
+        s = from_strings(pair)
+        a, b = extract_keys(s, s.handles, depth)
+        x, y = (p[depth : depth + 8] for p in pair)
+        k = 0
+        while k < min(len(x), len(y)) and x[k] == y[k]:
+            k += 1
+        assert shared_chars(a, b) == k
+        assert first_zero_byte(a) == min(len(x), 8)
+        assert first_diff_byte(a, b) == (8 if x.ljust(8, b"\0") == y.ljust(8, b"\0") else k)
 
 
 def test_sorted_copy_matches_reference():
