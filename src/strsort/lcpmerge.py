@@ -7,6 +7,11 @@ from that position on, and every matched character permanently raises the
 output LCP sum.  Character comparisons are counted per position examined;
 comparisons answered from a cached distinguishing character instead of the
 buffer are excluded from merge_buffer_cmps.
+
+The K-way merge first splits its sorted runs into groups of strings with
+equal words, level by level in numpy (split_merge_jobs).  A group from one
+run is copied; only groups with strings from at least two runs are merged
+by the LCP loser tree (run_merge_job).
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import SortStats
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys
+from .strset import (
+    LCP_UNDEF,
+    WORD_CHARS,
+    StringSet,
+    extract_keys,
+    first_zero_byte,
+    shared_chars,
+)
 
 SENTINEL = -1  # stream-exhausted handle; larger than every real string
 
@@ -42,16 +54,54 @@ class LcpStream:
         )
 
 
+# columns of MergeJob.blocks
+STREAM, POS, LEN, OUT, LCP, DEPTH = range(6)
+
+
 @dataclass
 class MergeJob:
-    """Per-stream subranges whose strings all share shared_prefix chars."""
+    """Per-stream subranges whose strings all share shared_prefix chars.
+
+    blocks holds one row per block of consecutive strings of one stream,
+    in output order: STREAM, POS and LEN locate it; OUT is its output
+    position within the job; LCP is the LCP to write at that position;
+    DEPTH is -1 for a copied block and otherwise the shared prefix of its
+    tree-merged group.  The blocks of one tree group are its runs, in stream
+    order; they share the group's OUT, and the first holds its LCP.  Without
+    blocks the whole job is one group, copied when it has one nonempty
+    range.
+    """
 
     ranges: list[tuple[int, int, int]]  # (stream index, start, length)
     shared_prefix: int
+    blocks: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.blocks is None:
+            rows = [r for r in self.ranges if r[2]]
+            depth = -1 if len(rows) == 1 else self.shared_prefix
+            self.blocks = np.array(
+                [(k, start, length, 0, self.shared_prefix, depth) for k, start, length in rows],
+                dtype=np.int64,
+            ).reshape(-1, 6)
 
     @property
     def size(self) -> int:
         return sum(r[2] for r in self.ranges)
+
+    def rebased(self, ranges: list[tuple[int, int, int]]) -> "MergeJob":
+        """This job, split from slices given as (stream, start, length),
+        over the streams the slices were taken from."""
+        ks = np.array([r[0] for r in ranges], dtype=np.int64)
+        starts = np.array([r[1] for r in ranges], dtype=np.int64)
+        blocks = self.blocks.copy()
+        blocks[:, POS] += starts[blocks[:, STREAM]]
+        blocks[:, STREAM] = ks[blocks[:, STREAM]]
+        return MergeJob(
+            [(ranges[i][0], ranges[i][1] + start, length) for i, start, length in self.ranges],
+            self.shared_prefix,
+            blocks,
+        )
 
 
 def lcp_compare(
@@ -308,12 +358,15 @@ def kway_merge_partial(
     out_h: np.ndarray,
     out_l: np.ndarray,
     poll=None,
+    polled: int = 0,
 ) -> tuple[int, list[int] | None]:
     """Tournament-merge streams into out arrays, stopping early on request.
 
-    poll(emitted) is consulted every MERGE_POLL_INTERVAL strings; a truthy
-    return stops the merge.  Returns (emitted, per-stream cursors) when
-    stopped, or (n, None) when the merge ran to completion.
+    poll(emitted) is consulted whenever polled + emitted reaches a multiple
+    of MERGE_POLL_INTERVAL, where polled counts the strings merged before
+    this call; a truthy return stops the merge, also after its last string.
+    Returns (emitted, per-stream cursors) when stopped, or (n, None) when
+    the merge ran to completion.
     """
     n = sum(s.length for s in streams)
     if n == 0:
@@ -325,9 +378,8 @@ def kway_merge_partial(
         out_l[j] = h
         if (
             poll is not None
-            and (j + 1) % MERGE_POLL_INTERVAL == 0
-            and (j + 1) < n
-            and poll(j + 1)
+            and (polled + j + 1) % MERGE_POLL_INTERVAL == 0
+            and poll(polled + j + 1)
         ):
             return j + 1, tree.cursor[: len(streams)]
     return n, None
@@ -338,35 +390,44 @@ def kway_lcp_merge(
     shared: int = 0,
     stats: SortStats | None = None,
     cached: bool = False,
-    out_handles: np.ndarray | None = None,
-    out_lcps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tournament merge of K sorted runs sharing `shared` prefix characters.
+    """Merge K sorted runs sharing `shared` prefix characters, with LCPs.
 
-    Character comparisons stay within dL + n*log2(K) + K, where dL is the
-    growth of the LCP sum from inputs to output.
+    Runs the jobs of split_merge_jobs in order, so only groups with strings
+    from at least two runs reach the loser tree.  Character comparisons stay
+    within dL + n*log2(K) + K, where dL is the growth of the LCP sum from
+    inputs to output.
     """
-    job = MergeJob([(k, 0, st.length) for k, st in enumerate(streams)], shared)
-    out_h, out_l, n, _ = run_merge_job(streams, job, stats, cached, out_handles, out_lcps)
-    if out_lcps is None and n:
+    stats = stats if stats is not None else SortStats()
+    n = sum(st.length for st in streams)
+    out_h = np.empty(n, dtype=np.int64)
+    out_l = np.empty(n, dtype=np.int64)
+    pos = 0
+    for job in split_merge_jobs(streams, 1, shared, stats=stats):
+        end = pos + job.size
+        run_merge_job(streams, job, stats, cached, out_h[pos:end], out_l[pos:end])
+        pos = end
+    if n:
         out_l[0] = LCP_UNDEF
     return out_h, out_l
 
 
-def _front_block(stream: LcpStream, pos: int, base: int, width: int) -> int:
-    """Top `width` characters of the stream's string at pos, from depth base."""
-    h = stream.handles[stream.start + pos]
-    word = int(
-        extract_keys(stream.sset, np.asarray([h], dtype=np.int64), base)[0]
-    )
-    return word >> (8 * (WORD_CHARS - width))
+def _block_heads(st: LcpStream, lo: int, hi: int, depth: int, width: int) -> np.ndarray:
+    """Positions in st[lo:hi] whose string starts a new block at `depth`.
+
+    A string joins its predecessor's block when their LCP reaches depth +
+    width, or when both are the same string ending at that LCP.  In a sorted
+    run the second holds exactly when the later string ends there.
+    """
+    a = st.start
+    cand = np.flatnonzero(st.lcps[a + lo + 1 : a + hi] < depth + width) + (lo + 1)
+    ends = st.sset.char_array()[st.handles[a + cand] + st.lcps[a + cand]] == 0
+    return np.concatenate(([lo], cand[~ends]))
 
 
-def _block_chars(block: int, width: int) -> int:
-    """Characters before the terminator within a width-char block."""
-    b = int(block).to_bytes(width, "big")
-    i = b.find(b"\0")
-    return width if i < 0 else i
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[i], starts[i] + lens[i]), concatenated."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
 def split_merge_jobs(
@@ -374,60 +435,136 @@ def split_merge_jobs(
     target_jobs: int,
     shared: int = 0,
     width: int = WORD_CHARS,
+    stats: SortStats | None = None,
 ) -> list[MergeJob]:
-    """Split K sorted runs into independent merge jobs by equal front blocks.
+    """Split K sorted runs into independent merge jobs, one word level at a time.
 
-    Scans each stream's LCP array once: strings staying above the current
-    block width belong to the same block; the scan stops at the first entry
-    below it (or a mismatching block).  The block width starts at a full
-    word and halves whenever the emitted job count runs ahead of twice the
-    consumed fraction of the target, so inputs with long common prefixes
-    keep wide blocks and random inputs do not shatter into tiny jobs.
+    Every string shares `shared` characters.  A level at depth d cuts each
+    active run segment into blocks from its LCP array alone (see
+    _block_heads), fetches the `width`-character word at d of every block
+    head in one extract_keys call, charged to stats.word_fetches, and orders
+    the heads by one stable lexsort of (parent group, word, stream).  Equal
+    words form a group; neighbouring groups share d + shared_chars(words)
+    characters.  A group of more than N / target_jobs strings from at least
+    two runs whose word holds no terminator recurses at d + width.  The
+    groups, in output order, are packed into about target_jobs jobs.
     """
-    K = len(streams)
-    cursors = [0] * K
-    lens = [s.length for s in streams]
-    total = sum(lens)
+    total = sum(s.length for s in streams)
     if total == 0:
         return []
-    jobs: list[MergeJob] = []
-    consumed = 0
     w = max(1, min(width, WORD_CHARS))
-    while True:
-        alive = [k for k in range(K) if cursors[k] < lens[k]]
-        if not alive:
-            break
-        blocks = {k: _front_block(streams[k], cursors[k], shared, w) for k in alive}
-        cmin = min(blocks.values())
-        # a terminator inside the block caps its effective width: successors
-        # matching all real characters of the block belong to the same job
-        weff = _block_chars(cmin, w)
+    mask = np.uint64(((1 << (8 * w)) - 1) << (8 * (WORD_CHARS - w)))
+    target_jobs = max(1, target_jobs)
+    sset = streams[0].sset
+    # positions, lengths and LCPs are below the buffer size
+    itype = np.int32 if len(sset.buffer) < 2**31 else np.int64
+    # groups recursed into: output start and LCP to the preceding string
+    p_start = np.zeros(1, dtype=itype)
+    p_lead = np.full(1, shared, dtype=itype)
+    segs = [(0, k, 0, s.length) for k, s in enumerate(streams) if s.length]
+    tables = []
+    depth = shared
+    # each level frees its head-sized arrays once spent: the split runs in
+    # the coordinator, whose peak memory is the sort's
+    while segs:
+        heads = [_block_heads(streams[k], lo, hi, depth, w) for _, k, lo, hi in segs]
+        counts = [len(h) for h in heads]
+        handles = np.concatenate(
+            [streams[k].handles[streams[k].start + h] for h, (_, k, _, _) in zip(heads, segs)]
+        )
+        words = extract_keys(sset, handles, depth) & mask
+        if stats is not None:
+            stats.word_fetches += len(handles)
+        del handles
+        size = np.concatenate(
+            [np.diff(h, append=hi) for h, (_, _, _, hi) in zip(heads, segs)], dtype=itype
+        )
+        pos = np.concatenate(heads, dtype=itype)
+        del heads
+        stream = np.repeat(np.asarray([s[1] for s in segs], dtype=itype), counts)
+        parent = np.repeat(np.asarray([s[0] for s in segs], dtype=itype), counts)
+        order = np.lexsort((stream, words, parent))
+        pos, size, stream, parent, words = (
+            x[order] for x in (pos, size, stream, parent, words)
+        )
+        del order
+        new = np.ones(len(pos), dtype=bool)
+        new[1:] = (parent[1:] != parent[:-1]) | (words[1:] != words[:-1])
+        first = np.flatnonzero(new)
+        gid = np.cumsum(new, dtype=itype) - 1
+        g_word = words[first]
+        del words
+        g_parent = parent[first]
+        del parent
+        g_lead = np.empty(len(first), dtype=itype)
+        g_lead[1:] = depth + shared_chars(g_word[:-1], g_word[1:])
+        g_runs = np.diff(first, append=len(pos)).astype(itype)
+        fz = first_zero_byte(g_word)
+        del g_word
+        g_depth = (depth + np.minimum(fz, w)).astype(itype)
+        # output start: the parent's start plus the sizes of its earlier groups
+        g_size = np.add.reduceat(size, first)
+        g_start = np.cumsum(g_size, dtype=itype) - g_size
+        deeper = (g_size > total / target_jobs) & (g_runs > 1) & (fz >= w)
+        del fz, g_size
+        pfirst = np.ones(len(first), dtype=bool)
+        pfirst[1:] = g_parent[1:] != g_parent[:-1]
+        g_start += p_start[g_parent] - g_start[np.maximum.accumulate(np.where(pfirst, np.arange(len(first)), 0))]
+        g_lead[pfirst] = p_lead[g_parent[pfirst]]
+        del pfirst, g_parent, first
+        # the runs of deeper groups are the next level's segments
+        down = np.flatnonzero(deeper)
+        p_start, p_lead = g_start[down], g_lead[down]
+        rec = deeper[gid]
+        at = np.flatnonzero(rec)
+        segs = list(
+            zip(
+                np.searchsorted(down, gid[at]).tolist(),
+                stream[at].tolist(),
+                pos[at].tolist(),
+                (pos[at] + size[at]).tolist(),
+            )
+        )
+        del down, deeper, at
+        table = np.empty((len(pos), 6), dtype=itype)
+        table[:, STREAM] = stream
+        table[:, POS] = pos
+        table[:, LEN] = size
+        del stream, pos, size
+        table[:, OUT] = g_start[gid]
+        table[:, LCP] = np.where(new, g_lead[gid], 0)
+        # a group from one run is one block, copied
+        table[:, DEPTH] = np.where(g_runs[gid] > 1, g_depth[gid], -1)
+        tables.append(table[~rec] if rec.any() else table)
+        del table, rec, gid, new
+        depth += w
+    if len(tables) == 1:
+        blocks = tables[0]
+    else:  # deeper groups' blocks go between their neighbours
+        blocks = np.concatenate(tables)
+        blocks = blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
+    del tables
+    # a group starts wherever OUT changes: a copy block, or a tree group's first run
+    first = np.flatnonzero(np.diff(blocks[:, OUT], prepend=-1))
+    # a job starts at the first group to begin in each 1/target_jobs of the output
+    key = blocks[first, OUT].astype(np.int64) * target_jobs // total
+    cuts = first[np.flatnonzero(np.diff(key)) + 1].tolist()
+    jobs = []
+    for a, b in zip([0] + cuts, cuts + [len(blocks)]):
+        jb = blocks[a:b]
+        jb[:, OUT] -= jb[0, OUT]
         ranges = []
-        job_size = 0
-        for k in alive:
-            if blocks[k] != cmin:
-                continue
-            st = streams[k]
-            start = cursors[k]
-            idx = start + 1
-            limit = lens[k]
-            while idx < limit:
-                entry = int(st.lcps[st.start + idx]) - shared
-                if entry > weff:
-                    idx += 1
-                    continue
-                if entry == weff:
-                    if _front_block(st, idx, shared, w) == cmin:
-                        idx += 1
-                        continue
-                break
-            ranges.append((k, start, idx - start))
-            cursors[k] = idx
-            job_size += idx - start
-        jobs.append(MergeJob(ranges, shared + weff))
-        consumed += job_size
-        if len(jobs) > (consumed / total) * target_jobs * 2:
-            w = max(1, w // 2)
+        for k in np.unique(jb[:, STREAM]).tolist():
+            mine = jb[jb[:, STREAM] == k]
+            ranges.append((k, int(mine[0, POS]), int(mine[:, LEN].sum())))
+        # the LCPs between groups are the job's shared prefix; a lone
+        # group's is its depth, or for a copied block its lead
+        inner = first[np.searchsorted(first, a) + 1 : np.searchsorted(first, b)] - a
+        if len(inner):
+            shared_prefix = jb[inner, LCP].min()
+        else:
+            shared_prefix = jb[0, DEPTH] if jb[0, DEPTH] >= 0 else jb[0, LCP]
+        jobs.append(MergeJob(ranges, int(shared_prefix), jb))
     return jobs
 
 
@@ -440,38 +577,63 @@ def run_merge_job(
     out_lcps: np.ndarray | None = None,
     poll=None,
 ) -> tuple[np.ndarray, np.ndarray, int, list[tuple[int, int, int]] | None]:
-    """Execute one merge job: copy for one run, tournament merge otherwise.
+    """Execute one merge job.
 
-    Returns (out_handles, out_lcps, emitted, leftover).  leftover is None
-    when the job completed; when poll stopped it early, it lists the
-    unconsumed (stream, start, length) ranges.
+    Copied blocks, the groups from one run, are gathered per stream in one
+    vectorized pass, and the LCP at each block start is taken from the
+    job's table.  Then the LCP loser tree merges each group with strings
+    from at least two runs.  Returns (out_handles, out_lcps, emitted,
+    leftover).  leftover is None when the job completed; when poll stopped
+    a tree merge, it lists the (stream, start, length) ranges from the stop
+    on.
     """
     stats = stats if stats is not None else SortStats()
-    parts = [
-        (k, streams[k].slice(start, length))
-        for k, start, length in job.ranges
-        if length
-    ]
-    n = sum(p.length for _, p in parts)
+    n = job.size
     out_h = out_handles if out_handles is not None else np.empty(n, dtype=np.int64)
     out_l = out_lcps if out_lcps is not None else np.empty(n, dtype=np.int64)
     if n == 0:
         return out_h, out_l, 0, None
-    if len(parts) == 1:
-        st = parts[0][1]
-        out_h[:n] = st.handles[st.start : st.start + n]
-        out_l[:n] = st.lcps[st.start : st.start + n]
-        return out_h, out_l, n, None
-    runs = [p for _, p in parts]
-    emitted, cursors = kway_merge_partial(
-        runs, job.shared_prefix, stats, cached, out_h, out_l, poll
-    )
-    if cursors is None:
-        return out_h, out_l, n, None
-    ranges = [r for r in job.ranges if r[2]]
-    leftover = [
-        (k, start + cursors[i], length - cursors[i])
-        for i, (k, start, length) in enumerate(ranges)
-        if length - cursors[i] > 0
-    ]
-    return out_h, out_l, emitted, leftover
+    blocks = job.blocks
+    tree = blocks[:, DEPTH] >= 0
+    copies = blocks[~tree]
+    for k in np.unique(copies[:, STREAM]).tolist():
+        b = copies[copies[:, STREAM] == k]
+        dst = _runs(b[:, OUT], b[:, LEN])
+        src = streams[k].start + _runs(b[:, POS], b[:, LEN])
+        out_h[dst] = streams[k].handles[src]
+        out_l[dst] = streams[k].lcps[src]
+    out_l[copies[:, OUT]] = copies[:, LCP]
+    merges = blocks[tree]
+    starts = np.flatnonzero(np.diff(merges[:, OUT], prepend=-1)).tolist()
+    merged = 0
+    for a, b in zip(starts, starts[1:] + [len(merges)]):
+        group = merges[a:b]
+        o = int(group[0, OUT])
+        size = int(group[:, LEN].sum())
+        runs = [streams[k].slice(p, m) for k, p, m in group[:, :3].tolist()]
+        emitted, cursors = kway_merge_partial(
+            runs, int(group[0, DEPTH]), stats, cached,
+            out_h[o : o + size], out_l[o : o + size], poll, merged,
+        )
+        out_l[o] = group[0, LCP]
+        if cursors is not None:
+            leftover = _leftover(job, o, group, cursors)
+            if leftover:
+                return out_h, out_l, o + emitted, leftover
+        merged += size
+    return out_h, out_l, n, None
+
+
+def _leftover(job: MergeJob, out: int, group: np.ndarray, cursors: list[int]):
+    """The (stream, start, length) ranges of a job stopped inside the tree
+    merge of the group at output position `out`."""
+    later = job.blocks[job.blocks[:, OUT] >= out]
+    consumed = dict(zip(group[:, STREAM].tolist(), cursors))
+    leftover = []
+    for k, start, length in job.ranges:
+        mine = later[later[:, STREAM] == k]
+        if len(mine):
+            p = int(mine[0, POS]) + consumed.get(k, 0)
+            if start + length > p:
+                leftover.append((k, p, start + length - p))
+    return leftover

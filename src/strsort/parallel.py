@@ -40,7 +40,7 @@ import numpy as np
 
 from .basecase import INSERTION_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
-from .lcpmerge import LcpStream, MergeJob, run_merge_job, split_merge_jobs
+from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
 from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items
 from .ssss import (
@@ -56,7 +56,7 @@ from .ssss import (
     tree_capacity,
     write_boundary_lcps,
 )
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, lcp
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
 _CTX = mp.get_context("fork")
 
@@ -109,10 +109,11 @@ class _Env:
 
 def _worker_main(executor, ctx, env: _Env, worker_id: int) -> None:
     was_idle = False
+    wait = 0.0  # a fresh worker that finds no job is idle at once
     try:
         while True:
             try:
-                job = env.jobs.get(timeout=0.05)
+                job = env.jobs.get(timeout=wait)
             except queue_mod.Empty:
                 if not was_idle:
                     with env.idle.get_lock():
@@ -121,6 +122,8 @@ def _worker_main(executor, ctx, env: _Env, worker_id: int) -> None:
                 if env.stop.is_set():
                     break
                 continue
+            finally:
+                wait = 0.05
             if was_idle:
                 with env.idle.get_lock():
                     env.idle.value -= 1
@@ -672,11 +675,11 @@ def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
             [shared.streams[k].slice(s, l) for k, s, l in leftover],
             max(2, env.idle_workers() + 1),
             mjob.shared_prefix,
+            stats=env.stats,
         )
         pos = offset + emitted
         for sub in subjobs:
-            ranges = [(leftover[i][0], leftover[i][1] + s, l) for i, s, l in sub.ranges]
-            env.enqueue(("merge", MergeJob(ranges, sub.shared_prefix), pos))
+            env.enqueue(("merge", sub.rebased(leftover), pos))
             pos += sub.size
         env.record_share()
 
@@ -690,10 +693,27 @@ def _pmerge_executor(ctx, job, env: _Env) -> None:
         _phased_executor(phased, job, env)
 
 
-def fill_job_lcps(sset: StringSet, handles: np.ndarray, lcps: np.ndarray) -> None:
-    """Compute the LCPs that merge jobs left LCP_UNDEF at their first slot."""
-    for pos in np.flatnonzero(lcps[1:] == LCP_UNDEF) + 1:
-        lcps[pos] = lcp(sset, int(handles[pos - 1]), int(handles[pos]))
+def fill_job_lcps(
+    sset: StringSet, handles: np.ndarray, lcps: np.ndarray, stats: SortStats | None = None
+) -> None:
+    """Compute the LCPs that merge jobs left LCP_UNDEF at their first slot.
+
+    Compares the words of all pending pairs at once and refetches, one word
+    deeper, only the pairs still equal after a full word.  Each fetched word
+    is charged to stats.word_fetches.
+    """
+    pos = np.flatnonzero(lcps[1:] == LCP_UNDEF) + 1
+    a, b = handles[pos - 1], handles[pos]
+    depth = 0
+    while len(pos):
+        wa, wb = extract_keys(sset, a, depth), extract_keys(sset, b, depth)
+        if stats is not None:
+            stats.word_fetches += 2 * len(pos)
+        h = shared_chars(wa, wb)
+        done = h < WORD_CHARS
+        lcps[pos[done]] = depth + h[done]
+        pos, a, b = pos[~done], a[~done], b[~done]
+        depth += WORD_CHARS
 
 
 def partitioned_merge_sort(
@@ -711,11 +731,13 @@ def partitioned_merge_sort(
     The parts are the roots of one parallel sample sort that records LCPs:
     a part of at least n/p strings takes phased steps on all p workers and
     smaller parts run as batch jobs.  The coordinator then derives the
-    distinguishing characters (when use_cache is set) and merges the parts
-    by independent jobs on the same pool, re-split when workers go idle.
-    Cached distinguishing characters answer the first comparison of every
-    game, so merge-phase buffer reads shrink to the LCP-sum growth of the
-    merge.
+    distinguishing characters (when use_cache is set), splits the parts into
+    about 8p jobs with split_merge_jobs (one numpy pass per word level) and
+    merges them on the same pool; a job's tree merge re-splits its rest when
+    workers go idle.  Groups from one part are copied, and only groups of
+    strings from several parts meet in the loser tree, where cached
+    distinguishing characters answer the first comparison of every game.
+    With want_lcps, fill_job_lcps computes the LCP at each job start.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
@@ -746,15 +768,15 @@ def partitioned_merge_sort(
         if dchar is not None:
             dchar[:] = fill_dchar(sset.with_handles(sh.cur), lcps)
         offset = 0
-        for job in split_merge_jobs(streams, 8 * p):
+        for job in split_merge_jobs(streams, 8 * p, stats=pool.stats):
             pool.submit(("merge", job, offset))
             offset += job.size
         pool.wait_idle()
+    if want_lcps:
+        fill_job_lcps(sset, merge.out_h, merge.out_l, pool.stats)
     if stats is not None:
         stats.add(pool.stats)
     out = sset.with_handles(merge.out_h.copy())
     if not want_lcps:
         return out
-    out_l = merge.out_l.copy()
-    fill_job_lcps(sset, merge.out_h, out_l)
-    return SortedWithLcp(out, out_l, None, pool.stats)
+    return SortedWithLcp(out, merge.out_l.copy(), None, pool.stats)

@@ -27,7 +27,7 @@ import numpy as np
 
 WORD_CHARS = 8
 WORD_BYTES_SHIFTS = np.arange(WORD_CHARS - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
-KEY_CHUNK = 1 << 16  # handles per pass of extract_keys
+KEY_CHUNK = 1 << 13  # handles per pass of extract_keys; caps its temporaries at ~2 MB
 
 LCP_UNDEF = -1
 

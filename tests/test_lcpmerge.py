@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_set, ref_lcps, ref_strings
+from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, url_like_set
+from strsort import lcpmerge
 from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
 from strsort.lcpmerge import (
@@ -14,6 +16,7 @@ from strsort.lcpmerge import (
     kway_lcp_merge,
     lcp_compare,
     lcp_compare_cached,
+    MERGE_POLL_INTERVAL,
     run_merge_job,
     split_merge_jobs,
 )
@@ -248,6 +251,66 @@ class TestKwayMerge:
         assert list(l) == ref_lcps(sorted(items))
 
 
+def uneven_shards(sset, sizes):
+    """Sorted LcpStreams over consecutive slices of the given sizes."""
+    cuts = np.concatenate(([0], np.cumsum(sizes)))
+    return [
+        stream_from_sorted(sset, sset.handles[cuts[i] : cuts[i + 1]])
+        for i in range(len(sizes))
+    ]
+
+
+def split_corpus(name):
+    """(set, shard sizes) of one adversarial shape for the split."""
+    if name == "empty_strings":
+        s = from_strings([b""] * 30 + [b"a", b""] * 10 + [b"b"] * 5)
+    elif name == "equal_long":
+        s = from_strings([b"q" * 30] * 40 + [b"q" * 29, b"q" * 31] * 3)
+    elif name == "long_prefixes":
+        base = b"prefix-of-more-than-three-words/"
+        s = from_strings(
+            [base + bytes([97 + i % 5]) * (i % 4) + b"x" * (i % 3) for i in range(90)]
+        )
+    elif name == "bytes_1_255":
+        s = random_set(120, seed=4, lo=1, hi=256)
+        s = from_strings(ref_strings(s) + [bytes(range(1, 256)), b"\xff" * 9, b"\x01\xff"])
+    else:  # mixed
+        s = from_strings(ref_strings(random_set(60, seed=7, max_len=12, lo=97, hi=100)) * 2)
+    n = len(s)
+    return s, [0, 1, n // 3, 0, n - n // 3 - 2, 1]
+
+
+SPLIT_CORPORA = ("empty_strings", "equal_long", "long_prefixes", "bytes_1_255", "mixed")
+
+
+def check_split(sset, shards, jobs):
+    """Partition property, valid shared prefixes, and oracle order and LCPs."""
+    seen = {k: [] for k in range(len(shards))}
+    for job in jobs:
+        for k, start, length in job.ranges:
+            seen[k].append((start, length))
+    for k, shard in enumerate(shards):
+        pos = 0
+        for start, length in sorted(seen[k]):
+            assert start == pos
+            pos += length
+        assert pos == shard.length
+    want = ref_sorted_strings(sset)
+    want_lcps = ref_lcps(want)
+    got, pos = [], 0
+    for job in jobs:
+        h, l, emitted, leftover = run_merge_job(shards, job)
+        assert (emitted, leftover) == (job.size, None)
+        strings = ref_strings(sset.with_handles(h))
+        prefix = strings[0][: job.shared_prefix]
+        assert all(len(x) >= job.shared_prefix and x.startswith(prefix) for x in strings)
+        got += strings
+        lo = 1 if pos == 0 else 0  # entry 0 of the whole output is the caller's
+        assert list(l[lo:]) == want_lcps[pos + lo : pos + job.size]
+        pos += job.size
+    assert got == want
+
+
 class TestSplitMergeJobs:
     def test_disjoint_first_chars_one_job_each(self):
         groups = {c: [bytes([c]) + b"x", bytes([c]) + b"yy"] for c in range(97, 103)}
@@ -319,6 +382,70 @@ class TestSplitMergeJobs:
                         ][: job.shared_prefix]
                         assert first == ref_first
 
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
+    def test_matches_oracle(self, corpus, width):
+        s, sizes = split_corpus(corpus)
+        shards = uneven_shards(s, sizes)
+        for target in (1, 4, 1000):
+            check_split(s, shards, split_merge_jobs(shards, target, width=width))
+
+    def test_empty_and_single_streams(self):
+        s = from_strings([b"only"])
+        shards = uneven_shards(s, [0, 1, 0])
+        jobs = split_merge_jobs(shards, 8)
+        assert [(j.ranges, j.size) for j in jobs] == [([(1, 0, 1)], 1)]
+        check_split(s, shards, jobs)
+        assert split_merge_jobs(uneven_shards(s, [0, 0]), 8) == []
+
+    def test_word_fetches_one_per_head_and_level(self):
+        # level 0: one head per stream, as every LCP reaches 8; the group of
+        # 5 strings recurses at depth 8, where the repeated "abcdefgh2" joins
+        # its equal predecessor and the other four strings head blocks: 2 + 4
+        s = from_strings(
+            [b"abcdefgh1", b"abcdefgh2", b"abcdefgh2", b"abcdefgh3", b"abcdefgh4"]
+        )
+        shards = uneven_shards(s, [3, 2])
+        stats = SortStats()
+        jobs = split_merge_jobs(shards, 2, stats=stats)
+        assert stats.word_fetches == 6
+        check_split(s, shards, jobs)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("make", [lambda: random_set(20_000, seed=2), lambda: url_like_set(20_000)])
+    def test_fetches_words_per_level_not_per_string(self, monkeypatch, make, width):
+        s = make()
+        shards = make_shards(s, 4)
+        calls = []
+
+        def counting(sset, handles, depth):
+            calls.append(len(handles))
+            return extract_keys(sset, handles, depth)
+
+        extract_keys = lcpmerge.extract_keys
+        monkeypatch.setattr(lcpmerge, "extract_keys", counting)
+        jobs = split_merge_jobs(shards, 16, width=width)
+        max_depth = int((s.ends() - s.handles).max())
+        assert 1 <= len(calls) <= 1 + max_depth // width
+        assert sum(j.size for j in jobs) == len(s)
+
+    def test_poll_stops_between_and_inside_tree_groups(self):
+        # every value appears in several runs, so the job is many small tree
+        # groups; the stop lands after MERGE_POLL_INTERVAL tree-merged strings
+        items = [b"%d" % (i % 3000) for i in range(12_000)]
+        s = from_strings(items)
+        shards = make_shards(s, 4)
+        (job,) = split_merge_jobs(shards, 1)
+        h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
+        assert leftover and MERGE_POLL_INTERVAL <= emitted < len(s)
+        want = sorted(items)
+        assert ref_strings(s.with_handles(h[:emitted])) == want[:emitted]
+        subs = split_merge_jobs([shards[k].slice(a, m) for k, a, m in leftover], 3)
+        tail = [run_merge_job(shards, sub.rebased(leftover))[0] for sub in subs]
+        assert sum(m for _, _, m in leftover) == len(s) - emitted
+        assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
+        assert len({k for k, _, _ in leftover}) == len(leftover)  # one range per stream
 
 def test_mergesort_is_lcp_exact_on_duplicates():
     s = from_strings([b"dup", b"dup", b"dup", b"a", b"dup"])

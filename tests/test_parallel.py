@@ -40,7 +40,15 @@ from strsort.parallel import (
 )
 from strsort.radix import radix16_adaptive
 from strsort.ssss import s5_sort
-from strsort.strset import dist_stats, extract_keys, from_strings, lcp_array_oracle, verify
+from strsort.strset import (
+    LCP_UNDEF,
+    WORD_CHARS,
+    dist_stats,
+    extract_keys,
+    from_strings,
+    lcp_array_oracle,
+    verify,
+)
 
 
 def _exit_worker(*args):
@@ -369,6 +377,21 @@ class TestPartitionedMergeSort:
         want = sorted(ref_strings(s))
         assert ref_strings(s.with_handles(out_h)) == want
         assert list(out_l) == ref_lcps(want)
+
+    def test_fill_job_lcps_refetches_only_tied_pairs(self):
+        # pairs tied after one word (the shared 10-char prefix) take a
+        # second word, the rest one: 2 fetches per pair and word
+        items = [b"0123456789" + bytes([c]) * k for c in b"ab" for k in range(4)]
+        items = sorted(items + [b"x", b"xy", b""])
+        s = from_strings(items)
+        want = lcp_array_oracle(s)
+        lcps = want.copy()
+        lcps[1:] = LCP_UNDEF
+        stats = SortStats()
+        fill_job_lcps(s, s.handles, lcps, stats)
+        assert list(lcps) == list(want)
+        tied = int((want[1:] >= WORD_CHARS).sum())
+        assert stats.word_fetches == 2 * (len(s) - 1 + tied)
 
     def test_part_sort_failure_raises(self, monkeypatch):
         def boom(shared, entries, env):
