@@ -418,12 +418,12 @@ class TestSplitMergeJobs:
         s = make()
         shards = make_shards(s, 4)
         calls = []
+        real = lcpmerge.extract_keys
 
         def counting(sset, handles, depth):
             calls.append(len(handles))
-            return extract_keys(sset, handles, depth)
+            return real(sset, handles, depth)
 
-        extract_keys = lcpmerge.extract_keys
         monkeypatch.setattr(lcpmerge, "extract_keys", counting)
         jobs = split_merge_jobs(shards, 16, width=width)
         max_depth = int((s.ends() - s.handles).max())
