@@ -197,16 +197,14 @@ def binary_lcp_merge(
     b: LcpStream,
     shared: int = 0,
     stats: SortStats | None = None,
-    out_handles: np.ndarray | None = None,
-    out_lcps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted runs, maintaining LCPs relative to the last output."""
     stats = stats if stats is not None else SortStats()
     sset = a.sset
     na, nb = a.length, b.length
     n = na + nb
-    out_h = out_handles if out_handles is not None else np.empty(n, dtype=np.int64)
-    out_l = out_lcps if out_lcps is not None else np.empty(n, dtype=np.int64)
+    out_h = np.empty(n, dtype=np.int64)
+    out_l = np.empty(n, dtype=np.int64)
     ia = ib = 0
     h1 = h2 = shared
     j = 0
@@ -227,8 +225,7 @@ def binary_lcp_merge(
             h2 = int(bl[b.start + ib]) if ib < nb else 0
             h1 = hp
         j += 1
-    if out_lcps is None and n:
-        out_l[0] = LCP_UNDEF
+    out_l[:1] = LCP_UNDEF
     return out_h, out_l
 
 

@@ -36,16 +36,11 @@ def mkqs_range(
     lo: int,
     hi: int,
     depth: int,
-    share=None,
 ) -> None:
     """Sort work[lo:hi] in place; all strings share a `depth` prefix."""
     arr = sset.char_array()
     stack = [(lo, hi, depth)]
     while stack:
-        if share is not None:
-            share(stack)
-            if not stack:
-                return
         lo, hi, d = stack.pop()
         n = hi - lo
         if n < INSERTION_THRESHOLD:
@@ -99,7 +94,6 @@ def mkqs_cached_range(
     depth: int,
     lcps: np.ndarray | None,
     stats: SortStats,
-    share=None,
 ) -> None:
     """Caching multikey quicksort over (handle, word) entry arrays.
 
@@ -108,7 +102,7 @@ def mkqs_cached_range(
     entry at position lo (the boundary to the preceding range) is left to
     the caller.
     """
-    mkqs_cached_items(sset, work_h, work_c, [(lo, hi, depth)], lcps, stats, share)
+    mkqs_cached_items(sset, work_h, work_c, [(lo, hi, depth)], lcps, stats)
 
 
 def mkqs_cached_items(

@@ -5,7 +5,10 @@ and the handle/scratch arrays (anonymous shared memory), so jobs write
 directly into disjoint ranges of the final arrays.  Scheduling follows one
 idea: a central queue holds coarse jobs, workers keep recursion on local
 stacks, and an unsynchronized idle counter tells busy workers when to
-donate their largest pending subproblems back to the queue.
+donate their largest pending subproblems back to the queue.  Nothing polls
+for progress: the worker that finishes the last outstanding job sends a
+"quiet" reply, the coordinator reads every reply in one loop, and shutdown
+puts one None sentinel per worker on the job queue.
 
 Parallel sample sort, radix sort and caching multikey quicksort share one
 phased distribution engine.  A step over src[lo:hi] cuts the range into p
@@ -58,16 +61,22 @@ from .ssss import (
 )
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
-_CTX = mp.get_context("fork")
-
-POLL_S = 0.1  # longest wait for a reply before the workers' exit codes are checked
+POLL_S = 0.1  # how often a wait with no reply checks the workers' exit codes
 SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
+
+
+def _fork_context():
+    """The fork start method: workers inherit the buffer and shared arrays."""
+    try:
+        return mp.get_context("fork")
+    except ValueError as exc:
+        raise RuntimeError("the parallel sorters need the 'fork' start method") from exc
 
 
 def shared_array(n: int, dtype) -> np.ndarray:
     """Anonymous shared-memory array, visible to forked workers."""
     itemsize = np.dtype(dtype).itemsize
-    raw = _CTX.RawArray("b", max(n, 1) * itemsize)
+    raw = _fork_context().RawArray("b", max(n, 1) * itemsize)
     return np.frombuffer(raw, dtype=dtype, count=max(n, 1))[:n]
 
 
@@ -87,8 +96,6 @@ class _Env:
     replies: object
     outstanding: object
     idle: object
-    share_events: object
-    stop: object
     fail: object
     stats: SortStats
 
@@ -102,32 +109,24 @@ class _Env:
         return self.idle.value
 
     def record_share(self) -> None:
-        with self.share_events.get_lock():
-            self.share_events.value += 1
         self.stats.share_events += 1
 
 
 def _worker_main(executor, ctx, env: _Env, worker_id: int) -> None:
-    was_idle = False
     wait = 0.0  # a fresh worker that finds no job is idle at once
     try:
         while True:
             try:
                 job = env.jobs.get(timeout=wait)
             except queue_mod.Empty:
-                if not was_idle:
-                    with env.idle.get_lock():
-                        env.idle.value += 1
-                    was_idle = True
-                if env.stop.is_set():
-                    break
-                continue
-            finally:
-                wait = 0.05
-            if was_idle:
+                with env.idle.get_lock():
+                    env.idle.value += 1
+                job = env.jobs.get()  # idle until a job or the shutdown sentinel
                 with env.idle.get_lock():
                     env.idle.value -= 1
-                was_idle = False
+            if job is None:
+                break
+            wait = 0.05
             try:
                 executor(ctx, job, env)
                 env.stats.jobs_executed += 1
@@ -139,6 +138,9 @@ def _worker_main(executor, ctx, env: _Env, worker_id: int) -> None:
             finally:
                 with env.outstanding.get_lock():
                     env.outstanding.value -= 1
+                    quiet = env.outstanding.value == 0
+                if quiet:
+                    env.replies.put(("quiet",))  # wakes wait_idle
     except Exception:
         env.fail.set()
         env.replies.put(("error", worker_id, traceback.format_exc()))
@@ -150,35 +152,39 @@ class WorkPool:
     """p forked workers around one job queue.
 
     Every enqueued job executes exactly once; the pool is quiescent when
-    the outstanding-job counter returns to zero.  Worker exceptions abort
-    the run with the worker's traceback, and a worker that dies aborts it
-    with the worker's exit code.
+    the outstanding-job counter returns to zero, and the worker that brings
+    it there says so on the reply queue.  One loop, _wait, reads every
+    reply.  Worker exceptions abort the run with the worker's traceback,
+    and a worker that dies aborts it with the worker's exit code.  On
+    shutdown each worker takes one None sentinel from the job queue, sends
+    its stats and exits.
     """
 
     def __init__(self, p: int, executor, ctx):
+        fork = _fork_context()
         self.p = p
-        self.jobs = _CTX.Queue()
-        self.replies = _CTX.Queue()
-        self.outstanding = _CTX.Value("q", 0)
-        self.idle = _CTX.Value("i", 0)
-        self.share_events = _CTX.Value("q", 0)
-        self.stop = _CTX.Event()
-        self.fail = _CTX.Event()
+        self.jobs = fork.Queue()
+        self.replies = fork.Queue()
+        self.outstanding = fork.Value("q", 0)
+        self.idle = fork.Value("i", 0)
+        self.fail = fork.Event()
         self.stats = SortStats()
         self._stats_seen = 0
         self._closed = False
         self._aborting = False
         self.workers = []
-        for i in range(p):
-            env = _Env(
-                self.jobs, self.replies, self.outstanding, self.idle,
-                self.share_events, self.stop, self.fail, SortStats(),
-            )
-            w = _CTX.Process(
-                target=_worker_main, args=(executor, ctx, env, i), daemon=True
-            )
-            w.start()
-            self.workers.append(w)
+        try:
+            for i in range(p):
+                env = _Env(self.jobs, self.replies, self.outstanding, self.idle, self.fail,
+                           SortStats())
+                w = fork.Process(target=_worker_main, args=(executor, ctx, env, i), daemon=True)
+                w.start()
+                self.workers.append(w)
+        except BaseException:
+            # a failed fork must not leave the workers already started running
+            self._aborting = True
+            self.shutdown()
+            raise
 
     def __enter__(self):
         return self
@@ -193,82 +199,71 @@ class WorkPool:
             self.outstanding.value += 1
         self.jobs.put(job)
 
-    def _reply(self, closing: bool = False):
-        """The next reply, or None when none arrived within POLL_S.
+    def _wait(self, done) -> list:
+        """Read replies until done(phase payloads so far) holds; return those payloads.
 
-        Workers exit only when the pool closes, so before that an exited
-        worker has died and its job will never finish: raise WorkerFailure.
+        Collects the workers' stats, raises WorkerFailure on a worker's
+        error, and every POLL_S without a reply checks the workers' exit
+        codes: workers exit only after the pool closes, so before that an
+        exited worker has died and its job will never finish.
         """
-        try:
-            return self.replies.get(timeout=POLL_S)
-        except queue_mod.Empty:
-            pass
-        if not closing:
-            for i, w in enumerate(self.workers):
-                if w.exitcode is not None:
-                    self.stop.set()
-                    raise WorkerFailure(f"worker {i} died with exit code {w.exitcode}")
-        return None
-
-    def _handle(self, msg) -> None:
-        if msg[0] == "error":
-            self.stop.set()
-            raise WorkerFailure(f"worker {msg[1]} failed:\n{msg[2]}")
-        if msg[0] == "stats":
-            self.stats.add(SortStats.from_dict(msg[2]))
-            self._stats_seen += 1
+        phases = []
+        while not done(phases):
+            try:
+                msg = self.replies.get(timeout=POLL_S)
+            except queue_mod.Empty:
+                for i, w in enumerate(self.workers):
+                    if w.exitcode is not None and not self._closed:
+                        raise WorkerFailure(f"worker {i} died with exit code {w.exitcode}")
+                continue
+            if msg[0] == "error":
+                raise WorkerFailure(f"worker {msg[1]} failed:\n{msg[2]}")
+            if msg[0] == "phase":
+                phases.append(msg[1])
+            elif msg[0] == "stats":
+                self.stats.add(SortStats.from_dict(msg[2]))
+                self._stats_seen += 1
+        return phases
 
     def wait_phase(self, count: int, collect=None) -> list:
         """Wait for `count` phase replies, returning their payloads."""
-        out = []
-        while len(out) < count:
-            msg = self._reply()
-            if msg is None:
-                continue
-            if msg[0] == "phase":
-                out.append(msg[1])
-                if collect is not None:
-                    collect(msg[1])
-            else:
-                self._handle(msg)
+        out = self._wait(lambda phases: len(phases) >= count)
+        if collect is not None:
+            for part in out:
+                collect(part)
         return out
 
     def wait_idle(self) -> None:
         """Block until all submitted jobs (and their descendants) finished."""
         # a failing worker sets `fail` before its job leaves the counter, so
         # its diagnostic is awaited even when the counter already reads zero
-        while self.fail.is_set() or self.outstanding.value:
-            msg = self._reply()
-            if msg is not None:
-                self._handle(msg)
+        self._wait(lambda _: not (self.fail.is_set() or self.outstanding.value))
 
     def shutdown(self) -> None:
-        """Stop the workers and collect their stats; when aborting, terminate
-        them at once instead."""
+        """Send each worker a sentinel and collect their stats; when aborting,
+        terminate them at once instead."""
         if self._closed:
             return
         self._closed = True
-        self.stop.set()
-        if not self._aborting:
-            deadline = time.monotonic() + SHUTDOWN_S
-            # a worker that died abnormally never sends its stats
-            while (
-                self._stats_seen < sum(w.exitcode in (None, 0) for w in self.workers)
-                and time.monotonic() < deadline
-            ):
-                msg = self._reply(closing=True)
-                if msg is not None and msg[0] == "stats":
-                    self._handle(msg)
+        try:
+            if not self._aborting:
+                for _ in self.workers:
+                    self.jobs.put(None)  # not submitted: no job to count or trace
+                deadline = time.monotonic() + SHUTDOWN_S
+                # a worker that died abnormally never sends its stats
+                self._wait(lambda _: time.monotonic() >= deadline
+                           or self._stats_seen >= sum(w.exitcode in (None, 0) for w in self.workers))
+                for w in self.workers:
+                    w.join(timeout=SHUTDOWN_S)
+        finally:
             for w in self.workers:
-                w.join(timeout=5.0)
-        for w in self.workers:
-            if w.is_alive():
-                w.terminate()
-                w.join()
-        # jobs no worker took may still sit in the feeder's buffer
-        self.jobs.cancel_join_thread()
-        self.jobs.close()
-        self.replies.close()
+                if w.is_alive():
+                    w.terminate()
+                    w.join()
+            # jobs no worker took may still sit in the feeder's buffer
+            self.jobs.cancel_join_thread()
+            self.jobs.close()
+            self.replies.close()
 
 
 def pool_run(p: int, root_jobs: list, executor, ctx) -> SortStats:

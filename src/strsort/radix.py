@@ -30,10 +30,9 @@ def radix8_range(
     hi: int,
     depth: int,
     oracle: np.ndarray | None = None,
-    share=None,
 ) -> None:
     """In-place 8-bit MSD radix sort of work[lo:hi] sharing a `depth` prefix."""
-    radix8_items(sset, work, [(lo, hi, depth)], oracle, share)
+    radix8_items(sset, work, [(lo, hi, depth)], oracle)
 
 
 def radix8_items(

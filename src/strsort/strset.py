@@ -46,10 +46,6 @@ class StringSet:
     def __len__(self) -> int:
         return len(self.handles)
 
-    @property
-    def n(self) -> int:
-        return len(self.handles)
-
     def with_handles(self, handles: np.ndarray) -> "StringSet":
         """A sibling set over the same buffer (zero-copy buffer share)."""
         out = StringSet.__new__(StringSet)

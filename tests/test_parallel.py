@@ -1,5 +1,8 @@
+import errno
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -144,6 +147,59 @@ class TestWorkPool:
             pool_run(2, [1, 0], _fail_or_sleep, fail)
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
+
+    def test_empty_run_has_no_polling_floor(self):
+        # the worker that finishes the last job wakes wait_idle, and the
+        # workers leave on their shutdown sentinels without a poll timeout
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            pool_run(2, [("noop",), ("noop",)], _touch_executor, None)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.08
+
+    def test_failed_fork_reaps_started_workers(self, monkeypatch):
+        process = mp.get_context("fork").Process
+        start, calls = process.start, []
+
+        def second_start_fails(proc):
+            calls.append(proc)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "fork failed")
+            start(proc)
+
+        monkeypatch.setattr(process, "start", second_start_fails)
+        with pytest.raises(OSError, match="fork failed"):
+            pool_run(2, [("noop",)], _touch_executor, None)
+        assert len(calls) == 2
+        assert not mp.active_children()
+
+    def test_missing_fork_names_the_requirement(self, monkeypatch):
+        def get_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(parallel.mp, "get_context", get_context)
+        with pytest.raises(RuntimeError, match="'fork' start method"):
+            shared_array(4, np.int64)
+        with pytest.raises(RuntimeError, match="'fork' start method"):
+            parallel_s5(random_set(100), p=2)
+
+    def test_sequential_sorters_import_and_run_without_fork(self):
+        script = (
+            "import multiprocessing as mp\n"
+            "def get_context(method=None):\n"
+            "    raise ValueError('no fork here')\n"
+            "mp.get_context = get_context\n"
+            "from strsort import bench\n"
+            "from strsort.strset import from_strings\n"
+            "s = from_strings([b'b', b'a'])\n"
+            "out = bench.ALGORITHMS['mkqs'](s, 1, 1, None)\n"
+            "print(out.strings())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[b'a', b'b']"
 
     @pytest.mark.parametrize(
         "buckets, sorter",

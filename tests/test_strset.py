@@ -30,10 +30,10 @@ class TestLoadDelimited:
     def test_zero_delimited(self):
         s = load_delimited(b"a\0b\0", 0)
         assert list(s.handles) == [0, 2]
-        assert s.n == 2
+        assert len(s) == 2
 
     def test_empty_input(self):
-        assert load_delimited(b"").n == 0
+        assert len(load_delimited(b"")) == 0
 
     def test_newline_delimiter_remapped(self):
         s = load_delimited(b"ab\ncd\n", ord("\n"))
