@@ -197,7 +197,9 @@ class TestWorkPool:
             "print(out.strings())\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        res = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[b'a', b'b']"
 
