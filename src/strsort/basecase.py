@@ -1,30 +1,28 @@
 """Recursion base cases: insertion sorts and the batched word-cached leaf.
 
-Two insertion sorts: a plain one treating strings as atomic suffixes, and
-an LCP-aware one that maintains the LCP array while inserting and uses it to
-skip regions whose recorded LCP already proves a mismatch.  The LCP-aware
-variant charges one ternary character comparison per character position it
-examines; its total stays within L + n(n-1)/2 where L is the LCP sum of the
-sorted output.  Its loop, lcp_insertion_core, ends the small subproblems of
-radix sort and plain multikey quicksort through insertion_range.
+Two insertion sorts are references: a plain one treating strings as atomic
+suffixes, and an LCP-aware one that maintains the LCP array while inserting
+and uses it to skip regions whose recorded LCP already proves a mismatch.
+The LCP-aware variant charges one ternary character comparison per
+character position it examines; its total stays within L + n(n-1)/2 where
+L is the LCP sum of the sorted output.
 
-The word-caching sorters (caching multikey quicksort, and through it sample
-sort) instead collect their small ranges and hand them to word_leaves,
-which sorts all of them together, one 8-character word per string and
-level, in numpy passes.
+Every other sorter ends its small subproblems in word_leaves: a driver's
+LeafCollector gathers its ranges below LEAF_THRESHOLD strings, and
+word_leaves sorts all of them together, one 8-character word per string
+and level, in numpy passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, shared_chars
 
-INSERTION_THRESHOLD = 64  # below this many strings, radix and plain mkqs insertion-sort
-LEAF_THRESHOLD = 1024  # below this many strings, a word-cached range is a word_leaves leaf
+LEAF_THRESHOLD = 1024  # below this many strings, a range is a word_leaves leaf
 LEAF_FLUSH = 1 << 16  # collected leaf strings that make a driver sort them before going on
 
 
@@ -126,31 +124,6 @@ def lcp_insertion_core(
     return s, lcps
 
 
-def insertion_range(
-    sset: StringSet,
-    work: np.ndarray,
-    lo: int,
-    hi: int,
-    depth: int,
-    lcps: np.ndarray | None = None,
-    stats: SortStats | None = None,
-) -> list[int]:
-    """LCP insertion sort of work[lo:hi] in place; the strings share `depth` chars.
-
-    Returns the leaf's LCPs (entry 0 is LCP_UNDEF) and writes the interior
-    ones into lcps[lo+1:hi] when given; the entry at lo, the boundary to the
-    preceding range, is left to the caller.
-    """
-    handles, leaf = lcp_insertion_core(
-        sset.buffer, [int(v) for v in work[lo:hi]], depth,
-        stats if stats is not None else SortStats(),
-    )
-    work[lo:hi] = handles
-    if lcps is not None and hi - lo > 1:
-        lcps[lo + 1 : hi] = leaf[1:]
-    return leaf
-
-
 def range_positions(items: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions of (lo, hi, depth) ranges, concatenated in item order,
     with each position's depth and range index."""
@@ -163,7 +136,7 @@ def range_positions(items: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.n
 def word_leaves(
     sset: StringSet,
     work: np.ndarray,
-    cache: np.ndarray,
+    cache: np.ndarray | None,
     items: list[tuple[int, int, int]],
     lcps: np.ndarray | None,
     stats: SortStats,
@@ -171,9 +144,10 @@ def word_leaves(
     """Sort every (lo, hi, depth) range of work in place, all ranges at once.
 
     The strings of a range share `depth` characters and cache[i] holds the
-    word at that depth of the string work[i].  Each level stably sorts every
-    live string by (range, word) in one lexsort, so equal strings keep
-    their order.  An adjacent pair of one range is settled at the first
+    word at that depth of the string work[i]; without a cache, the first
+    level fetches those words, one word fetch per string.  Each level
+    stably sorts every live string by (range, word) in one lexsort, so
+    equal strings keep their order.  An adjacent pair of one range is settled at the first
     byte where its words differ or, for equal words, at their terminator;
     its LCP goes into lcps (the entry at lo is left to the caller) and
     LCP - depth + 1 into char_cmps.  Runs of equal words without a
@@ -186,7 +160,11 @@ def word_leaves(
         return
     slot, base, group = range_positions(items)
     handles = work[slot]
-    words = cache[slot]
+    if cache is None:
+        words = extract_keys(sset, handles, base)
+        stats.word_fetches += len(handles)
+    else:
+        words = cache[slot]
     level = 0
     while len(slot):
         # groups are contiguous and their slots ascend, so sorted entry i lands in slot[i]
@@ -212,6 +190,43 @@ def word_leaves(
         level += WORD_CHARS
         words = extract_keys(sset, handles, base + level)
         stats.word_fetches += len(handles)
+
+
+@dataclass
+class LeafCollector:
+    """Collects a driver's leaves and sorts them with word_leaves.
+
+    take() keeps every range below LEAF_THRESHOLD strings; the kept ranges
+    are sorted together once LEAF_FLUSH strings are pending and by the
+    final flush(), so the leaves' temporaries stay within LEAF_FLUSH +
+    LEAF_THRESHOLD strings.  `sort` is word_leaves as the driver's module
+    binds it, so a wrapper around that name sees the driver's leaves.
+    """
+
+    sset: StringSet
+    work: np.ndarray
+    cache: np.ndarray | None
+    lcps: np.ndarray | None
+    stats: SortStats
+    sort: object
+    items: list = field(default_factory=list)
+    pending: int = 0
+
+    def take(self, lo: int, hi: int, depth: int) -> bool:
+        """Keep the (lo, hi, depth) range if it is a leaf; return whether it is."""
+        if hi - lo >= LEAF_THRESHOLD:
+            return False
+        if hi - lo > 1:
+            self.items.append((lo, hi, depth))
+            self.pending += hi - lo
+            if self.pending >= LEAF_FLUSH:
+                self.flush()
+        return True
+
+    def flush(self) -> None:
+        """Sort the pending leaves."""
+        self.sort(self.sset, self.work, self.cache, self.items, self.lcps, self.stats)
+        self.items, self.pending = [], 0
 
 
 def lcp_insertion_sort(

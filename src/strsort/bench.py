@@ -296,8 +296,10 @@ def run(cfg: RunConfig) -> RunResult:
         raise KeyError(
             f"unknown algorithm {cfg.algorithm!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
-    if cfg.reps < 1:
-        raise ValueError("repetitions must be >= 1")
+    for what, value, least in (("repetitions", cfg.reps, 1), ("threads", cfg.threads, 1),
+                               ("the string limit", cfg.n, 0), ("the byte limit", cfg.byte_limit, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{what} must be >= {least}")
     fn = ALGORITHMS[cfg.algorithm]
     corpus = _load_corpus(cfg)
     times = []

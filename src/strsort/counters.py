@@ -23,7 +23,9 @@ class SortStats:
         Random accesses fetching one word of characters from the buffer:
         one per key a sample-sort step samples or classifies, one per string
         when caching mkqs first caches its word or refetches it for an equal
-        partition, one per string and tied level in word_leaves, one per
+        partition, one per string and tied level in word_leaves (and one
+        per leaf string for its first word when the driver keeps no word
+        cache: radix sort and plain mkqs, which take no stats), one per
         block head and level in lcpmerge.split_merge_jobs, and two per pair
         and word in parallel.fill_job_lcps.
     merge_buffer_cmps

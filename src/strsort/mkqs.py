@@ -4,24 +4,15 @@ The plain variant partitions on one character per level.  The caching
 variant keeps the next word of every string alongside its handle and
 partitions on whole words, so each string's characters are fetched from the
 buffer at most once per word: total random accesses stay within
-floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  The plain
-variant finishes small ranges with basecase.insertion_range; the caching
-variant collects them and sorts them together with basecase.word_leaves.
+floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Both
+collect their small ranges and sort them together with basecase.word_leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basecase import (
-    INSERTION_THRESHOLD,
-    LEAF_FLUSH,
-    LEAF_THRESHOLD,
-    SortedWithLcp,
-    fill_dchar,
-    insertion_range,
-    word_leaves,
-)
+from .basecase import LeafCollector, SortedWithLcp, fill_dchar, word_leaves
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
@@ -39,14 +30,13 @@ def mkqs_range(
 ) -> None:
     """Sort work[lo:hi] in place; all strings share a `depth` prefix."""
     arr = sset.char_array()
+    leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
     stack = [(lo, hi, depth)]
     while stack:
         lo, hi, d = stack.pop()
-        n = hi - lo
-        if n < INSERTION_THRESHOLD:
-            if n > 1:
-                insertion_range(sset, work, lo, hi, d)
+        if leaves.take(lo, hi, d):
             continue
+        n = hi - lo
         seg = work[lo:hi]
         chars = arr[seg + d]
         piv = _median3(chars[0], chars[n // 2], chars[n - 1])
@@ -62,6 +52,7 @@ def mkqs_range(
             stack.append((b1, b2, d + 1))
         if len(lt) > 1:
             stack.append((lo, b1, d))
+    leaves.flush()
 
 
 def mkqs(sset: StringSet, depth: int = 0) -> StringSet:
@@ -116,30 +107,21 @@ def mkqs_cached_items(
 ) -> None:
     """mkqs_cached_range seeded with several independent (lo, hi, depth) ranges.
 
-    Ranges below LEAF_THRESHOLD are collected and sorted by one word_leaves
-    call when the loop ends (or when LEAF_FLUSH strings are pending), also
-    when the share hook empties the stack: donated ranges never overlap the
-    collected leaves.
+    Ranges below LEAF_THRESHOLD are collected and sorted with word_leaves
+    when the loop ends, also when the share hook empties the stack: donated
+    ranges never overlap the collected leaves.
     """
+    leaves = LeafCollector(sset, work_h, work_c, lcps, stats, word_leaves)
     stack = list(items)
-    leaves = []
-    pending = 0
     while stack:
         if share is not None:
             share(stack)
             if not stack:
                 break
         lo, hi, d = stack.pop()
+        if leaves.take(lo, hi, d):
+            continue
         n = hi - lo
-        if n <= 1:
-            continue
-        if n < LEAF_THRESHOLD:
-            leaves.append((lo, hi, d))
-            pending += n
-            if pending >= LEAF_FLUSH:
-                word_leaves(sset, work_h, work_c, leaves, lcps, stats)
-                leaves, pending = [], 0
-            continue
         seg_h = work_h[lo:hi]
         seg_c = work_c[lo:hi]
         piv = _median3(seg_c[0], seg_c[n // 2], seg_c[n - 1])
@@ -174,7 +156,7 @@ def mkqs_cached_items(
                 stack.append((b1, b2, nd))
         if len(lt) > 1:
             stack.append((lo, b1, d))
-    word_leaves(sset, work_h, work_c, leaves, lcps, stats)
+    leaves.flush()
 
 
 def mkqs_cached(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import INSERTION_THRESHOLD, SortedWithLcp, fill_dchar
+from .basecase import LEAF_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
 from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
@@ -416,7 +416,7 @@ def phased_sort(pool: WorkPool, roots: list, step) -> None:
     buckets in cur and returns the others as (lo, hi, depth, in_cur).
     """
     total = sum(hi - lo for lo, hi, _, _ in roots)
-    threshold = max(-(-total // pool.p), 2 * INSERTION_THRESHOLD)
+    threshold = max(-(-total // pool.p), LEAF_THRESHOLD)
     pending = list(roots)
     small: list[tuple[int, int, int, bool]] = []
     while pending:

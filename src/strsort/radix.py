@@ -4,15 +4,17 @@ The 8-bit variant permutes handles in place by walking cycles through the
 bucket regions, so it allocates no handle-sized scratch (the per-position
 digit oracle is byte-sized and shared across recursion).  The adaptive
 variant distributes out of place through a swap array, using 16-bit digits
-for large subproblems and falling back to the in-place 8-bit path below
-that.  Terminator buckets are final and never recursed.
+for large subproblems, and hands every smaller one to one in-place 8-bit
+sort.  Terminator buckets are final and never recursed.  Ranges below
+basecase.LEAF_THRESHOLD are collected and sorted together with
+basecase.word_leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basecase import INSERTION_THRESHOLD, insertion_range
+from .basecase import LeafCollector, word_leaves
 from .counters import SortStats
 from .strset import StringSet
 
@@ -23,16 +25,9 @@ def _digits8(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) ->
     return sset.char_array()[work[lo:hi] + depth]
 
 
-def radix8_range(
-    sset: StringSet,
-    work: np.ndarray,
-    lo: int,
-    hi: int,
-    depth: int,
-    oracle: np.ndarray | None = None,
-) -> None:
+def radix8_range(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
     """In-place 8-bit MSD radix sort of work[lo:hi] sharing a `depth` prefix."""
-    radix8_items(sset, work, [(lo, hi, depth)], oracle)
+    radix8_items(sset, work, [(lo, hi, depth)])
 
 
 def radix8_items(
@@ -45,17 +40,15 @@ def radix8_items(
     """radix8_range seeded with several independent (lo, hi, depth) ranges."""
     if oracle is None:
         oracle = np.zeros(len(work), dtype=np.uint8)
+    leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
     stack = list(items)
     while stack:
         if share is not None:
             share(stack)
             if not stack:
-                return
+                break  # the collected leaves are still sorted
         lo, hi, d = stack.pop()
-        n = hi - lo
-        if n < INSERTION_THRESHOLD:
-            if n > 1:
-                insertion_range(sset, work, lo, hi, d)
+        if leaves.take(lo, hi, d):
             continue
         digs = _digits8(sset, work, lo, hi, d)
         counts = np.bincount(digs, minlength=256)
@@ -84,6 +77,7 @@ def radix8_items(
             chi = int(ends[b])
             if chi - clo > 1:
                 stack.append((clo, chi, d + 1))
+    leaves.flush()
 
 
 def radix8_inplace(sset: StringSet, depth: int = 0) -> StringSet:
@@ -111,31 +105,30 @@ def radix16_adaptive(
 
     Subproblems of at least RADIX16_THRESHOLD strings are distributed out of
     place on two-character digits, alternating the roles of the primary and
-    swap arrays per level; smaller ones run the in-place 8-bit path.
+    swap arrays per level.  The smaller ones are collected in primary and
+    sorted by one in-place 8-bit radix8_items call, whose leaves end in
+    word_leaves.
     """
     n = len(sset)
     primary = sset.handles.copy()
-    if n < RADIX16_THRESHOLD:
-        radix8_range(sset, primary, 0, n, depth)
-        return sset.with_handles(primary)
-    if swap is None:
-        swap = np.empty(n, dtype=np.int64)
-        if stats is not None:
-            stats.scratch_words += n
-    if len(swap) < n:
-        raise ValueError("swap array smaller than the input")
-    oracle = np.zeros(n, dtype=np.uint8)
+    if n >= RADIX16_THRESHOLD:
+        if swap is None:
+            swap = np.empty(n, dtype=np.int64)
+            if stats is not None:
+                stats.scratch_words += n
+        if len(swap) < n:
+            raise ValueError("swap array smaller than the input")
+    small = []  # (lo, hi, depth) below RADIX16_THRESHOLD
     # (lo, hi, depth, src_is_primary)
     stack: list[tuple[int, int, int, bool]] = [(0, n, depth, True)]
     while stack:
         lo, hi, d, src_primary = stack.pop()
-        src = primary if src_primary else swap
-        size = hi - lo
-        if size < RADIX16_THRESHOLD:
+        if hi - lo < RADIX16_THRESHOLD:
             if not src_primary:
-                primary[lo:hi] = src[lo:hi]
-            radix8_range(sset, primary, lo, hi, d, oracle)
+                primary[lo:hi] = swap[lo:hi]
+            small.append((lo, hi, d))
             continue
+        src = primary if src_primary else swap
         seg = src[lo:hi]
         digs = _digits16(sset, seg, d)
         dst = swap if src_primary else primary
@@ -153,4 +146,5 @@ def radix16_adaptive(
                     primary[clo:chi] = dst[clo:chi]
                 continue
             stack.append((clo, chi, d + 2, not src_primary))
+    radix8_items(sset, primary, small)
     return sset.with_handles(primary)

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings
-from strsort import mkqs
+from strsort import mkqs, radix
 from strsort.basecase import LEAF_FLUSH, insertion_sort, lcp_insertion_sort, word_leaves
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs_cached
@@ -187,3 +188,19 @@ def test_mkqs_cached_flushes_its_leaves_once(monkeypatch):
     want = ref_sorted_strings(s)
     assert ref_strings(res.set) == want
     assert list(res.lcps) == ref_lcps(want)
+
+
+@pytest.mark.parametrize("module, sort, n", [
+    (radix, radix.radix16_adaptive, 20_000),
+    (radix, radix.radix16_adaptive, 70_000),  # 16-bit steps hand every bucket to one radix8_items
+    (radix, radix.radix8_inplace, 20_000),
+    (mkqs, mkqs.mkqs, 20_000),
+])
+def test_plain_drivers_flush_their_leaves_once(monkeypatch, module, sort, n):
+    # the drivers keep no word cache, so word_leaves fetches the first words
+    s = random_set(n, seed=5, max_len=5 if n > 20_000 else 20)
+    calls = count_calls(monkeypatch, module, "word_leaves")
+    out = sort(s)
+    assert 1 <= len(calls) <= 1 + n // LEAF_FLUSH
+    assert all(args[2] is None for args in calls)
+    assert ref_strings(out) == ref_sorted_strings(s)

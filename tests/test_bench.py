@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from corpus import all_empty_set, all_equal_set, random_set, ref_strings, url_like_set
+from strsort import basecase, bench
 from strsort.bench import (
     ALGORITHMS,
     RunConfig,
@@ -52,6 +55,28 @@ def test_word_cached_sorters_keep_equal_strings_in_input_order(name, corpus, thr
     stable = s.handles[sorted(range(len(s)), key=strings.__getitem__)]
     out = ALGORITHMS[name](s, threads, 2, SortStats())
     assert np.array_equal(out.handles, stable)
+
+
+REFERENCES = ("insertion", "lcp-insertion", "lcp-mergesort")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("corpus", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - set(REFERENCES)))
+def test_only_the_references_run_the_lcp_insertion_sort(name, corpus, threads, monkeypatch):
+    # every other sorter ends its small ranges in word_leaves
+    def refuse(*args):
+        raise AssertionError("lcp_insertion_core called outside the references")
+
+    core = basecase.lcp_insertion_core
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "strsort":
+            for attr, value in list(vars(mod).items()):
+                if value is core:
+                    monkeypatch.setattr(mod, attr, refuse)
+    s = ADVERSARIAL[corpus]()
+    out = ALGORITHMS[name](s, threads, 2, SortStats())
+    assert ref_strings(out) == sorted(ref_strings(s))
 
 
 class TestGenRandom:
@@ -226,6 +251,23 @@ class TestCli:
         rc = main(["--algo", "s5-unroll", "--gen", "suffix", "--bytes", "3000",
                    "--verify"])
         assert rc == 0
+
+    @pytest.mark.parametrize("args", [
+        ["--input", "FILE", "--n", "-3"],
+        ["--gen", "suffix", "--n", "-3"],
+        ["--input", "FILE", "--bytes", "-1"],
+        ["--gen", "random", "--n", "10", "--threads", "0"],
+    ])
+    def test_out_of_range_sizes_exit_1(self, args, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "five.txt"
+        f.write_bytes(b"e\nd\nc\nb\na\n")
+
+        def no_corpus(cfg):
+            raise AssertionError("a corpus was built")
+
+        monkeypatch.setattr(bench, "_load_corpus", no_corpus)
+        assert main(["--algo", "pradix", "--verify"] + [str(f) if a == "FILE" else a for a in args]) == 1
+        assert "must be >=" in capsys.readouterr().err
 
     def test_list(self, capsys):
         assert main(["--list"]) == 0

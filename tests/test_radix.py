@@ -85,8 +85,9 @@ class TestRadix16:
 
 def test_terminator_bucket_never_touched_again():
     # strings that end exactly at depth 1 go to the terminator bucket and
-    # must not be read at deeper levels
-    items = [b"a"] * 100 + [b"a" + bytes([c]) for c in range(65, 91)] * 4
+    # must not be read at deeper levels; above LEAF_THRESHOLD strings, so
+    # radix steps (not one word_leaves leaf) read them
+    items = [b"a"] * 600 + [b"a" + bytes([c]) for c in range(65, 91)] * 24
     s = from_strings(items)
 
     import strsort.radix as radix_mod
