@@ -198,7 +198,7 @@ def test_mkqs_cached_flushes_its_leaves_once(monkeypatch):
 ])
 def test_plain_drivers_flush_their_leaves_once(monkeypatch, module, sort, n):
     # the drivers keep no word cache, so word_leaves fetches the first words
-    s = random_set(n, seed=5, max_len=5 if n > 20_000 else 20)
+    s = random_set(n, seed=5, max_len=5)
     calls = count_calls(monkeypatch, module, "word_leaves")
     out = sort(s)
     assert 1 <= len(calls) <= 1 + n // LEAF_FLUSH
