@@ -1,6 +1,7 @@
 """Settings for every test under this directory, perfbench's included."""
 
 import faulthandler
+import multiprocessing as mp
 import os
 import sys
 
@@ -27,3 +28,12 @@ def fail_when_hung():
     faulthandler.dump_traceback_later(HANG_S, exit=True, file=_stderr)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_alive():
+    """Fail a test that leaves a child process running: pools must reap their workers."""
+    yield
+    alive = mp.active_children()
+    if alive:
+        pytest.fail(f"child processes left alive: {alive}")

@@ -255,6 +255,8 @@ def _scanned_corpus(buf: bytes) -> Corpus:
 
 def _load_corpus(cfg: RunConfig) -> Corpus:
     if cfg.generator == "random":
+        if cfg.byte_limit is not None:
+            raise ValueError("the random generator takes no byte limit; pass --n")
         n = cfg.n if cfg.n is not None else 100_000
         return _scanned_corpus(gen_random(n, cfg.seed).buffer)
     if cfg.generator == "suffix":
@@ -262,7 +264,7 @@ def _load_corpus(cfg: RunConfig) -> Corpus:
             text = _read_file(cfg.input_path, cfg.byte_limit)
             text = text.replace(b"\0", b"\1")
         else:
-            size = cfg.byte_limit if cfg.byte_limit else 100_000
+            size = 100_000 if cfg.byte_limit is None else cfg.byte_limit
             rng = np.random.default_rng(cfg.seed)
             text = bytes(rng.integers(97, 123, size=size, dtype=np.uint8))
         count = cfg.n if cfg.n is not None else len(text)

@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input file (newline-delimited text or zero-delimited binary)")
     p.add_argument("--gen", choices=["random", "suffix"], help="generated corpus instead of a file")
     p.add_argument("--n", type=int, help="limit on the number of strings")
-    p.add_argument("--bytes", type=int, help="limit on input bytes read or generated")
+    p.add_argument("--bytes", type=int, help="limit on input bytes read or generated; not with --gen random")
     p.add_argument("--threads", type=int, default=1, help="worker count for parallel algorithms")
     p.add_argument("--reps", type=int, default=1, help="timed repetitions")
     p.add_argument("--seed", type=int, default=1, help="seed for generators and sampling")

@@ -20,7 +20,8 @@ interleaved, bucket-major prefix sum over the shard counts, then each shard
 job stably scatters its strings into dst.  The coordinator runs such steps
 on every subproblem of at least n/p strings and feeds the smaller ones to
 the pool as batch jobs, which sort sequentially and share when workers
-idle.
+idle.  Steps and batch sorts are all stable, so equal strings keep their
+input order.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
@@ -45,7 +46,7 @@ from .basecase import LEAF_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
 from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
-from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items
+from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items, radix_children
 from .ssss import (
     DEFAULT_V,
     S5Context,
@@ -522,7 +523,7 @@ def _radix_batch(sh: _Phased, entries, env: _Env) -> None:
         if hi - lo > 1:
             items.append((lo, hi, depth))
     share = make_share_hook(env, lambda d: ("batch", [(a, b, c, True) for a, b, c in d]))
-    radix8_items(sh.sset, sh.cur, items, sh.oracle, share)
+    radix8_items(sh.sset, sh.cur, items, share)
 
 
 def parallel_radix(
@@ -533,8 +534,9 @@ def parallel_radix(
     """MSD radix sort with fully parallel counting/redistribution steps.
 
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
-    ones flow into the queue as batched in-place 8-bit jobs with voluntary
-    sharing.  Terminator buckets are final and never recursed.
+    ones flow into the queue as batch jobs of the in-place radix8_items
+    with voluntary sharing.  radix_children decides which buckets recurse.
+    Every step is stable, so the handles equal radix16_adaptive's.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:
@@ -544,14 +546,11 @@ def parallel_radix(
     def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
         bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
-        children = []
-        for b in np.flatnonzero(np.diff(bounds)):
-            clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
-            if b & 0xFF and chi - clo > 1:  # a zero low byte ends the strings
-                children.append((clo, chi, depth + width // 8, not in_cur))
-            elif in_cur:
+        children, finished = radix_children(bounds, lo, depth, width)
+        if in_cur:
+            for clo, chi in finished:
                 sh.cur[clo:chi] = sh.other[clo:chi]
-        return children
+        return [(clo, chi, d, not in_cur) for clo, chi, d in children]
 
     with WorkPool(p, _phased_executor, sh) as pool:
         phased_sort(pool, [(0, len(sset), 0, True)], step)

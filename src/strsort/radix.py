@@ -1,13 +1,13 @@
 """MSD radix sorts: 8-bit in-place and adaptive 16/8-bit out-of-place.
 
-The 8-bit variant permutes handles in place by walking cycles through the
-bucket regions, so it allocates no handle-sized scratch (the per-position
-digit oracle is byte-sized and shared across recursion).  The adaptive
-variant distributes out of place through a swap array, using 16-bit digits
-for large subproblems, and hands every smaller one to one in-place 8-bit
-sort.  Terminator buckets are final and never recursed.  Ranges below
-basecase.LEAF_THRESHOLD are collected and sorted together with
-basecase.word_leaves.
+Every step stably sorts its range by one numpy argsort of the digits and
+takes the bucket bounds from one bincount, so equal strings keep their
+input order.  The 8-bit variant sorts each range in place on the handle
+array.  The adaptive variant distributes out of place through a swap
+array, using 16-bit digits for large subproblems, and hands every smaller
+one to one in-place 8-bit sort.  radix_children decides which buckets
+recurse.  Ranges below basecase.LEAF_THRESHOLD are collected and sorted
+together with basecase.word_leaves.
 """
 
 from __future__ import annotations
@@ -25,6 +25,33 @@ def _digits8(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) ->
     return sset.char_array()[work[lo:hi] + depth]
 
 
+def _distribute(seg: np.ndarray, digs: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """Stably sort seg by its `width`-bit digits into out; returns the bucket
+    bounds: bucket b occupies out[bounds[b]:bounds[b + 1]]."""
+    out[:] = seg[np.argsort(digs, kind="stable")]
+    bounds = np.zeros((1 << width) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(digs, minlength=1 << width), out=bounds[1:])
+    return bounds
+
+
+def radix_children(bounds: np.ndarray, lo: int, depth: int, width: int) -> tuple[list, list]:
+    """The buckets of one radix step over [lo, ...): (children, finished).
+
+    Bucket b holds the strings whose `width`-bit digit at `depth` is b and
+    occupies [lo + bounds[b], lo + bounds[b + 1]).  A digit with a zero low
+    byte ends its strings and a single string is sorted, so those buckets
+    are finished, as (lo, hi).  Every other nonempty bucket is a child
+    (lo, hi, depth + width // 8).
+    """
+    digits = np.flatnonzero(np.diff(bounds))
+    starts = lo + bounds[digits]
+    ends = lo + bounds[digits + 1]
+    recurse = ((digits & 0xFF) != 0) & (ends - starts > 1)
+    child_depth = depth + width // 8
+    children = [(a, b, child_depth) for a, b in zip(starts[recurse].tolist(), ends[recurse].tolist())]
+    return children, list(zip(starts[~recurse].tolist(), ends[~recurse].tolist()))
+
+
 def radix8_range(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
     """In-place 8-bit MSD radix sort of work[lo:hi] sharing a `depth` prefix."""
     radix8_items(sset, work, [(lo, hi, depth)])
@@ -34,12 +61,13 @@ def radix8_items(
     sset: StringSet,
     work: np.ndarray,
     items: list[tuple[int, int, int]],
-    oracle: np.ndarray | None = None,
     share=None,
 ) -> None:
-    """radix8_range seeded with several independent (lo, hi, depth) ranges."""
-    if oracle is None:
-        oracle = np.zeros(len(work), dtype=np.uint8)
+    """radix8_range seeded with several independent (lo, hi, depth) ranges.
+
+    A step stably sorts work[lo:hi] in place by the strings' characters at
+    the range's depth; its children recurse one character deeper.
+    """
     leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
     stack = list(items)
     while stack:
@@ -50,33 +78,8 @@ def radix8_items(
         lo, hi, d = stack.pop()
         if leaves.take(lo, hi, d):
             continue
-        digs = _digits8(sset, work, lo, hi, d)
-        counts = np.bincount(digs, minlength=256)
-        oracle[lo:hi] = digs
-        ends = lo + np.cumsum(counts)
-        nxt = np.empty(256, dtype=np.int64)
-        nxt[0] = lo
-        nxt[1:] = ends[:-1]
-        starts = nxt.copy()
-        # walk cycles: move each handle (and its oracle digit) to its bucket
-        for b in range(256):
-            i = int(nxt[b])
-            e = int(ends[b])
-            while i < e:
-                dg = int(oracle[i])
-                if dg == b:
-                    i += 1
-                else:
-                    j = int(nxt[dg])
-                    work[i], work[j] = work[j], work[i]
-                    oracle[i], oracle[j] = oracle[j], oracle[i]
-                    nxt[dg] = j + 1
-            nxt[b] = i
-        for b in range(255, 0, -1):  # bucket 0 holds finished strings
-            clo = int(starts[b])
-            chi = int(ends[b])
-            if chi - clo > 1:
-                stack.append((clo, chi, d + 1))
+        bounds = _distribute(work[lo:hi], _digits8(sset, work, lo, hi, d), 8, work[lo:hi])
+        stack.extend(reversed(radix_children(bounds, lo, d, 8)[0]))
     leaves.flush()
 
 
@@ -89,9 +92,9 @@ def radix8_inplace(sset: StringSet, depth: int = 0) -> StringSet:
 
 def _digits16(sset: StringSet, seg: np.ndarray, depth: int) -> np.ndarray:
     arr = sset.char_array()
-    c1 = arr[seg + depth].astype(np.int64)
+    c1 = arr[seg + depth].astype(np.uint16)
     idx2 = np.clip(seg + depth + 1, 0, len(arr) - 1)
-    c2 = np.where(c1 == 0, 0, arr[idx2]).astype(np.int64)
+    c2 = np.where(c1 == 0, 0, arr[idx2]).astype(np.uint16)
     return (c1 << 8) | c2
 
 
@@ -103,11 +106,11 @@ def radix16_adaptive(
 ) -> StringSet:
     """Adaptive 16/8-bit MSD radix sort.
 
-    Subproblems of at least RADIX16_THRESHOLD strings are distributed out of
-    place on two-character digits, alternating the roles of the primary and
-    swap arrays per level.  The smaller ones are collected in primary and
-    sorted by one in-place 8-bit radix8_items call, whose leaves end in
-    word_leaves.
+    Subproblems of at least RADIX16_THRESHOLD strings are stably
+    distributed out of place on two-character digits, alternating the
+    roles of the primary and swap arrays per level.  The smaller ones are
+    collected in primary and sorted by one in-place 8-bit radix8_items
+    call, whose leaves end in word_leaves.
     """
     n = len(sset)
     primary = sset.handles.copy()
@@ -128,23 +131,12 @@ def radix16_adaptive(
                 primary[lo:hi] = swap[lo:hi]
             small.append((lo, hi, d))
             continue
-        src = primary if src_primary else swap
-        seg = src[lo:hi]
-        digs = _digits16(sset, seg, d)
-        dst = swap if src_primary else primary
-        order = np.argsort(digs, kind="stable")
-        dst[lo:hi] = seg[order]
-        counts = np.bincount(digs, minlength=65536)
-        nonzero = np.flatnonzero(counts)
-        bounds = lo + np.concatenate([[0], np.cumsum(counts[nonzero])])
-        for k, dig in enumerate(nonzero):
-            clo = int(bounds[k])
-            chi = int(bounds[k + 1])
-            if dig & 0xFF == 0 or chi - clo == 1:
-                # terminator in the low byte: bucket is final
-                if src_primary:
-                    primary[clo:chi] = dst[clo:chi]
-                continue
-            stack.append((clo, chi, d + 2, not src_primary))
+        src, dst = (primary, swap) if src_primary else (swap, primary)
+        bounds = _distribute(src[lo:hi], _digits16(sset, src[lo:hi], d), 16, dst[lo:hi])
+        children, finished = radix_children(bounds, lo, d, 16)
+        if src_primary:
+            for clo, chi in finished:
+                primary[clo:chi] = swap[clo:chi]
+        stack.extend((clo, chi, cd, not src_primary) for clo, chi, cd in children)
     radix8_items(sset, primary, small)
     return sset.with_handles(primary)

@@ -34,7 +34,10 @@ ADVERSARIAL = {
 }
 
 
-WORD_CACHED = ("mkqs-cached", "s5-unroll", "s5-equal", "kway-merge", "ps5", "pmkqs", "pmergesort")
+STABLE = (
+    "mkqs", "mkqs-cached", "radix8", "radix16", "s5-unroll", "s5-equal", "kway-merge",
+    "ps5", "pmkqs", "pradix", "pmergesort",
+)
 DUPLICATES = {
     "few_values": lambda: random_set(3000, seed=6, max_len=4, lo=97, hi=100),
     "long_ties": lambda: from_strings(
@@ -47,7 +50,7 @@ DUPLICATES = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("corpus", sorted(DUPLICATES))
-@pytest.mark.parametrize("name", WORD_CACHED)
+@pytest.mark.parametrize("name", STABLE)
 def test_word_cached_sorters_keep_equal_strings_in_input_order(name, corpus, threads):
     s = DUPLICATES[corpus]()
     s = s.with_handles(s.handles[np.random.default_rng(3).permutation(len(s))])
@@ -268,6 +271,14 @@ class TestCli:
         monkeypatch.setattr(bench, "_load_corpus", no_corpus)
         assert main(["--algo", "pradix", "--verify"] + [str(f) if a == "FILE" else a for a in args]) == 1
         assert "must be >=" in capsys.readouterr().err
+
+    def test_empty_suffix_text_exit_1(self, capsys):
+        # a byte limit of 0 is an empty text, not the default size
+        assert main(["--algo", "mkqs", "--gen", "suffix", "--bytes", "0"]) == 1
+
+    def test_random_generator_refuses_a_byte_limit(self, capsys):
+        assert main(["--algo", "mkqs", "--gen", "random", "--n", "10", "--bytes", "5"]) == 1
+        assert "byte limit" in capsys.readouterr().err
 
     def test_list(self, capsys):
         assert main(["--list"]) == 0

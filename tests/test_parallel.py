@@ -302,12 +302,8 @@ class TestParallelRadix:
         out = parallel_radix(s, p=p)
         assert verify(s, out).ok
         assert ref_strings(out) == sorted(ref_strings(s))
-
-    def test_p1_matches_sequential_adaptive(self):
-        s = random_set(3000, seed=4)
-        par = parallel_radix(s, p=1)
-        seq = radix16_adaptive(s)
-        assert ref_strings(par) == ref_strings(seq)
+        # both sorts are stable, so they return the same permutation
+        assert np.array_equal(out.handles, radix16_adaptive(s).handles)
 
 
 class TestParallelMkqs:
