@@ -1,11 +1,23 @@
 """Settings for every test under this directory, perfbench's included."""
 
+import contextlib
 import faulthandler
 import multiprocessing as mp
 import os
 import sys
+import warnings
 
 import pytest
+
+# Hypothesis imports this module to report a failing @given test.  Its
+# imports raise a mypy_extensions DeprecationWarning, which
+# filterwarnings = ["error"] would turn into an INTERNALERROR that ends the
+# whole run at the first failure; importing it here once, with that warning
+# ignored, leaves the failure an ordinary one.  Hypothesis skips the report
+# when the module's own dependencies are missing, and so does this import.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 HANG_S = 120  # the slowest test takes a few seconds
 

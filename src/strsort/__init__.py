@@ -10,7 +10,6 @@ from .strset import (
     DistStats,
     StringSet,
     dist_stats,
-    extract_key,
     extract_keys,
     from_strings,
     lcp,
@@ -23,7 +22,6 @@ __all__ = [
     "DistStats",
     "StringSet",
     "dist_stats",
-    "extract_key",
     "extract_keys",
     "from_strings",
     "lcp",

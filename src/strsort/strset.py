@@ -16,6 +16,20 @@ Conventions used throughout the package:
   keys equals lexicographic comparison of the corresponding substrings;
 * an LCP array stores, for a sorted set, the longest-common-prefix length of
   each string with its predecessor; index 0 holds the sentinel ``LCP_UNDEF``.
+
+Every set carries two per-buffer structures, built once when the set is
+made over a buffer and shared by ``with_handles`` and by forked workers:
+
+* a *word view*: a read-only ``>u8`` view over the buffer itself with a
+  stride of one byte, so ``view[p]`` is the 8 bytes at position p read as
+  one big-endian unsigned integer.  It ends at the last full word;
+  ``words_at`` serves the last 7 positions by reading that word and
+  shifting it left, so bytes past the buffer read as zero.  Only a buffer
+  shorter than 8 bytes is copied, padded with zeros;
+* a *next-terminator table*: ``next[b]`` is the position of the first
+  terminator at or after byte 8b, one int32 per 8 buffer bytes (half the
+  buffer's size).  With it ``ends`` finds every string's terminator in
+  two gathers, one word and one table entry.
 """
 
 from __future__ import annotations
@@ -26,8 +40,6 @@ from typing import Iterable
 import numpy as np
 
 WORD_CHARS = 8
-WORD_BYTES_SHIFTS = np.arange(WORD_CHARS - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
-KEY_CHUNK = 1 << 13  # handles per pass of extract_keys; caps its temporaries at ~2 MB
 
 LCP_UNDEF = -1
 
@@ -35,44 +47,67 @@ LCP_UNDEF = -1
 class StringSet:
     """Ordered handles into an immutable zero-terminated character buffer."""
 
-    __slots__ = ("buffer", "handles", "_arr", "_zeros")
+    __slots__ = ("buffer", "handles", "_arr", "_view", "_next")
 
     def __init__(self, buffer: bytes, handles: np.ndarray):
+        if len(buffer) and buffer[-1] != 0:
+            raise ValueError("buffer is not zero-terminated")
         self.buffer = buffer
         self.handles = np.ascontiguousarray(handles, dtype=np.int64)
         self._arr = np.frombuffer(buffer, dtype=np.uint8)
-        self._zeros = None
+        padded = buffer if len(buffer) >= WORD_CHARS else bytes(buffer).ljust(WORD_CHARS, b"\0")
+        self._view = np.ndarray(
+            shape=(len(padded) - WORD_CHARS + 1,), dtype=">u8", buffer=padded, strides=(1,)
+        )
+        self._view.flags.writeable = False
+        zeros = np.flatnonzero(self._arr == 0)
+        # block b repeats the first terminator at or after 8b; one spare
+        # entry past the last block keeps ends' table gather in bounds
+        counts = np.diff(zeros >> 3, prepend=-1)
+        counts[-1:] += 1
+        dtype = np.int32 if len(buffer) <= np.iinfo(np.int32).max else np.int64
+        self._next = np.repeat(zeros.astype(dtype), counts)
 
     def __len__(self) -> int:
         return len(self.handles)
 
     def with_handles(self, handles: np.ndarray) -> "StringSet":
-        """A sibling set over the same buffer (zero-copy buffer share)."""
+        """A sibling set over the same buffer, word view and terminator table."""
         out = StringSet.__new__(StringSet)
         out.buffer = self.buffer
         out.handles = np.ascontiguousarray(handles, dtype=np.int64)
         out._arr = self._arr
-        out._zeros = self._zeros
+        out._view = self._view
+        out._next = self._next
         return out
 
     def char_array(self) -> np.ndarray:
         return self._arr
 
-    def terminator_positions(self) -> np.ndarray:
-        """Sorted positions of all terminator bytes in the buffer."""
-        if self._zeros is None:
-            self._zeros = np.flatnonzero(self._arr == 0)
-        return self._zeros
+    def words_at(self, pos: np.ndarray) -> np.ndarray:
+        """The 8 buffer bytes at each position as one big-endian uint64.
+
+        A position in the last 7 bytes reads the last full word shifted
+        left, so the bytes past the buffer are zero.  Nothing is masked at
+        terminators: the word may run into the next string.
+        """
+        last = len(self._view) - 1
+        words = self._view[np.minimum(pos, last)].astype(np.uint64)
+        tail = np.flatnonzero(pos > last)
+        if len(tail):
+            words[tail] <<= ((pos[tail] - last) * 8).astype(np.uint64)
+        return words
 
     def ends(self, handles: np.ndarray | None = None) -> np.ndarray:
-        """Terminator position for each handle (string end, exclusive)."""
-        h = self.handles if handles is None else handles
-        zeros = self.terminator_positions()
-        if len(zeros) == 0:
-            if len(h):
-                raise ValueError("buffer is not zero-terminated")
-            return np.zeros(0, dtype=np.int64)
-        return zeros[np.searchsorted(zeros, h)]
+        """Terminator position for each handle (string end, exclusive).
+
+        A terminator in the string's first word is found in that word;
+        otherwise it is the first terminator at or after the next 8-byte
+        block boundary, read from the next-terminator table.
+        """
+        h = self.handles if handles is None else np.asarray(handles, dtype=np.int64)
+        first = first_zero_byte(self.words_at(h))
+        return np.where(first < WORD_CHARS, h + first, self._next[(h + WORD_CHARS) >> 3])
 
     def length_of(self, handle: int) -> int:
         return int(self.ends(np.asarray([handle], dtype=np.int64))[0]) - handle
@@ -152,30 +187,21 @@ def extract_keys(sset: StringSet, handles: np.ndarray, depth) -> np.ndarray:
     Reads up to WORD_CHARS characters starting at position depth of each
     string and zero-pads past its terminator, so the keys order exactly like
     the underlying terminator-padded substrings.  `depth` is one int or one
-    depth per handle.
+    depth per handle.  Each start is clamped to its string's terminator, so
+    a depth past the end yields 0; one gather from the word view reads the
+    word, and a mask keeps the characters before the terminator.
     """
-    h = np.ascontiguousarray(handles, dtype=np.int64)
-    arr = sset.char_array()
-    starts = h + depth
-    remaining = sset.ends(h) - starts  # chars before the terminator
-    keys = np.empty(len(h), dtype=np.uint64)
-    # chunks cap the (handles, WORD_CHARS) temporaries
-    for a in range(0, len(h), KEY_CHUNK):
-        idx = starts[a : a + KEY_CHUNK, None] + np.arange(WORD_CHARS, dtype=np.int64)
-        valid = np.arange(WORD_CHARS, dtype=np.int64) < remaining[a : a + KEY_CHUNK, None]
-        np.clip(idx, 0, len(arr) - 1, out=idx)
-        chars = np.where(valid, arr[idx], 0).astype(np.uint64)
-        keys[a : a + KEY_CHUNK] = (chars << WORD_BYTES_SHIFTS).sum(axis=1, dtype=np.uint64)
-    return keys
-
-
-def extract_key(sset: StringSet, handle: int, depth: int) -> int:
-    """Word key of one string at `depth` (see extract_keys)."""
-    return int(extract_keys(sset, np.asarray([handle], dtype=np.int64), depth)[0])
+    h = np.asarray(handles, dtype=np.int64)
+    end = sset.ends(h)
+    start = np.minimum(h + depth, end)
+    return sset.words_at(start) & _KEEP[np.minimum(end - start, WORD_CHARS)]
 
 
 _BYTE_BOUNDS = np.uint64(1) << (np.arange(WORD_CHARS, dtype=np.uint64) * np.uint64(8))
 _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_KEEP = np.array(  # _KEEP[k] keeps the first k bytes of a word
+    [(1 << 64) - (1 << (64 - 8 * k)) for k in range(WORD_CHARS + 1)], dtype=np.uint64
+)
 
 
 def _leading_zero_bytes(x) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from corpus import all_equal_set, random_set, ref_strings
 from strsort.counters import SortStats
+from strsort import radix as radix_mod
 from strsort.mkqs import mkqs
 from strsort.radix import radix8_inplace, radix16_adaptive
 from strsort.strset import from_strings, verify
@@ -83,14 +84,27 @@ class TestRadix16:
         assert ref_strings(radix16_adaptive(s)) == ref_strings(mkqs(s))
 
 
+@given(st.lists(text_bytes, min_size=1, max_size=8), st.integers(0, 12))
+@settings(max_examples=100)
+def test_digits16_match_characters(items, depth):
+    # the two characters at depth, the second zero once the first ends the string
+    s = from_strings(items)
+    keep = [h for h, x in zip(s.handles.tolist(), items) if depth <= len(x)]
+    seg = np.array(keep, dtype=np.int64)
+    expect = []
+    for h in keep:
+        c1 = s.buffer[h + depth]
+        expect.append(c1 << 8 | (s.buffer[h + depth + 1] if c1 else 0))
+    digits = radix_mod._digits16(s, seg, depth)
+    assert digits.dtype == np.uint16 and digits.tolist() == expect
+
+
 def test_terminator_bucket_never_touched_again():
     # strings that end exactly at depth 1 go to the terminator bucket and
     # must not be read at deeper levels; above LEAF_THRESHOLD strings, so
     # radix steps (not one word_leaves leaf) read them
     items = [b"a"] * 600 + [b"a" + bytes([c]) for c in range(65, 91)] * 24
     s = from_strings(items)
-
-    import strsort.radix as radix_mod
 
     touched = []
     orig = radix_mod._digits8

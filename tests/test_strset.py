@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_set, ref_lcps, ref_strings
+from corpus import random_set, ref_lcps, ref_strings, suffix_set
 from strsort.strset import (
     LCP_UNDEF,
+    StringSet,
     dist_stats,
-    extract_key,
     extract_keys,
     first_diff_byte,
     first_zero_byte,
@@ -24,6 +24,8 @@ from strsort.strset import (
 text_bytes = st.binary(min_size=0, max_size=12).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
 )
+# bytes 0x80-0xFF put the sign bit of a word key at stake
+high_bytes = st.binary(min_size=0, max_size=20).map(lambda b: b.replace(b"\0", b"\x80"))
 
 
 class TestLoadDelimited:
@@ -54,25 +56,25 @@ class TestLoadDelimited:
 class TestExtractKey:
     def test_byte_layout(self):
         s = from_strings([b"ab"])
-        key = extract_key(s, 0, 0)
+        key = int(extract_keys(s, s.handles[:1], 0)[0])
         assert key.to_bytes(8, "big") == bytes([0x61, 0x62, 0, 0, 0, 0, 0, 0])
 
     def test_empty_string_key_is_zero(self):
         s = from_strings([b"", b"x"])
-        assert extract_key(s, int(s.handles[0]), 0) == 0
-        assert extract_key(s, int(s.handles[0]), 5) == 0
+        assert extract_keys(s, s.handles[:1], 0)[0] == 0
+        assert extract_keys(s, s.handles[:1], 5)[0] == 0
 
     def test_key_does_not_leak_into_next_string(self):
         s = from_strings([b"ab", b"cd"])
-        key = extract_key(s, 0, 0)
+        key = int(extract_keys(s, s.handles[:1], 0)[0])
         assert key.to_bytes(8, "big") == b"ab" + b"\0" * 6
 
     @given(st.lists(text_bytes, min_size=2, max_size=2), st.integers(0, 10))
     def test_order_isomorphism(self, pair, h):
         a, b = pair
         s = from_strings([a, b])
-        ka = extract_key(s, int(s.handles[0]), min(h, len(a)))
-        kb = extract_key(s, int(s.handles[1]), min(h, len(b)))
+        ka = int(extract_keys(s, s.handles[:1], min(h, len(a)))[0])
+        kb = int(extract_keys(s, s.handles[1:], min(h, len(b)))[0])
         sa = a[min(h, len(a)) : min(h, len(a)) + 8]
         sb = b[min(h, len(b)) : min(h, len(b)) + 8]
         sa += b"\0" * (8 - len(sa))
@@ -83,7 +85,87 @@ class TestExtractKey:
         s = random_set(50, seed=11)
         keys = extract_keys(s, s.handles, 2)
         for i, h in enumerate(s.handles):
-            assert int(keys[i]) == extract_key(s, int(h), 2)
+            assert keys[i] == extract_keys(s, np.array([h]), 2)[0]
+
+
+def _oracle_end(buf: bytes, h: int) -> int:
+    return buf.index(b"\0", h)
+
+
+def _oracle_key(buf: bytes, h: int, depth: int) -> int:
+    """The key from the bytes alone: the string sliced up to its terminator."""
+    string = buf[h : _oracle_end(buf, h)]
+    return int.from_bytes(string[depth : depth + 8].ljust(8, b"\0"), "big")
+
+
+# an empty buffer; buffers shorter than a word; a last string that ends in
+# the buffer's final 7 bytes; empty strings; high bytes
+EDGE_SETS = [[], [b""], [b"ab"], [b"\xff" * 6], [b"\xff" * 7], [b"a" * 11, b"\x80\xfe"],
+             [b"", b"", b"q" * 9], [b"\x01" * 16, b"\xff"]]
+with_depth = high_bytes.flatmap(lambda x: st.tuples(st.just(x), st.integers(0, len(x) + 9)))
+
+
+class TestWordView:
+    @pytest.mark.parametrize("items", EDGE_SETS)
+    def test_edge_sets_match_bytes_oracle(self, items):
+        s = from_strings(items)
+        assert s.ends().tolist() == [_oracle_end(s.buffer, h) for h in s.handles.tolist()]
+        for depth in range(max(map(len, items), default=0) + 10):
+            expect = [_oracle_key(s.buffer, h, depth) for h in s.handles.tolist()]
+            assert extract_keys(s, s.handles, depth).tolist() == expect
+
+    @given(st.lists(high_bytes, max_size=6), st.integers(0, 29))
+    @settings(max_examples=150)
+    def test_keys_match_bytes_oracle(self, items, depth):
+        s = from_strings(items)
+        keys = extract_keys(s, s.handles[::-1], depth)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [_oracle_key(s.buffer, h, depth) for h in s.handles[::-1].tolist()]
+
+    @given(st.lists(with_depth, max_size=6))
+    @settings(max_examples=150)
+    def test_per_handle_depths_match_bytes_oracle(self, pairs):
+        s = from_strings([x for x, _ in pairs])
+        depths = np.array([d for _, d in pairs], dtype=np.int64)
+        expect = [_oracle_key(s.buffer, h, d) for h, d in zip(s.handles.tolist(), depths.tolist())]
+        assert extract_keys(s, s.handles, depths).tolist() == expect
+
+    @given(st.lists(high_bytes, max_size=8))
+    def test_ends_match_bytes_oracle(self, items):
+        s = from_strings(items)
+        assert s.ends().tolist() == [_oracle_end(s.buffer, h) for h in s.handles.tolist()]
+        assert s.strings() == items
+
+    def test_ends_of_suffixes(self):
+        # every suffix ends at the one terminator, many words away
+        s = suffix_set(300, seed=2)
+        assert s.ends().tolist() == [300] * 300
+        assert extract_keys(s, s.handles, 0).tolist() == [
+            _oracle_key(s.buffer, h, 0) for h in range(300)
+        ]
+
+    def test_view_is_the_buffer(self):
+        s = from_strings([b"abcdefgh", b"ij"])
+        assert s._view.base is s.buffer and not s._view.flags.writeable
+        assert s.words_at(np.array([0, 9, 11])).tolist() == [
+            int.from_bytes(b"abcdefgh", "big"),
+            int.from_bytes(b"ij\0".ljust(8, b"\0"), "big"),
+            0,
+        ]
+
+    def test_table_costs_four_bytes_per_word(self):
+        s = random_set(500, seed=4)
+        assert s._next.dtype == np.int32
+        assert len(s._next) == (len(s.buffer) + 7) // 8 + 1
+
+    def test_with_handles_shares_view_and_table(self):
+        s = random_set(20, seed=9)
+        t = s.with_handles(s.handles[::-1])
+        assert t._view is s._view and t._next is s._next and t.buffer is s.buffer
+
+    def test_unterminated_buffer_rejected(self):
+        with pytest.raises(ValueError, match="zero-terminated"):
+            StringSet(b"ab", np.array([0]))
 
 
 class TestLcp:
