@@ -101,9 +101,11 @@ class StringSet:
     def ends(self, handles: np.ndarray | None = None) -> np.ndarray:
         """Terminator position for each handle (string end, exclusive).
 
-        A terminator in the string's first word is found in that word;
-        otherwise it is the first terminator at or after the next 8-byte
-        block boundary, read from the next-terminator table.
+        One gather from the word view reads each string's first 8 bytes
+        (near the buffer's end, its last word shifted left); a terminator
+        among them is the end.  Otherwise the end is the first terminator
+        at or after the next 8-byte block boundary, one gather from the
+        next-terminator table, which holds 4 bytes per 8 buffer bytes.
         """
         h = self.handles if handles is None else np.asarray(handles, dtype=np.int64)
         first = first_zero_byte(self.words_at(h))
@@ -187,9 +189,11 @@ def extract_keys(sset: StringSet, handles: np.ndarray, depth) -> np.ndarray:
     Reads up to WORD_CHARS characters starting at position depth of each
     string and zero-pads past its terminator, so the keys order exactly like
     the underlying terminator-padded substrings.  `depth` is one int or one
-    depth per handle.  Each start is clamped to its string's terminator, so
-    a depth past the end yields 0; one gather from the word view reads the
-    word, and a mask keeps the characters before the terminator.
+    depth per handle.  Each start is clamped to its string's terminator
+    (see ends), so a depth past the end yields 0.  One gather from the word
+    view then reads the word, the buffer's last word shifted left for a
+    start in its final 7 bytes, and a mask keeps the characters before the
+    terminator.
     """
     h = np.asarray(handles, dtype=np.int64)
     end = sset.ends(h)

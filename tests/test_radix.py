@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import all_equal_set, random_set, ref_strings
-from strsort.counters import SortStats
 from strsort import radix as radix_mod
+from strsort.counters import SortStats
 from strsort.mkqs import mkqs
 from strsort.radix import radix8_inplace, radix16_adaptive
 from strsort.strset import from_strings, verify
