@@ -26,8 +26,10 @@ class SortStats:
         partition, one per string and tied level in word_leaves (and one
         per leaf string for its first word when the driver keeps no word
         cache: radix sort and plain mkqs, which take no stats), one per
-        block head and level in lcpmerge.split_merge_jobs, and two per pair
-        and word in parallel.fill_job_lcps.
+        block head and level of the merge split, both in the coordinator's
+        lcpmerge.split_merge_jobs and in each job's refinement in
+        lcpmerge.run_merge_job, and two per pair and word in
+        parallel.fill_job_lcps.
     merge_buffer_cmps
         Character comparisons during merging that had to read the buffer
         (i.e. were not answered from a cached distinguishing character).

@@ -8,10 +8,14 @@ output LCP sum.  Character comparisons are counted per position examined;
 comparisons answered from a cached distinguishing character instead of the
 buffer are excluded from merge_buffer_cmps.
 
-The K-way merge first splits its sorted runs into groups of strings with
-equal words, level by level in numpy (split_merge_jobs).  A group from one
-run is copied; only groups with strings from at least two runs are merged
-by the LCP loser tree (run_merge_job).
+The K-way merge splits its sorted runs into groups of strings with equal
+words, level by level in numpy, in two stages.  The coordinator's
+split_merge_jobs stops at groups of N / target_jobs strings and packs them
+into jobs; each merge job's run_merge_job splits its groups on, from their
+depths, down to MERGE_LEAF strings.  A group from one run is copied, and so
+is a group of equal strings, run by run in stream order.  Only the groups
+of at most MERGE_LEAF strings from at least two runs are merged by the LCP
+loser tree, as a base case.
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ class MergeJob:
     """Per-stream subranges whose strings all share shared_prefix chars.
 
     blocks holds one row per block of consecutive strings of one stream,
-    in output order: STREAM, POS and LEN locate it; OUT is its output
-    position within the job; LCP is the LCP to write at that position;
-    DEPTH is -1 for a copied block and otherwise the shared prefix of its
-    tree-merged group.  The blocks of one tree group are its runs, in stream
-    order; they share the group's OUT, and the first holds its LCP.  Without
-    blocks the whole job is one group, copied when it has one nonempty
-    range.
+    in output order: STREAM, POS and LEN locate it; OUT is the output
+    position of its group within the job; DEPTH is -1 for a copied group
+    and otherwise the shared prefix of its tree-merged group.  The blocks
+    of one group are its runs, in stream order, and share the group's OUT.
+    A copied group's blocks follow each other from OUT, and each holds the
+    LCP to write at its first string; a tree group's first block holds the
+    group's LCP.  Without blocks the whole job is one group, copied when it
+    has one nonempty range.
     """
 
     ranges: list[tuple[int, int, int]]  # (stream index, start, length)
@@ -255,6 +260,8 @@ def binary_lcp_mergesort(
 class LoserTree:
     """LCP-aware tournament tree over K streams (K a power of two).
 
+    With `cached`, each player carries its string's character at its LCP:
+    the stream's dchar entry, or a buffer read for a stream without dchar.
     nodes[1..K-1] hold (loser stream, lcp of loser to that game's winner);
     nodes[0] holds the overall winner.  Games order their operands by
     stream index, so ties resolve toward earlier streams and the merge is
@@ -280,12 +287,12 @@ class LoserTree:
         self.cursor = [0] * k
         # players: per stream (handle, lcp-to-last-output, cached char)
         self.player: list[tuple[int, int, int]] = []
-        arr = self.sset.char_array()
+        self.chars = self.sset.char_array()
         for i in range(k):
             if i < len(streams) and streams[i].length > 0:
                 st = streams[i]
                 h = int(st.handles[st.start])
-                c = int(arr[h + shared]) if cached else 0
+                c = int(self.chars[h + shared]) if cached else 0
                 self.player.append((h, shared, c))
             else:
                 self.player.append((SENTINEL, 0, 0))
@@ -329,7 +336,9 @@ class LoserTree:
         if st is not None and i < st.length:
             h = int(st.handles[st.start + i])
             hl = int(st.lcps[st.start + i])
-            c = int(st.dchar[st.start + i]) if (self.cached and st.dchar is not None) else 0
+            c = 0
+            if self.cached:  # a stream without dchar has its characters read here
+                c = int(st.dchar[st.start + i] if st.dchar is not None else self.chars[h + hl])
             self.player[w] = (h, hl, c)
         else:
             self.player[w] = (SENTINEL, 0, 0)
@@ -345,41 +354,21 @@ class LoserTree:
 
 
 MERGE_POLL_INTERVAL = 4096  # emitted strings between scheduler polls
+MERGE_LEAF = 4  # largest group a merge job hands to the loser tree
 
 
-def kway_merge_partial(
+def loser_tree_merge(
     streams: list[LcpStream],
     shared: int,
     stats: SortStats,
     cached: bool,
     out_h: np.ndarray,
     out_l: np.ndarray,
-    poll=None,
-    polled: int = 0,
-) -> tuple[int, list[int] | None]:
-    """Tournament-merge streams into out arrays, stopping early on request.
-
-    poll(emitted) is consulted whenever polled + emitted reaches a multiple
-    of MERGE_POLL_INTERVAL, where polled counts the strings merged before
-    this call; a truthy return stops the merge, also after its last string.
-    Returns (emitted, per-stream cursors) when stopped, or (n, None) when
-    the merge ran to completion.
-    """
-    n = sum(s.length for s in streams)
-    if n == 0:
-        return 0, None
+) -> None:
+    """Tournament-merge streams sharing `shared` characters into out arrays."""
     tree = LoserTree(streams, shared, stats, cached)
-    for j in range(n):
-        handle, h = tree.pop_and_replace()
-        out_h[j] = handle
-        out_l[j] = h
-        if (
-            poll is not None
-            and (polled + j + 1) % MERGE_POLL_INTERVAL == 0
-            and poll(polled + j + 1)
-        ):
-            return j + 1, tree.cursor[: len(streams)]
-    return n, None
+    for j in range(sum(s.length for s in streams)):
+        out_h[j], out_l[j] = tree.pop_and_replace()
 
 
 def kway_lcp_merge(
@@ -390,8 +379,9 @@ def kway_lcp_merge(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge K sorted runs sharing `shared` prefix characters, with LCPs.
 
-    Runs the jobs of split_merge_jobs in order, so only groups with strings
-    from at least two runs reach the loser tree.  Character comparisons stay
+    Runs the one job of split_merge_jobs, whose run_merge_job splits the
+    groups further, so the loser tree only merges groups of at most
+    MERGE_LEAF strings from at least two runs.  Character comparisons stay
     within dL + n*log2(K) + K, where dL is the growth of the LCP sum from
     inputs to output.
     """
@@ -399,27 +389,11 @@ def kway_lcp_merge(
     n = sum(st.length for st in streams)
     out_h = np.empty(n, dtype=np.int64)
     out_l = np.empty(n, dtype=np.int64)
-    pos = 0
-    for job in split_merge_jobs(streams, 1, shared, stats=stats):
-        end = pos + job.size
-        run_merge_job(streams, job, stats, cached, out_h[pos:end], out_l[pos:end])
-        pos = end
+    for job in split_merge_jobs(streams, 1, shared, stats=stats):  # at most one
+        run_merge_job(streams, job, stats, cached, out_h, out_l)
     if n:
         out_l[0] = LCP_UNDEF
     return out_h, out_l
-
-
-def _block_heads(st: LcpStream, lo: int, hi: int, depth: int, width: int) -> np.ndarray:
-    """Positions in st[lo:hi] whose string starts a new block at `depth`.
-
-    A string joins its predecessor's block when their LCP reaches depth +
-    width, or when both are the same string ending at that LCP.  In a sorted
-    run the second holds exactly when the later string ends there.
-    """
-    a = st.start
-    cand = np.flatnonzero(st.lcps[a + lo + 1 : a + hi] < depth + width) + (lo + 1)
-    ends = st.sset.char_array()[st.handles[a + cand] + st.lcps[a + cand]] == 0
-    return np.concatenate(([lo], cand[~ends]))
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -427,59 +401,72 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
-def split_merge_jobs(
-    streams: list[LcpStream],
-    target_jobs: int,
-    shared: int = 0,
-    width: int = WORD_CHARS,
-    stats: SortStats | None = None,
-) -> list[MergeJob]:
-    """Split K sorted runs into independent merge jobs, one word level at a time.
+def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
+    """Split groups of run segments into blocks, one word level at a time.
 
-    Every string shares `shared` characters.  A level at depth d cuts each
-    active run segment into blocks from its LCP array alone (see
-    _block_heads), fetches the `width`-character word at d of every block
-    head in one extract_keys call, charged to stats.word_fetches, and orders
-    the heads by one stable lexsort of (parent group, word, stream).  Equal
-    words form a group; neighbouring groups share d + shared_chars(words)
-    characters.  A group of more than N / target_jobs strings from at least
-    two runs whose word holds no terminator recurses at d + width.  The
-    groups, in output order, are packed into about target_jobs jobs.
+    segs = (parent, stream, lo, hi) arrays locate each group's segments,
+    one per run; parents = (start, lead, depth) arrays give each group's
+    output start, LCP to the string before it, and the depth of its next
+    word.  A level cuts every active segment into blocks from its LCP array
+    alone: a string joins its predecessor's block when their LCP reaches
+    the segment's depth + width, or when both are the same string ending at
+    that LCP (in a sorted run the second holds exactly when the later
+    string ends there).  It fetches the word of every block head at its
+    depth in one extract_keys call, charged to stats.word_fetches, and
+    orders the heads by one stable lexsort of (parent, word, stream).
+    Equal words form a group, and neighbouring groups share depth +
+    shared_chars(words) characters.  A group from one run is one copied
+    block.  A group from several runs recurses at depth + width when it
+    holds more than `cut` strings and its word no terminator.  When its
+    word holds the terminator its strings are all equal, and with more than
+    MERGE_LEAF of them its blocks are copied in stream order.  The rest are
+    tree groups.  Returns the blocks table, sorted by (OUT, STREAM).
     """
-    total = sum(s.length for s in streams)
-    if total == 0:
-        return []
     w = max(1, min(width, WORD_CHARS))
     mask = np.uint64(((1 << (8 * w)) - 1) << (8 * (WORD_CHARS - w)))
-    target_jobs = max(1, target_jobs)
     sset = streams[0].sset
+    chars = sset.char_array()
     # positions, lengths and LCPs are below the buffer size
     itype = np.int32 if len(sset.buffer) < 2**31 else np.int64
-    # groups recursed into: output start and LCP to the preceding string
-    p_start = np.zeros(1, dtype=itype)
-    p_lead = np.full(1, shared, dtype=itype)
-    segs = [(0, k, 0, s.length) for k, s in enumerate(streams) if s.length]
+    s_parent, s_stream, s_lo, s_hi = (np.asarray(x, dtype=itype) for x in segs)
+    p_start, p_lead, p_depth = (np.asarray(x, dtype=itype) for x in parents)
     tables = []
-    depth = shared
-    # each level frees its head-sized arrays once spent: the split runs in
-    # the coordinator, whose peak memory is the sort's
-    while segs:
-        heads = [_block_heads(streams[k], lo, hi, depth, w) for _, k, lo, hi in segs]
-        counts = [len(h) for h in heads]
-        handles = np.concatenate(
-            [streams[k].handles[streams[k].start + h] for h, (_, k, _, _) in zip(heads, segs)]
-        )
-        words = extract_keys(sset, handles, depth) & mask
+    # each level frees its head-sized arrays once spent: the coordinator's
+    # split runs on the whole input, and its peak memory is the sort's
+    while len(s_lo):
+        lens = s_hi - s_lo
+        pos, size, seg, handles = [], [], [], []
+        for k in np.flatnonzero(np.bincount(s_stream)).tolist():
+            st_h, st_l = streams[k].handles[streams[k].start :], streams[k].lcps[streams[k].start :]
+            sel = np.flatnonzero(s_stream == k)
+            idx = _runs(s_lo[sel], lens[sel])
+            first = np.cumsum(lens[sel]) - lens[sel]
+            # a string heads a block unless it shares the segment's word
+            # with its predecessor or equals it
+            lcps = st_l[idx]
+            head = lcps < np.repeat(p_depth[s_parent[sel]] + w, lens[sel])
+            head[first] = False
+            cand = np.flatnonzero(head)
+            head[cand[chars[st_h[idx[cand]] + lcps[cand]] == 0]] = False
+            head[first] = True
+            del lcps, cand
+            at = np.flatnonzero(head)
+            del head
+            size.append(np.diff(at, append=len(idx)).astype(itype))
+            seg.append(sel[np.searchsorted(first, at, side="right") - 1].astype(itype))
+            at = idx[at]
+            pos.append(at.astype(itype))
+            handles.append(st_h[at])
+            del idx, at
+        seg = np.concatenate(seg)
+        handles = np.concatenate(handles)
+        words = extract_keys(sset, handles, p_depth[s_parent[seg]]) & mask
         if stats is not None:
             stats.word_fetches += len(handles)
         del handles
-        size = np.concatenate(
-            [np.diff(h, append=hi) for h, (_, _, _, hi) in zip(heads, segs)], dtype=itype
-        )
-        pos = np.concatenate(heads, dtype=itype)
-        del heads
-        stream = np.repeat(np.asarray([s[1] for s in segs], dtype=itype), counts)
-        parent = np.repeat(np.asarray([s[0] for s in segs], dtype=itype), counts)
+        parent, stream = s_parent[seg], s_stream[seg]
+        del seg
+        pos, size = np.concatenate(pos), np.concatenate(size)
         order = np.lexsort((stream, words, parent))
         pos, size, stream, parent, words = (
             x[order] for x in (pos, size, stream, parent, words)
@@ -493,17 +480,22 @@ def split_merge_jobs(
         del words
         g_parent = parent[first]
         del parent
+        g_depth = p_depth[g_parent]
         g_lead = np.empty(len(first), dtype=itype)
-        g_lead[1:] = depth + shared_chars(g_word[:-1], g_word[1:])
+        g_lead[1:] = g_depth[1:] + shared_chars(g_word[:-1], g_word[1:])
         g_runs = np.diff(first, append=len(pos)).astype(itype)
         fz = first_zero_byte(g_word)
         del g_word
-        g_depth = (depth + np.minimum(fz, w)).astype(itype)
+        g_depth += np.minimum(fz, w).astype(itype)
         # output start: the parent's start plus the sizes of its earlier groups
         g_size = np.add.reduceat(size, first)
         g_start = np.cumsum(g_size, dtype=itype) - g_size
-        deeper = (g_size > total / target_jobs) & (g_runs > 1) & (fz >= w)
-        del fz, g_size
+        multi = g_runs > 1
+        deeper = multi & (fz >= w) & (g_size > cut)
+        # equal strings need no deeper level, whatever the cut
+        equal = multi & (fz < w) & (g_size > MERGE_LEAF)
+        tree = multi & ~deeper & ~equal
+        del fz, g_size, multi
         pfirst = np.ones(len(first), dtype=bool)
         pfirst[1:] = g_parent[1:] != g_parent[:-1]
         g_start += p_start[g_parent] - g_start[np.maximum.accumulate(np.where(pfirst, np.arange(len(first)), 0))]
@@ -511,17 +503,12 @@ def split_merge_jobs(
         del pfirst, g_parent, first
         # the runs of deeper groups are the next level's segments
         down = np.flatnonzero(deeper)
-        p_start, p_lead = g_start[down], g_lead[down]
+        p_start, p_lead, p_depth = g_start[down], g_lead[down], g_depth[down]
         rec = deeper[gid]
         at = np.flatnonzero(rec)
-        segs = list(
-            zip(
-                np.searchsorted(down, gid[at]).tolist(),
-                stream[at].tolist(),
-                pos[at].tolist(),
-                (pos[at] + size[at]).tolist(),
-            )
-        )
+        s_parent = np.searchsorted(down, gid[at]).astype(itype)
+        s_stream, s_lo = stream[at], pos[at]
+        s_hi = s_lo + size[at]
         del down, deeper, at
         table = np.empty((len(pos), 6), dtype=itype)
         table[:, STREAM] = stream
@@ -529,19 +516,50 @@ def split_merge_jobs(
         table[:, LEN] = size
         del stream, pos, size
         table[:, OUT] = g_start[gid]
-        table[:, LCP] = np.where(new, g_lead[gid], 0)
-        # a group from one run is one block, copied
-        table[:, DEPTH] = np.where(g_runs[gid] > 1, g_depth[gid], -1)
+        # a later run of an equal group follows strings equal to its own
+        table[:, LCP] = np.where(new, g_lead[gid], np.where(equal[gid], g_depth[gid], 0))
+        table[:, DEPTH] = np.where(tree[gid], g_depth[gid], -1)
         tables.append(table[~rec] if rec.any() else table)
-        del table, rec, gid, new
-        depth += w
-    if len(tables) == 1:
-        blocks = tables[0]
-    else:  # deeper groups' blocks go between their neighbours
-        blocks = np.concatenate(tables)
-        blocks = blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
+        del table, rec, gid, new, equal, tree
+    if len(tables) == 1:  # parents are numbered in output order
+        return tables[0]
+    # deeper groups' blocks go between their neighbours
+    blocks = np.concatenate(tables)
     del tables
-    # a group starts wherever OUT changes: a copy block, or a tree group's first run
+    return blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
+
+
+def split_merge_jobs(
+    streams: list[LcpStream],
+    target_jobs: int,
+    shared: int = 0,
+    width: int = WORD_CHARS,
+    stats: SortStats | None = None,
+) -> list[MergeJob]:
+    """Split K sorted runs into independent merge jobs, one word level at a time.
+
+    This is the first of two split stages.  Every string shares `shared`
+    characters; _split_levels splits the runs as one root group with a cut
+    of N / target_jobs strings, one word fetch per block head and level.
+    The groups, in output order, are packed into about target_jobs jobs; no
+    job boundary falls inside a group.  The second stage, in run_merge_job,
+    splits each job's tree groups down to MERGE_LEAF strings.
+    """
+    total = sum(s.length for s in streams)
+    if total == 0:
+        return []
+    target_jobs = max(1, target_jobs)
+    nonempty = [k for k, s in enumerate(streams) if s.length]
+    zeros = [0] * len(nonempty)
+    blocks = _split_levels(
+        streams,
+        (zeros, nonempty, zeros, [streams[k].length for k in nonempty]),
+        ([0], [shared], [shared]),
+        total / target_jobs,
+        width,
+        stats,
+    )
+    # a group starts wherever OUT changes
     first = np.flatnonzero(np.diff(blocks[:, OUT], prepend=-1))
     # a job starts at the first group to begin in each 1/target_jobs of the output
     key = blocks[first, OUT].astype(np.int64) * target_jobs // total
@@ -551,11 +569,11 @@ def split_merge_jobs(
         jb = blocks[a:b]
         jb[:, OUT] -= jb[0, OUT]
         ranges = []
-        for k in np.unique(jb[:, STREAM]).tolist():
+        for k in np.flatnonzero(np.bincount(jb[:, STREAM])).tolist():
             mine = jb[jb[:, STREAM] == k]
             ranges.append((k, int(mine[0, POS]), int(mine[:, LEN].sum())))
         # the LCPs between groups are the job's shared prefix; a lone
-        # group's is its depth, or for a copied block its lead
+        # group's is its depth, or for a copied group its lead
         inner = first[np.searchsorted(first, a) + 1 : np.searchsorted(first, b)] - a
         if len(inner):
             shared_prefix = jb[inner, LCP].min()
@@ -576,13 +594,18 @@ def run_merge_job(
 ) -> tuple[np.ndarray, np.ndarray, int, list[tuple[int, int, int]] | None]:
     """Execute one merge job.
 
-    Copied blocks, the groups from one run, are gathered per stream in one
-    vectorized pass, and the LCP at each block start is taken from the
-    job's table.  Then the LCP loser tree merges each group with strings
-    from at least two runs.  Returns (out_handles, out_lcps, emitted,
-    leftover).  leftover is None when the job completed; when poll stopped
-    a tree merge, it lists the (stream, start, length) ranges from the stop
-    on.
+    This is the second split stage.  Each tree group of more than
+    MERGE_LEAF strings is split further by _split_levels, from its depth
+    on, until every group left is copied (one run, or all equal strings)
+    or holds at most MERGE_LEAF strings.  The blocks are then emitted in
+    output order: copied groups per stream in vectorized passes, with the
+    LCP at each block start taken from the table, and the loser tree merges
+    each small group as a base case.  poll(emitted) is consulted whenever
+    the output crosses a multiple of MERGE_POLL_INTERVAL strings, at the
+    end of the group that crosses it; a truthy return stops the job there.
+    Returns (out_handles, out_lcps, emitted, leftover).  leftover is None
+    when the job completed; when poll stopped it, it lists the (stream,
+    start, length) ranges from the stop on, one per stream.
     """
     stats = stats if stats is not None else SortStats()
     n = job.size
@@ -590,47 +613,82 @@ def run_merge_job(
     out_l = out_lcps if out_lcps is not None else np.empty(n, dtype=np.int64)
     if n == 0:
         return out_h, out_l, 0, None
-    blocks = job.blocks
-    tree = blocks[:, DEPTH] >= 0
-    copies = blocks[~tree]
-    for k in np.unique(copies[:, STREAM]).tolist():
-        b = copies[copies[:, STREAM] == k]
-        dst = _runs(b[:, OUT], b[:, LEN])
-        src = streams[k].start + _runs(b[:, POS], b[:, LEN])
-        out_h[dst] = streams[k].handles[src]
-        out_l[dst] = streams[k].lcps[src]
-    out_l[copies[:, OUT]] = copies[:, LCP]
-    merges = blocks[tree]
-    starts = np.flatnonzero(np.diff(merges[:, OUT], prepend=-1)).tolist()
-    merged = 0
-    for a, b in zip(starts, starts[1:] + [len(merges)]):
-        group = merges[a:b]
-        o = int(group[0, OUT])
-        size = int(group[:, LEN].sum())
-        runs = [streams[k].slice(p, m) for k, p, m in group[:, :3].tolist()]
-        emitted, cursors = kway_merge_partial(
-            runs, int(group[0, DEPTH]), stats, cached,
-            out_h[o : o + size], out_l[o : o + size], poll, merged,
-        )
-        out_l[o] = group[0, LCP]
-        if cursors is not None:
-            leftover = _leftover(job, o, group, cursors)
-            if leftover:
-                return out_h, out_l, o + emitted, leftover
-        merged += size
+    blocks = _refine(streams, job.blocks, stats)
+    out = blocks[:, OUT]
+    stops = [n]
+    if poll is not None:
+        ends = np.append(out[1:][np.diff(out) > 0], n)  # where the groups end
+        marks = np.arange(MERGE_POLL_INTERVAL, n, MERGE_POLL_INTERVAL)
+        # not np.unique: its first call imports numpy.ma, in every fresh worker
+        stops = sorted({*ends[np.searchsorted(ends, marks)].tolist(), n})
+    done = 0
+    for stop in stops:
+        upto = int(np.searchsorted(out, stop))
+        _emit(streams, blocks[done:upto], stats, cached, out_h, out_l)
+        done = upto
+        if stop < n and poll(stop):
+            return out_h, out_l, stop, _leftover(job, blocks[upto:])
     return out_h, out_l, n, None
 
 
-def _leftover(job: MergeJob, out: int, group: np.ndarray, cursors: list[int]):
-    """The (stream, start, length) ranges of a job stopped inside the tree
-    merge of the group at output position `out`."""
-    later = job.blocks[job.blocks[:, OUT] >= out]
-    consumed = dict(zip(group[:, STREAM].tolist(), cursors))
+def _refine(streams: list[LcpStream], blocks: np.ndarray, stats: SortStats) -> np.ndarray:
+    """The blocks table with every tree group of more than MERGE_LEAF
+    strings split further from its depth on."""
+    first = np.flatnonzero(np.diff(blocks[:, OUT], prepend=-1))
+    big = (blocks[first, DEPTH] >= 0) & (np.add.reduceat(blocks[:, LEN], first) > MERGE_LEAF)
+    if not big.any():
+        return blocks
+    gid = np.repeat(np.arange(len(first)), np.diff(first, append=len(blocks)))
+    rows = big[gid]
+    b = blocks[rows]
+    heads = blocks[first[big]]
+    refined = _split_levels(
+        streams,
+        (np.searchsorted(np.flatnonzero(big), gid[rows]), b[:, STREAM], b[:, POS], b[:, POS] + b[:, LEN]),
+        (heads[:, OUT], heads[:, LCP], heads[:, DEPTH]),
+        MERGE_LEAF,
+        WORD_CHARS,
+        stats,
+    )
+    blocks = np.concatenate((blocks[~rows], refined))
+    return blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
+
+
+def _emit(streams, blocks, stats, cached, out_h, out_l) -> None:
+    """Write whole groups of a refined blocks table: copied groups gathered
+    per stream, tree groups merged by the loser tree."""
+    copy = blocks[:, DEPTH] < 0
+    c = blocks[copy]
+    # the blocks of one copied group follow each other from its OUT
+    before = np.cumsum(c[:, LEN]) - c[:, LEN]
+    first = np.flatnonzero(np.diff(c[:, OUT], prepend=-1))
+    dst = c[:, OUT] + before - np.repeat(before[first], np.diff(first, append=len(c)))
+    for k in np.flatnonzero(np.bincount(c[:, STREAM])).tolist():
+        sel = c[:, STREAM] == k
+        at = _runs(dst[sel], c[sel, LEN])
+        src = streams[k].start + _runs(c[sel, POS], c[sel, LEN])
+        out_h[at] = streams[k].handles[src]
+        out_l[at] = streams[k].lcps[src]
+    out_l[dst] = c[:, LCP]
+    t = blocks[~copy]
+    starts = np.flatnonzero(np.diff(t[:, OUT], prepend=-1)).tolist()
+    rows = t.tolist()  # the tree groups are tiny: walk them as Python lists
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        group = rows[a:b]
+        o, size = group[0][OUT], sum(r[LEN] for r in group)
+        runs = [streams[r[STREAM]].slice(r[POS], r[LEN]) for r in group]
+        loser_tree_merge(
+            runs, group[0][DEPTH], stats, cached, out_h[o : o + size], out_l[o : o + size]
+        )
+        out_l[o] = group[0][LCP]
+
+
+def _leftover(job: MergeJob, later: np.ndarray) -> list[tuple[int, int, int]]:
+    """The (stream, start, length) ranges of the blocks `later` of a job."""
     leftover = []
     for k, start, length in job.ranges:
         mine = later[later[:, STREAM] == k]
         if len(mine):
-            p = int(mine[0, POS]) + consumed.get(k, 0)
-            if start + length > p:
-                leftover.append((k, p, start + length - p))
+            p = int(mine[0, POS])
+            leftover.append((k, p, start + length - p))
     return leftover

@@ -652,6 +652,8 @@ class _MergeShared:
 
 
 def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
+    """Run one merge job; when a poll finds a worker idle, the job stops at
+    a group boundary and its rest is split into new jobs for the queue."""
     _, mjob, offset = job
     size = mjob.size
     out_h = shared.out_h[offset : offset + size]
@@ -727,11 +729,13 @@ def partitioned_merge_sort(
     smaller parts run as batch jobs.  The coordinator then derives the
     distinguishing characters (when use_cache is set), splits the parts into
     about 8p jobs with split_merge_jobs (one numpy pass per word level) and
-    merges them on the same pool; a job's tree merge re-splits its rest when
-    workers go idle.  Groups from one part are copied, and only groups of
-    strings from several parts meet in the loser tree, where cached
-    distinguishing characters answer the first comparison of every game.
-    With want_lcps, fill_job_lcps computes the LCP at each job start.
+    merges them on the same pool.  Each merge job splits its groups on down
+    to MERGE_LEAF strings, and re-splits its rest when workers go idle.
+    Groups from one part and groups of equal strings are copied; only
+    groups of at most MERGE_LEAF strings from several parts meet in the
+    loser tree, where cached distinguishing characters answer the first
+    comparison of every game.  With want_lcps, fill_job_lcps computes the
+    LCP at each job start.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)

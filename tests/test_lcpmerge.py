@@ -16,10 +16,13 @@ from strsort.lcpmerge import (
     kway_lcp_merge,
     lcp_compare,
     lcp_compare_cached,
+    MERGE_LEAF,
     MERGE_POLL_INTERVAL,
     run_merge_job,
     split_merge_jobs,
 )
+from strsort.parallel import partitioned_merge_sort, shared_array
+from strsort.ssss import s5_sort
 from strsort.strset import LCP_UNDEF, from_strings, lcp, lcp_sum, verify
 
 text_bytes = st.binary(min_size=0, max_size=10).map(
@@ -240,6 +243,21 @@ class TestKwayMerge:
         dL = lcp_sum(np.asarray(l)) - sum(lcp_sum(sh.lcps) for sh in shards)
         assert stats.merge_buffer_cmps <= dL
 
+    def test_cached_without_dchar_reads_the_buffer(self):
+        # streams without distinguishing characters: the cached tree must
+        # read each player's character, not take 0 for a terminator
+        s = url_like_set(3000)
+        cuts = np.linspace(0, len(s), 5).astype(int)
+        streams = []
+        for i in range(4):
+            res = s5_sort(s.with_handles(s.handles[cuts[i] : cuts[i + 1]]), want_lcps=True)
+            streams.append(LcpStream(s, res.set.handles, res.lcps))
+        h1, l1 = kway_lcp_merge(streams, cached=False)
+        h2, l2 = kway_lcp_merge(streams, cached=True)
+        want = ref_sorted_strings(s)
+        assert ref_strings(s.with_handles(h2)) == want
+        assert list(l2) == list(l1) == ref_lcps(want)
+
     def test_common_prefix_streams(self):
         items = [b"pref" + bytes([c]) * k for c in range(97, 105) for k in range(1, 4)]
         s = from_strings(items)
@@ -446,6 +464,150 @@ class TestSplitMergeJobs:
         assert sum(m for _, _, m in leftover) == len(s) - emitted
         assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
         assert len({k for k, _, _ in leftover}) == len(leftover)  # one range per stream
+
+
+def tree_corpus(name):
+    """(set, shard sizes) of a split corpus or a 20,000-string set."""
+    if name in SPLIT_CORPORA:
+        return split_corpus(name)
+    s = url_like_set(20_000) if name == "url" else random_set(20_000, seed=3)
+    return s, [3000, 9000, 1000, 7000]
+
+
+class TestMergeLeaf:
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
+    def test_tree_sees_only_small_groups(self, monkeypatch, corpus):
+        s, sizes = tree_corpus(corpus)
+        shards = uneven_shards(s, sizes)
+        groups = []
+        real = lcpmerge.loser_tree_merge
+
+        def spy(runs, *args):
+            groups.append((sum(r.length > 0 for r in runs), sum(r.length for r in runs)))
+            return real(runs, *args)
+
+        monkeypatch.setattr(lcpmerge, "loser_tree_merge", spy)
+        h, l = kway_lcp_merge(shards)
+        want = ref_sorted_strings(s)
+        assert ref_strings(s.with_handles(h)) == want
+        assert list(l) == ref_lcps(want)
+        assert all(runs >= 2 and size <= MERGE_LEAF for runs, size in groups)
+        if corpus in ("url", "random"):
+            assert groups
+
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
+    def test_pool_tree_sees_only_small_groups(self, monkeypatch, corpus):
+        # the spy runs in the forked workers: a large group fails the sort,
+        # and a shared flag shows that the tree ran at all
+        s, _ = tree_corpus(corpus)
+        seen = shared_array(1, np.int64)
+        seen[0] = 0
+        real = lcpmerge.loser_tree_merge
+
+        def spy(runs, *args):
+            size = sum(r.length for r in runs)
+            if sum(r.length > 0 for r in runs) < 2 or size > MERGE_LEAF:
+                raise AssertionError(f"tree group of {size} strings")
+            seen[0] = 1
+            return real(runs, *args)
+
+        monkeypatch.setattr(lcpmerge, "loser_tree_merge", spy)
+        res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True, t_medium=512)
+        want = ref_sorted_strings(s)
+        assert ref_strings(res.set) == want
+        assert list(res.lcps) == ref_lcps(want)
+        if corpus in ("url", "random"):
+            assert seen[0] == 1
+
+
+def no_tree(*args):
+    raise AssertionError("loser tree called")
+
+
+EQUAL_VALUES = (b"", b"q" * 30, b"abcdefgh9")
+
+
+class TestEqualGroups:
+    def test_copied_in_stream_order_with_exact_lcps(self, monkeypatch):
+        # each equal value is larger than MERGE_LEAF and spread over uneven
+        # runs; the other strings are distinct, so no group needs the tree
+        rng = np.random.default_rng(5)
+        items = [v for v, m in zip(EQUAL_VALUES, (13, 11, 9)) for _ in range(m)]
+        items += [b"abcdefgh%d" % i for i in range(10, 40)] + [b"q" * 29, b"q" * 31, b"r"]
+        items = [items[i] for i in rng.permutation(len(items))]
+        s = from_strings(items)
+        shards = uneven_shards(s, [7, 25, 3, len(items) - 35])
+        monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
+        # stable: equal strings in stream order, then position in the stream
+        keyed = [
+            (ref_strings(s.with_handles(sh.handles[i : i + 1]))[0], k, i, int(sh.handles[i]))
+            for k, sh in enumerate(shards)
+            for i in range(sh.length)
+        ]
+        stable = [h for *_, h in sorted(keyed)]
+        for target in (1, 3, 1000):
+            jobs = split_merge_jobs(shards, target)
+            check_split(s, shards, jobs)
+            got = np.concatenate([run_merge_job(shards, job)[0] for job in jobs])
+            assert list(got) == stable
+        h, l = kway_lcp_merge(shards)
+        assert list(h) == stable
+        assert list(l) == ref_lcps(sorted(items))
+
+    @pytest.mark.parametrize("value", EQUAL_VALUES)
+    def test_all_equal_is_one_job(self, monkeypatch, value):
+        s = from_strings([value] * 40)
+        shards = uneven_shards(s, [11, 0, 25, 4])
+        monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
+        for target in (1, 2, 8, 1000):
+            jobs = split_merge_jobs(shards, target)
+            assert len(jobs) == 1
+            h, l, emitted, leftover = run_merge_job(shards, jobs[0])
+            assert (emitted, leftover) == (40, None)
+            assert list(h) == list(s.handles)
+            assert list(l[1:]) == [len(value)] * 39
+
+
+def test_poll_stops_at_group_boundary_without_tree(monkeypatch):
+    # every value appears 6 times, in one run or as an equal group of
+    # several: all groups are copied, and polls fire between them
+    rng = np.random.default_rng(8)
+    items = [b"%05d" % (i // 6) for i in range(9000)]
+    items = [items[i] for i in rng.permutation(len(items))]
+    s = from_strings(items)
+    shards = make_shards(s, 3)
+    n = len(s)
+    assert n > 2 * MERGE_POLL_INTERVAL
+    monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
+    full_h, full_l = kway_lcp_merge(shards)
+    (job,) = split_merge_jobs(shards, 1)
+    h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
+    assert MERGE_POLL_INTERVAL <= emitted < n
+    want = sorted(items)
+    assert want[emitted - 1] != want[emitted]  # a group boundary
+    assert list(h[:emitted]) == list(full_h[:emitted])
+    assert sorted(k for k, _, _ in leftover) == [0, 1, 2]
+    assert sum(m for _, _, m in leftover) == n - emitted
+    subs = split_merge_jobs([shards[k].slice(a, m) for k, a, m in leftover], 3)
+    pos = emitted
+    for sub in subs:
+        th, tl, _, _ = run_merge_job(shards, sub.rebased(leftover))
+        assert list(th) == list(full_h[pos : pos + sub.size])
+        assert list(tl[1:]) == list(full_l[pos + 1 : pos + sub.size])
+        pos += sub.size
+    assert pos == n
+
+
+def test_poll_stops_before_the_last_group():
+    # two copied groups of 5,000 equal strings: the first crosses the poll
+    # mark, so the job stops where the last group starts
+    s = from_strings([b"a"] * 5000 + [b"b"] * 5000)
+    shards = uneven_shards(s, [5000, 5000])
+    (job,) = split_merge_jobs(shards, 1)
+    h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
+    assert (emitted, leftover) == (5000, [(1, 0, 5000)])
+    assert list(h[:emitted]) == list(s.handles[:5000])
+
 
 def test_mergesort_is_lcp_exact_on_duplicates():
     s = from_strings([b"dup", b"dup", b"dup", b"a", b"dup"])
