@@ -572,12 +572,12 @@ def test_poll_stops_at_group_boundary_without_tree(monkeypatch):
     # every value appears 6 times, in one run or as an equal group of
     # several: all groups are copied, and polls fire between them
     rng = np.random.default_rng(8)
-    items = [b"%05d" % (i // 6) for i in range(9000)]
+    items = [b"%05d" % (i // 6) for i in range(25_200)]
     items = [items[i] for i in rng.permutation(len(items))]
     s = from_strings(items)
     shards = make_shards(s, 3)
     n = len(s)
-    assert n > 2 * MERGE_POLL_INTERVAL
+    assert all(sh.length > 2 * MERGE_POLL_INTERVAL for sh in shards)
     monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
     full_h, full_l = kway_lcp_merge(shards)
     (job,) = split_merge_jobs(shards, 1)
