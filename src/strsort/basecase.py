@@ -124,13 +124,13 @@ def lcp_insertion_core(
     return s, lcps
 
 
-def range_positions(items: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions of (lo, hi, depth) ranges, concatenated in item order,
-    with each position's depth and range index."""
-    lo, hi, depth = (np.array(col, dtype=np.int64) for col in zip(*items))
+def range_positions(lo, hi, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of the ranges [lo[i], hi[i]), concatenated in order,
+    with each position's depth[i] and range index i."""
+    lo, hi, depth = (np.asarray(col, dtype=np.int64) for col in (lo, hi, depth))
     sizes = hi - lo
     pos = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-    return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(items)), sizes)
+    return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
 
 
 def word_leaves(
@@ -158,7 +158,7 @@ def word_leaves(
     items = [item for item in items if item[1] - item[0] > 1]
     if not items:
         return
-    slot, base, group = range_positions(items)
+    slot, base, group = range_positions(*zip(*items))
     handles = work[slot]
     if cache is None:
         words = extract_keys(sset, handles, base)

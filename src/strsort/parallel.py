@@ -53,11 +53,9 @@ from .ssss import (
     T_MEDIUM,
     bucket_word_range,
     classify_keys,
-    draw_sample,
     finish_buckets,
     s5_sort_items,
-    select_splitters,
-    tree_capacity,
+    step_tree,
     write_boundary_lcps,
 )
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
@@ -466,11 +464,7 @@ def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int, in_cur: 
     """One phased sample-sort step; returns the buckets left to sort."""
     ctx = sh.s5
     src = ctx.cur if in_cur else ctx.other
-    v = tree_capacity(hi - lo)
-    rng = np.random.default_rng((ctx.seed, lo, hi, depth))
-    sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
-    tree = select_splitters(sample, v)
-    pool.stats.word_fetches += len(sample) + hi - lo  # the count jobs fetch hi - lo keys
+    tree = step_tree(ctx, src, lo, hi, depth, pool.stats)  # charges the count jobs' keys too
     # count jobs pickle only what classify_keys(..., "unroll") reads
     search = dataclasses.replace(
         tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None

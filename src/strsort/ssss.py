@@ -4,7 +4,9 @@ One step draws a seeded sample of word keys at the current depth, selects
 v = 2^d - 1 splitters into a perfect binary search tree, classifies every
 string into 2v+1 buckets (even buckets hold ranges between splitters, odd
 bucket 2i+1 holds exact word matches with in-order splitter i), and
-redistributes handles out of place.  Equality buckets recurse with the
+redistributes handles out of place.  The tree is implicit: node 2^l + j
+(level l, 0 <= j < 2^l) holds in-order splitter (2j+1)*2^(d-l-1) - 1, so
+both the tree and its buckets are built and settled in numpy passes.  Equality buckets recurse with the
 depth advanced by a full word; range buckets advance by the LCP of their
 bounding splitters.  Classification is branch-free: all descents proceed in
 lockstep over the whole batch, one tree level per pass.  Subproblems below
@@ -77,62 +79,44 @@ def draw_sample(sset: StringSet, handles: np.ndarray, depth: int, v: int, rng) -
 
 
 def select_splitters(sample: np.ndarray, v: int) -> SplitterTree:
-    """Recursive middle selection of v splitters from a sorted sample.
+    """Middle selection of v = 2^d - 1 splitters from a sorted sample, one
+    tree level per pass.
 
-    The middle sample of each range becomes the middle splitter; the scan
-    then skips samples equal to it on both sides before recursing, so the
-    same key is reused only when a subrange runs out of distinct values.
+    Each node owns a range [a, b) of the sample: the root all of it.  Its
+    splitter is the middle sample x; its children own the samples below and
+    above the run of samples equal to x, so the same key is reused only when
+    a range runs out of distinct values, and an empty range takes its
+    parent's splitter.  Node 2^l + j of level l is in-order splitter
+    (2j+1)*2^(d-l-1) - 1.
     """
+    d = (v + 1).bit_length() - 1
     inorder = np.empty(v, dtype=np.uint64)
-
-    def fill(slot_lo: int, slot_hi: int, a: int, b: int) -> None:
-        if slot_lo >= slot_hi:
-            return
-        mid_slot = (slot_lo + slot_hi) // 2
-        if a >= b:
-            # subrange exhausted by duplicate skipping; reuse the parent pick
-            inorder[slot_lo:slot_hi] = inorder[mid_slot] = _parent_value[0]
-            return
-        m = (a + b) // 2
-        x = sample[m]
-        inorder[mid_slot] = x
-        b2 = m
-        while b2 > a and sample[b2 - 1] == x:
-            b2 -= 1
-        a2 = m + 1
-        while a2 < b and sample[a2] == x:
-            a2 += 1
-        keep = _parent_value[0]
-        _parent_value[0] = x
-        fill(slot_lo, mid_slot, a, b2)
-        fill(mid_slot + 1, slot_hi, a2, b)
-        _parent_value[0] = keep
-
-    _parent_value = [sample[len(sample) // 2]]
-    fill(0, v, 0, len(sample))
-
     tree = np.zeros(v + 1, dtype=np.uint64)
     node_to_inorder = np.zeros(v + 1, dtype=np.int64)
-
-    def build(node: int, lo: int, hi: int) -> None:
-        if lo >= hi:
-            return
-        mid = (lo + hi) // 2
-        tree[node] = inorder[mid]
-        node_to_inorder[node] = mid
-        build(2 * node, lo, mid)
-        build(2 * node + 1, mid + 1, hi)
-
-    build(1, 0, v)
+    a = np.zeros(1, dtype=np.int64)
+    b = np.full(1, len(sample), dtype=np.int64)
+    x = sample[:1]  # never used: the root's range holds the whole sample
+    for level in range(d):
+        x = np.where(a < b, sample[np.minimum((a + b) // 2, len(sample) - 1)], x)
+        step = 1 << (d - level)
+        slots = np.arange(step // 2 - 1, v, step)
+        inorder[slots] = tree[1 << level : 2 << level] = x
+        node_to_inorder[1 << level : 2 << level] = slots
+        # np.clip gives b where a > b, so an empty range has empty children
+        below = np.clip(np.searchsorted(sample, x, "left"), a, b)
+        above = np.clip(np.searchsorted(sample, x, "right"), a, b)
+        a = np.stack([a, above], axis=1).ravel()
+        b = np.stack([below, b], axis=1).ravel()
+        x = np.repeat(x, 2)
 
     slcp = np.zeros(v + 1, dtype=np.int64)
     slcp[1:v] = shared_chars(inorder[:-1], inorder[1:])
     term_pos = first_zero_byte(inorder).astype(np.int64)
     eq_final = term_pos < WORD_CHARS
 
-    eq_leftmost = np.zeros(v, dtype=np.int64)
-    for i in range(1, v):
-        eq_leftmost[i] = eq_leftmost[i - 1] if inorder[i] == inorder[i - 1] else i
+    first = np.ones(v, dtype=bool)
+    first[1:] = inorder[1:] != inorder[:-1]
+    eq_leftmost = np.maximum.accumulate(np.where(first, np.arange(v), 0))
 
     return SplitterTree(
         v, tree, inorder, node_to_inorder, slcp, eq_final, eq_leftmost, term_pos
@@ -221,34 +205,57 @@ def finish_buckets(
 ) -> list[tuple[int, int, int, bool]]:
     """Settle the buckets of one step that moved src -> dst; return the rest.
 
-    Equality buckets whose splitter covers the terminator hold equal strings
-    and single-string buckets are sorted: both are copied into ctx.cur.  The
-    other buckets come back as (lo, hi, depth, data_in_cur) subproblems.
+    Bucket i occupies [lo + bounds[i], lo + bounds[i + 1]) of dst; odd bucket
+    2k+1 holds the words equal to in-order splitter k, which sits at node
+    2^l + j with k = (2j+1)*2^(d-l-1) - 1.  Equality buckets whose splitter
+    covers the terminator hold equal strings (LCP = child depth) and
+    single-string buckets are sorted: both are copied into ctx.cur with one
+    gather.  The other buckets come back as (lo, hi, depth, data_in_cur)
+    subproblems.
     """
-    depths = child_depths(tree, depth)
+    nonempty = np.flatnonzero(np.diff(bounds))
+    starts = lo + bounds[nonempty]
+    ends = lo + bounds[nonempty + 1]
+    depths = child_depths(tree, depth)[nonempty]
+    final = np.zeros(tree.num_buckets, dtype=bool)
+    final[1::2] = tree.eq_final
+    equal = final[nonempty]
+    recurse = ~equal & (ends - starts > 1)
+    if in_cur:
+        pos, _, _ = range_positions(starts[~recurse], ends[~recurse], depths[~recurse])
+        ctx.cur[pos] = ctx.other[pos]
+    if ctx.lcps is not None:
+        pos, lcp, _ = range_positions(starts[equal] + 1, ends[equal], depths[equal])
+        ctx.lcps[pos] = lcp
     out_cur = not in_cur
-    children = []
-    for i in np.flatnonzero(np.diff(bounds)):
-        clo, chi = lo + int(bounds[i]), lo + int(bounds[i + 1])
-        equal = i % 2 == 1 and tree.eq_final[i // 2]
-        if not equal and chi - clo > 1:
-            children.append((clo, chi, int(depths[i]), out_cur))
-            continue
-        if not out_cur:
-            ctx.cur[clo:chi] = ctx.other[clo:chi]
-        if equal and ctx.lcps is not None and chi - clo > 1:
-            ctx.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
-    return children
+    return [
+        (a, b, d, out_cur)
+        for a, b, d in zip(starts[recurse].tolist(), ends[recurse].tolist(), depths[recurse].tolist())
+    ]
 
 
 def _mkqs_leaves(ctx: S5Context, items: list[tuple[int, int, int]]) -> None:
     """Caching mkqs of (lo, hi, depth) ranges of ctx.cur, after one fetch of their words."""
     if not items:
         return
-    pos, depth, _ = range_positions(items)
+    pos, depth, _ = range_positions(*zip(*items))
     ctx.cache[pos] = extract_keys(ctx.sset, ctx.cur[pos], depth)
     ctx.stats.word_fetches += len(pos)
     mkqs_cached_items(ctx.sset, ctx.cur, ctx.cache, items, ctx.lcps, ctx.stats)
+
+
+def step_tree(
+    ctx: S5Context, src: np.ndarray, lo: int, hi: int, depth: int, stats: SortStats
+) -> SplitterTree:
+    """The splitter tree of a step over src[lo:hi] from its seeded sample.
+
+    Charges stats the sample's word fetches and the step's hi - lo.
+    """
+    v = tree_capacity(hi - lo)
+    rng = np.random.default_rng((ctx.seed, lo, hi, depth))
+    sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
+    stats.word_fetches += len(sample) + hi - lo
+    return select_splitters(sample, v)
 
 
 def s5_step(
@@ -258,13 +265,8 @@ def s5_step(
 
     With ctx.lcps set, the LCPs at the bucket boundaries are written too.
     """
-    n = hi - lo
-    v = tree_capacity(n)
-    rng = np.random.default_rng((ctx.seed, lo, hi, depth))
-    sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
-    tree = select_splitters(sample, v)
+    tree = step_tree(ctx, src, lo, hi, depth, ctx.stats)
     keys = extract_keys(ctx.sset, src[lo:hi], depth)
-    ctx.stats.word_fetches += len(sample) + n
     oracle = classify_keys(keys, tree, ctx.variant)
     counts = np.bincount(oracle, minlength=tree.num_buckets)
     bounds = np.zeros(tree.num_buckets + 1, dtype=np.int64)

@@ -258,6 +258,35 @@ class TestParallelS5:
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
 
+    def test_lcp_oracle_with_final_equality_buckets(self, monkeypatch):
+        # repeated short strings end in final equality buckets at the root
+        # (settled from other); the shared 8-character prefix holds over half
+        # the strings, so its bucket takes a second phased step at depth 8,
+        # whose repeated tails end in final equality buckets too
+        rng = np.random.default_rng(21)
+        items = [b"%d" % (i % 40) for i in range(1200)]
+        items += [b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=400)]
+        items += [b"sharedpx" + b"%d" % (i % 300) for i in range(1600)]
+        items += [b"sharedpx" + b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=600)]
+        rng.shuffle(items)
+        s = from_strings(items)
+        settled = []
+        finish = parallel.finish_buckets
+
+        def recording(ctx, tree, bounds, lo, depth, in_cur):
+            final = np.zeros(tree.num_buckets, dtype=bool)
+            final[1::2] = tree.eq_final
+            if (final & (np.diff(bounds) > 1)).any():
+                settled.append((depth, in_cur))
+            return finish(ctx, tree, bounds, lo, depth, in_cur)
+
+        monkeypatch.setattr(parallel, "finish_buckets", recording)
+        res = parallel_s5(s, p=2, want_lcps=True, t_medium=256)
+        assert (0, True) in settled and (WORD_CHARS, False) in settled
+        want = sorted(ref_strings(s))
+        assert ref_strings(res.set) == want
+        assert list(res.lcps) == ref_lcps(want)
+
     def test_p1_handle_identical_to_sequential(self):
         s = random_set(3000, seed=2)
         seq = s5_sort(s, t_medium=512)

@@ -11,17 +11,30 @@ from corpus import (
     shared_prefix_clusters,
 )
 from strsort import ssss
+from strsort.counters import SortStats
 from strsort.ssss import (
+    S5Context,
     SplitterTree,
     child_depths,
     classify_keys,
     draw_sample,
+    finish_buckets,
     s5_sort,
+    s5_step,
     select_splitters,
     tree_capacity,
 )
 from strsort.parallel import prefix_offsets, scatter
-from strsort.strset import WORD_CHARS, extract_keys, from_strings, lcp, verify
+from strsort.strset import (
+    LCP_UNDEF,
+    WORD_CHARS,
+    extract_keys,
+    first_zero_byte,
+    from_strings,
+    lcp,
+    shared_chars,
+    verify,
+)
 
 text_bytes = st.binary(min_size=0, max_size=12).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -44,6 +57,65 @@ def record_steps(monkeypatch) -> list:
 
 def word(b: bytes) -> int:
     return int.from_bytes((b + b"\0" * 8)[:8], "big")
+
+
+def recursive_splitters(sample: np.ndarray, v: int) -> SplitterTree:
+    """Reference select_splitters: one recursive call per splitter and node."""
+    inorder = np.empty(v, dtype=np.uint64)
+    parent = [sample[len(sample) // 2]]
+
+    def fill(slot_lo: int, slot_hi: int, a: int, b: int) -> None:
+        if slot_lo >= slot_hi:
+            return
+        mid_slot = (slot_lo + slot_hi) // 2
+        if a >= b:
+            # subrange exhausted by duplicate skipping; reuse the parent pick
+            inorder[slot_lo:slot_hi] = parent[0]
+            return
+        m = (a + b) // 2
+        x = sample[m]
+        inorder[mid_slot] = x
+        b2 = m
+        while b2 > a and sample[b2 - 1] == x:
+            b2 -= 1
+        a2 = m + 1
+        while a2 < b and sample[a2] == x:
+            a2 += 1
+        keep, parent[0] = parent[0], x
+        fill(slot_lo, mid_slot, a, b2)
+        fill(mid_slot + 1, slot_hi, a2, b)
+        parent[0] = keep
+
+    fill(0, v, 0, len(sample))
+    tree = np.zeros(v + 1, dtype=np.uint64)
+    node_to_inorder = np.zeros(v + 1, dtype=np.int64)
+
+    def build(node: int, lo: int, hi: int) -> None:
+        if lo >= hi:
+            return
+        mid = (lo + hi) // 2
+        tree[node] = inorder[mid]
+        node_to_inorder[node] = mid
+        build(2 * node, lo, mid)
+        build(2 * node + 1, mid + 1, hi)
+
+    build(1, 0, v)
+    slcp = np.zeros(v + 1, dtype=np.int64)
+    slcp[1:v] = shared_chars(inorder[:-1], inorder[1:])
+    term_pos = first_zero_byte(inorder).astype(np.int64)
+    eq_leftmost = np.zeros(v, dtype=np.int64)
+    for i in range(1, v):
+        eq_leftmost[i] = eq_leftmost[i - 1] if inorder[i] == inorder[i - 1] else i
+    return SplitterTree(
+        v, tree, inorder, node_to_inorder, slcp, term_pos < WORD_CHARS, eq_leftmost, term_pos
+    )
+
+
+def assert_same_tree(got: SplitterTree, want: SplitterTree) -> None:
+    assert got.v == want.v
+    for name in ("tree", "inorder", "node_to_inorder", "slcp", "eq_final", "eq_leftmost", "term_pos"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestDrawSample:
@@ -155,6 +227,27 @@ class TestClassify:
         b = classify_keys(keys, tree, "equal")
         assert np.array_equal(a, b)
 
+    @given(
+        st.integers(1, 8),
+        st.lists(st.binary(min_size=0, max_size=10).map(lambda b: b.replace(b"\0", b"a")),
+                 min_size=1, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, d, pool, data):
+        # few distinct words, some ending inside the word: heavy duplicates
+        v = (1 << d) - 1
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * v + 1))
+        sample = np.array(sorted(word(b) for b in picks), dtype=np.uint64)
+        assert_same_tree(select_splitters(sample, v), recursive_splitters(sample, v))
+
+    @pytest.mark.parametrize("distinct", [40, 20_000])
+    def test_matches_recursive_reference_full_tree(self, distinct):
+        v = ssss.DEFAULT_V
+        s = random_set(distinct, seed=3, max_len=12, lo=97, hi=100)
+        sample = draw_sample(s, s.handles, 0, v, np.random.default_rng(5))
+        assert_same_tree(select_splitters(sample, v), recursive_splitters(sample, v))
+
     def test_classification_brackets_order(self):
         s = random_set(500, seed=12)
         v = 7
@@ -173,6 +266,66 @@ class TestClassify:
                     assert k > int(tree.inorder[j - 1])
                 if j < v:
                     assert k < int(tree.inorder[j])
+
+
+def finish_per_bucket(ctx, tree, bounds, lo, depth, in_cur):
+    """Reference finish_buckets: one pass per nonempty bucket."""
+    depths = child_depths(tree, depth)
+    children = []
+    for i in np.flatnonzero(np.diff(bounds)):
+        clo, chi = lo + int(bounds[i]), lo + int(bounds[i + 1])
+        equal = i % 2 == 1 and tree.eq_final[i // 2]
+        if not equal and chi - clo > 1:
+            children.append((clo, chi, int(depths[i]), not in_cur))
+            continue
+        if in_cur:
+            ctx.cur[clo:chi] = ctx.other[clo:chi]
+        if equal and ctx.lcps is not None and chi - clo > 1:
+            ctx.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
+    return children
+
+
+class TestFinishBuckets:
+    @pytest.mark.parametrize("in_cur", [True, False])
+    @pytest.mark.parametrize("want_lcps", [True, False])
+    def test_matches_per_bucket_loop(self, in_cur, want_lcps):
+        # repeated short strings fill final equality buckets, distinct ones
+        # singletons, and a shared 8-character prefix recursing children
+        rng = np.random.default_rng(4)
+        items = [b"%d" % (i % 30) for i in range(1500)]
+        items += [b"%x" % x for x in rng.integers(1 << 40, 1 << 48, size=1500)]
+        items += [b"prefix.." + b"%d" % (i % 700) for i in range(1000)]
+        rng.shuffle(items)
+        s = from_strings(items)
+        n, lo, hi = len(s), 7, len(s) - 5
+        src = np.where(np.arange(n) % 2 == 0, s.handles, -1)  # untouched outside [lo, hi)
+        src[lo:hi] = s.handles[lo:hi]
+
+        def context():
+            cur, other = src.copy(), np.full(n, -2, dtype=np.int64)
+            if not in_cur:
+                cur, other = other, cur
+            lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
+            return S5Context(s, cur, other, np.zeros(n, np.uint64), lcps, SortStats(), 1, "unroll")
+
+        got, want = context(), context()
+        results = []
+        for ctx, finish in ((got, finish_buckets), (want, finish_per_bucket)):
+            step_src, dst = (ctx.cur, ctx.other) if in_cur else (ctx.other, ctx.cur)
+            bounds, tree = s5_step(ctx, step_src, dst, lo, hi, 0)
+            results.append(finish(ctx, tree, bounds, lo, 0, in_cur))
+        assert results[0] == results[1]
+        assert all(type(x) is int for child in results[0] for x in child[:3])
+        assert np.array_equal(got.cur, want.cur)
+        assert np.array_equal(got.other, want.other)
+        if want_lcps:
+            assert np.array_equal(got.lcps, want.lcps)
+        sizes = np.diff(bounds)
+        final = np.zeros(tree.num_buckets, dtype=bool)
+        final[1::2] = tree.eq_final
+        assert (final & (sizes > 1)).any()  # settled runs of equal strings
+        assert (~final & (sizes == 1)).any()  # settled singletons
+        assert results[0]  # and children left to sort
 
 
 def distribute(handles, oracle, num_buckets):
