@@ -6,12 +6,12 @@ string into 2v+1 buckets (even buckets hold ranges between splitters, odd
 bucket 2i+1 holds exact word matches with in-order splitter i), and
 redistributes handles out of place.  The tree is implicit: node 2^l + j
 (level l, 0 <= j < 2^l) holds in-order splitter (2j+1)*2^(d-l-1) - 1, so
-both the tree and its buckets are built and settled in numpy passes.  Equality buckets recurse with the
-depth advanced by a full word; range buckets advance by the LCP of their
-bounding splitters.  Classification is branch-free: all descents proceed in
-lockstep over the whole batch, one tree level per pass.  Subproblems below
-the medium threshold are sorted by caching multikey quicksort, whose small
-ranges end in basecase.word_leaves.
+the tree is built and its buckets are settled in numpy passes.  Equality
+buckets recurse with the depth advanced by a full word; range buckets
+advance by the LCP of their bounding splitters.  Classification is
+branch-free: all descents proceed in lockstep over the whole batch, one
+tree level per pass.  Subproblems below the medium threshold are sorted by
+caching multikey quicksort, whose small ranges end in basecase.word_leaves.
 """
 
 from __future__ import annotations
