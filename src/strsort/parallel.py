@@ -46,7 +46,7 @@ from .basecase import LEAF_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
 from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
-from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items, radix_children
+from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items, radix_children, skip_shared
 from .ssss import (
     DEFAULT_V,
     S5Context,
@@ -510,14 +510,11 @@ def _radix_buckets(sh: _Phased, src, lo: int, hi: int, arg):
 
 
 def _radix_batch(sh: _Phased, entries, env: _Env) -> None:
-    items = []
-    for lo, hi, depth, in_cur in entries:
+    for lo, hi, _, in_cur in entries:
         if not in_cur:
             sh.cur[lo:hi] = sh.other[lo:hi]
-        if hi - lo > 1:
-            items.append((lo, hi, depth))
     share = make_share_hook(env, lambda d: ("batch", [(a, b, c, True) for a, b, c in d]))
-    radix8_items(sh.sset, sh.cur, items, share)
+    radix8_items(sh.sset, sh.cur, [entry[:3] for entry in entries], share)
 
 
 def parallel_radix(
@@ -530,7 +527,9 @@ def parallel_radix(
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
     ones flow into the queue as batch jobs of the in-place radix8_items
     with voluntary sharing.  radix_children decides which buckets recurse.
-    Every step is stable, so the handles equal radix16_adaptive's.
+    Every step is stable, so the handles equal radix16_adaptive's.  A step
+    into one bucket leaves the range's order in cur, and skip_shared moves it
+    past its shared prefix, or finishes it if its strings are equal.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:
@@ -541,6 +540,9 @@ def parallel_radix(
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
         bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
         children, finished = radix_children(bounds, lo, depth, width)
+        if children == [(lo, hi, depth + width // 8)]:  # one bucket: cur and other agree
+            d = skip_shared(sset, sh.cur[lo:hi], children[0][2])
+            children = [] if d is None else [(lo, hi, d)]
         if in_cur:
             for clo, chi in finished:
                 sh.cur[clo:chi] = sh.other[clo:chi]

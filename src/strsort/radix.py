@@ -2,12 +2,14 @@
 
 Every step stably sorts its range by one numpy argsort of the digits and
 takes the bucket bounds from one bincount, so equal strings keep their
-input order.  The 8-bit variant sorts each range in place on the handle
-array.  The adaptive variant distributes out of place through a swap
-array, using 16-bit digits for large subproblems, and hands every smaller
-one to one in-place 8-bit sort.  radix_children decides which buckets
-recurse.  Ranges below basecase.LEAF_THRESHOLD are collected and sorted
-together with basecase.word_leaves.
+input order.  A step whose digits are all equal either ends equal strings
+or first lets skip_shared move its depth a word at a time past the prefix
+the range shares.  The 8-bit variant sorts each range in place on the
+handle array.  The adaptive variant distributes out of place through a
+swap array, using 16-bit digits for large subproblems, and hands every
+smaller one to one in-place 8-bit sort.  radix_children decides which
+buckets recurse.  Ranges below basecase.LEAF_THRESHOLD are collected and
+sorted together with basecase.word_leaves.
 """
 
 from __future__ import annotations
@@ -16,13 +18,27 @@ import numpy as np
 
 from .basecase import LeafCollector, word_leaves
 from .counters import SortStats
-from .strset import StringSet
+from .strset import WORD_CHARS, StringSet, first_diff_byte, first_zero_byte
 
 RADIX16_THRESHOLD = 65536
 
 
 def _digits8(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> np.ndarray:
     return sset.char_array()[work[lo:hi] + depth]
+
+
+def skip_shared(sset: StringSet, seg: np.ndarray, depth: int) -> int | None:
+    """The first depth from `depth` on where the strings at seg differ, terminator
+    included, or None if they are equal.  Words run on only past a terminator."""
+    while True:
+        words = sset.words_at(seg + depth)
+        low = words.min()
+        k = int(first_diff_byte(low, words.max()))  # characters every word shares
+        if first_zero_byte(low) < k:
+            return None  # every string ends inside the shared part
+        if k < WORD_CHARS:
+            return depth + k
+        depth += WORD_CHARS
 
 
 def _distribute(seg: np.ndarray, digs: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -78,7 +94,12 @@ def radix8_items(
         lo, hi, d = stack.pop()
         if leaves.take(lo, hi, d):
             continue
-        bounds = _distribute(work[lo:hi], _digits8(sset, work, lo, hi, d), 8, work[lo:hi])
+        digs = _digits8(sset, work, lo, hi, d)
+        if (digs == digs[0]).all():  # one bucket: equal strings, or a shared prefix to skip
+            if not digs[0] or (d := skip_shared(sset, work[lo:hi], d + 1)) is None:
+                continue
+            digs = _digits8(sset, work, lo, hi, d)
+        bounds = _distribute(work[lo:hi], digs, 8, work[lo:hi])
         stack.extend(reversed(radix_children(bounds, lo, d, 8)[0]))
     leaves.flush()
 
@@ -132,7 +153,14 @@ def radix16_adaptive(
             small.append((lo, hi, d))
             continue
         src, dst = (primary, swap) if src_primary else (swap, primary)
-        bounds = _distribute(src[lo:hi], _digits16(sset, src[lo:hi], d), 16, dst[lo:hi])
+        digs = _digits16(sset, src[lo:hi], d)
+        if (digs == digs[0]).all():  # one bucket: equal strings, or a shared prefix to skip
+            if not digs[0] & 0xFF or (d := skip_shared(sset, src[lo:hi], d + 2)) is None:
+                if not src_primary:
+                    primary[lo:hi] = swap[lo:hi]
+                continue
+            digs = _digits16(sset, src[lo:hi], d)
+        bounds = _distribute(src[lo:hi], digs, 16, dst[lo:hi])
         children, finished = radix_children(bounds, lo, d, 16)
         if src_primary:
             for clo, chi in finished:

@@ -18,6 +18,7 @@ from corpus import (
     suffix_set,
 )
 from strsort import mkqs, parallel
+from strsort import radix as radix_mod
 from strsort.counters import SortStats
 from strsort.basecase import LEAF_FLUSH, fill_dchar
 from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, MergeJob
@@ -333,6 +334,46 @@ class TestParallelRadix:
         assert ref_strings(out) == sorted(ref_strings(s))
         # both sorts are stable, so they return the same permutation
         assert np.array_equal(out.handles, radix16_adaptive(s).handles)
+
+    @staticmethod
+    def _coordinator_skips(monkeypatch):
+        """Record what the coordinator's skip_shared calls return."""
+        found = []
+        skip = parallel.skip_shared
+        monkeypatch.setattr(
+            parallel, "skip_shared", lambda *args: found.append(skip(*args)) or found[-1]
+        )
+        return found
+
+    def test_equal_range_in_other_is_finished(self, monkeypatch):
+        # 3000 copies of one long string among 2000 others that share only
+        # its first character: the root skips to depth 1, the depth-1 step
+        # puts the copies in cur, and their step leaves equal strings in
+        # other, in the order cur still holds
+        rng = np.random.default_rng(21)
+        others = [b"x" + bytes(rng.integers(97, 120, size=6, dtype=np.uint8)) for _ in range(2000)]
+        items = [b"x" * 40] * 3000 + others
+        s = from_strings([items[i] for i in rng.permutation(len(items))])
+        found = self._coordinator_skips(monkeypatch)
+        out = parallel_radix(s, p=2)
+        assert None in found
+        assert np.array_equal(out.handles, radix16_adaptive(s).handles)
+        assert ref_strings(out) == sorted(items)
+
+    @pytest.mark.parametrize("threshold", [None, 1024], ids=["8bit", "16bit"])
+    def test_coordinator_skips_a_shared_prefix(self, monkeypatch, threshold):
+        # every string starts with the same 23 characters
+        rng = np.random.default_rng(22)
+        items = [b"http://www.example.com/%d" % int(x) for x in rng.integers(0, 9000, size=6000)]
+        s = from_strings(items)
+        if threshold is not None:  # 16-bit phased steps, as on large inputs
+            monkeypatch.setattr(parallel, "RADIX16_THRESHOLD", threshold)
+            monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", threshold)
+        found = self._coordinator_skips(monkeypatch)
+        out = parallel_radix(s, p=2)
+        assert found and found[0] >= 23
+        assert np.array_equal(out.handles, radix16_adaptive(s).handles)
+        assert ref_strings(out) == sorted(items)
 
 
 class TestParallelMkqs:

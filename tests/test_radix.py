@@ -83,6 +83,18 @@ class TestRadix16:
         s = from_strings(items)
         assert ref_strings(radix16_adaptive(s)) == ref_strings(mkqs(s))
 
+    def test_equal_range_in_swap_is_copied_back(self, monkeypatch):
+        # the root step moves 3000 copies of one string into swap; their
+        # digits are all equal, so they are finished and copied to primary
+        rng = np.random.default_rng(9)
+        others = [bytes(rng.integers(97, 120, size=5, dtype=np.uint8)) for _ in range(2000)]
+        items = [b"y" * 30] * 3000 + others
+        s = from_strings([items[i] for i in rng.permutation(len(items))])
+        monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 1024)
+        out = radix16_adaptive(s)
+        assert verify(s, out).ok
+        assert ref_strings(out) == sorted(items)
+
 
 @given(st.lists(text_bytes, min_size=1, max_size=8), st.integers(0, 12))
 @settings(max_examples=100)
@@ -129,3 +141,111 @@ def test_terminator_bucket_never_touched_again():
             last_touch[h] = max(last_touch.get(h, 0), depth)
     for h in short:
         assert last_touch[h] <= 1
+
+
+def ref_skip(strings, depth):
+    """First depth >= `depth` where the strings' characters (terminator
+    included) are not all the same, or None when the strings end together."""
+    i = depth
+    while True:
+        chars = {s[i] if i < len(s) else 0 for s in strings}
+        if len(chars) > 1:
+            return i
+        if chars == {0}:
+            return None
+        i += 1
+
+
+@given(
+    st.sampled_from([0, 1, 7, 8, 9, 16, 17]),
+    st.lists(text_bytes, min_size=1, max_size=5),
+    st.lists(st.integers(0, 17), max_size=3),
+    st.lists(text_bytes, max_size=4),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_skip_shared_matches_characters(
+    shared, tails, cuts, others, group_last, data
+):
+    # a group sharing `shared` characters, some ending inside that prefix,
+    # among strings outside the group; with group_last the group sits at
+    # the buffer's end, so its last words come from the words_at tail
+    prefix = (b"abcdefghijklmnopq" * 2)[:shared]
+    group = [prefix + t for t in tails] + [prefix[:c] for c in cuts]
+    items = others + group if group_last else group + others
+    s = from_strings(items)
+    first = len(others) if group_last else 0
+    seg = s.handles[first : first + len(group)]
+    depth = data.draw(st.integers(0, min(len(x) for x in group)))
+    assert radix_mod.skip_shared(s, seg, depth) == ref_skip(group, depth)
+
+
+def test_skip_shared_reads_the_buffer_tail():
+    # the two strings fill the buffer's last 7 bytes; equal ones end together
+    s = from_strings([b"x" * 20, b"ab", b"ac"])
+    assert radix_mod.skip_shared(s, s.handles[1:], 0) == 1
+    s = from_strings([b"x" * 20, b"ab", b"ab"])
+    assert radix_mod.skip_shared(s, s.handles[1:], 0) is None
+    s = from_strings([b"", b""])
+    assert radix_mod.skip_shared(s, s.handles, 0) is None
+
+
+def url_like(n, seed=5):
+    """URLs sharing 23 characters, then a section and a page id; some repeat."""
+    rng = np.random.default_rng(seed)
+    sections = [b"news/", b"sport/", b"blog/archive/"]
+    return [
+        b"http://www.example.com/" + sections[int(w)] + b"%d" % int(p)
+        for w, p in zip(rng.integers(0, 3, size=n), rng.integers(0, 4000, size=n))
+    ]
+
+
+def test_no_step_distributes_into_one_bucket(monkeypatch):
+    items = url_like(8000)
+    s = from_strings(items)
+    expect = s.handles[sorted(range(len(items)), key=items.__getitem__)]
+    widths = []
+    orig = radix_mod._distribute
+
+    def spy(seg, digs, width, out):
+        bounds = orig(seg, digs, width, out)
+        widths.append((width, int(np.count_nonzero(np.diff(bounds)))))
+        return bounds
+
+    monkeypatch.setattr(radix_mod, "_distribute", spy)
+    assert np.array_equal(radix8_inplace(s).handles, expect)
+    monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)  # 16-bit steps run
+    assert np.array_equal(radix16_adaptive(s).handles, expect)
+    assert {w for w, _ in widths} == {8, 16}
+    assert all(buckets > 1 for _, buckets in widths)
+
+
+def test_strings_ending_in_a_skipped_prefix_are_not_read_again(monkeypatch):
+    # the short strings end at depth 10, inside the prefix the first step
+    # skips; the depth-10 step routes them into the terminator bucket
+    items = [b"abcdefghij"] * 600 + [b"abcdefghij" + bytes([c]) for c in range(65, 91)] * 24
+    s = from_strings(items)
+    touched = []
+    digits8, skip = radix_mod._digits8, radix_mod.skip_shared
+
+    def spy_digits(sset, work, lo, hi, depth):
+        touched.append((depth, work[lo:hi].tolist()))
+        return digits8(sset, work, lo, hi, depth)
+
+    def spy_skip(sset, seg, depth):
+        found = skip(sset, seg, depth)
+        touched.append((depth if found is None else found, seg.tolist()))
+        return found
+
+    monkeypatch.setattr(radix_mod, "_digits8", spy_digits)
+    monkeypatch.setattr(radix_mod, "skip_shared", spy_skip)
+    out = radix8_inplace(s)
+    assert verify(s, out).ok
+    assert ref_strings(out) == sorted(items)
+    short = {int(h) for h, it in zip(s.handles, items) if it == b"abcdefghij"}
+    last_touch = {}
+    for depth, handles in touched:
+        for h in handles:
+            last_touch[h] = max(last_touch.get(h, 0), depth)
+    assert all(last_touch[h] == 10 for h in short)
