@@ -527,9 +527,9 @@ def parallel_radix(
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
     ones flow into the queue as batch jobs of the in-place radix8_items
     with voluntary sharing.  radix_children decides which buckets recurse.
-    Every step is stable, so the handles equal radix16_adaptive's.  A step
-    into one bucket leaves the range's order in cur, and skip_shared moves it
-    past its shared prefix, or finishes it if its strings are equal.
+    Every step is stable, so the handles equal radix16_adaptive's.  After a
+    step into one bucket, cur and other hold the range in the same order, and
+    skip_shared moves it past its shared prefix or finishes equal strings.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:

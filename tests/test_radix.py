@@ -165,9 +165,7 @@ def ref_skip(strings, depth):
     st.data(),
 )
 @settings(max_examples=300)
-def test_skip_shared_matches_characters(
-    shared, tails, cuts, others, group_last, data
-):
+def test_skip_shared_matches_characters(shared, tails, cuts, others, group_last, data):
     # a group sharing `shared` characters, some ending inside that prefix,
     # among strings outside the group; with group_last the group sits at
     # the buffer's end, so its last words come from the words_at tail
