@@ -13,7 +13,10 @@ Conventions used throughout the package:
 * a *word key* packs the next ``WORD_CHARS`` characters of a string at some
   depth into one unsigned integer, first character in the most significant
   byte, zero-padded past the terminator, so that integer comparison of two
-  keys equals lexicographic comparison of the corresponding substrings;
+  keys equals lexicographic comparison of the corresponding substrings.
+  ``extract_keys`` needs no string end, as a key is read only at a depth
+  the string reaches: a range's strings share its depth's characters, and
+  sorters read a range one word deeper only after a word with no terminator;
 * an LCP array stores, for a sorted set, the longest-common-prefix length of
   each string with its predecessor; index 0 holds the sentinel ``LCP_UNDEF``.
 
@@ -186,19 +189,16 @@ def from_strings(strings: Iterable[bytes]) -> StringSet:
 def extract_keys(sset: StringSet, handles: np.ndarray, depth) -> np.ndarray:
     """Word keys (uint64) for the given handles at character depth `depth`.
 
-    Reads up to WORD_CHARS characters starting at position depth of each
-    string and zero-pads past its terminator, so the keys order exactly like
-    the underlying terminator-padded substrings.  `depth` is one int or one
-    depth per handle.  Each start is clamped to its string's terminator
-    (see ends), so a depth past the end yields 0.  One gather from the word
-    view then reads the word, the buffer's last word shifted left for a
-    start in its final 7 bytes, and a mask keeps the characters before the
-    terminator.
+    Reads WORD_CHARS characters from position depth of each string, zeroed
+    from its terminator on, so the keys order exactly like the terminator-
+    padded substrings.  `depth` is one int or one depth per handle.  Each
+    string must have at least `depth` characters, so that the word's first
+    zero byte is its own terminator.  Sorters meet this: a range's strings
+    share `depth` characters, and a range is refetched one word deeper only
+    after a word without a terminator.
     """
-    h = np.asarray(handles, dtype=np.int64)
-    end = sset.ends(h)
-    start = np.minimum(h + depth, end)
-    return sset.words_at(start) & _KEEP[np.minimum(end - start, WORD_CHARS)]
+    words = sset.words_at(np.asarray(handles, dtype=np.int64) + depth)
+    return words & _KEEP[first_zero_byte(words)]
 
 
 _BYTE_BOUNDS = np.uint64(1) << (np.arange(WORD_CHARS, dtype=np.uint64) * np.uint64(8))

@@ -16,7 +16,7 @@ from strsort.bench import (
 )
 from strsort.cli import main
 from strsort.counters import SortStats
-from strsort.strset import dist_stats, from_strings, verify
+from strsort.strset import dist_stats, extract_keys, from_strings, verify
 
 ADVERSARIAL = {
     "bytes_1_255": lambda: from_strings(
@@ -78,6 +78,28 @@ def test_only_the_references_run_the_lcp_insertion_sort(name, corpus, threads, m
                 if value is core:
                     monkeypatch.setattr(mod, attr, refuse)
     s = ADVERSARIAL[corpus]()
+    out = ALGORITHMS[name](s, threads, 2, SortStats())
+    assert ref_strings(out) == sorted(ref_strings(s))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("corpus", sorted({**ADVERSARIAL, **DUPLICATES}))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_no_sorter_fetches_a_word_past_a_terminator(name, corpus, threads, monkeypatch):
+    # extract_keys finds no string end: each string must reach the depth it
+    # is read at, or its key would run into the next string
+    def checked(sset, handles, depth):
+        h = np.asarray(handles, dtype=np.int64)
+        if np.any(h + depth > sset.ends(h)):
+            raise AssertionError("extract_keys read a word past a terminator")
+        return extract_keys(sset, handles, depth)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "strsort":
+            for attr, value in list(vars(mod).items()):
+                if value is extract_keys:
+                    monkeypatch.setattr(mod, attr, checked)
+    s = {**ADVERSARIAL, **DUPLICATES}[corpus]()
     out = ALGORITHMS[name](s, threads, 2, SortStats())
     assert ref_strings(out) == sorted(ref_strings(s))
 

@@ -109,24 +109,30 @@ class TestWordView:
     @pytest.mark.parametrize("items", EDGE_SETS)
     def test_edge_sets_match_bytes_oracle(self, items):
         s = from_strings(items)
+        lens = np.array([len(x) for x in items], dtype=np.int64)
         assert s.ends().tolist() == [_oracle_end(s.buffer, h) for h in s.handles.tolist()]
         for depth in range(max(map(len, items), default=0) + 10):
-            expect = [_oracle_key(s.buffer, h, depth) for h in s.handles.tolist()]
-            assert extract_keys(s, s.handles, depth).tolist() == expect
+            depths = np.minimum(depth, lens)
+            expect = [_oracle_key(s.buffer, h, d) for h, d in zip(s.handles.tolist(), depths.tolist())]
+            assert extract_keys(s, s.handles, depths).tolist() == expect
+        assert extract_keys(s, s.handles, lens).tolist() == [0] * len(items)
 
     @given(st.lists(high_bytes, max_size=6), st.integers(0, 29))
     @settings(max_examples=150)
     def test_keys_match_bytes_oracle(self, items, depth):
         s = from_strings(items)
-        keys = extract_keys(s, s.handles[::-1], depth)
+        depths = np.array([min(depth, len(x)) for x in items[::-1]], dtype=np.int64)
+        keys = extract_keys(s, s.handles[::-1], depths)
         assert keys.dtype == np.uint64
-        assert keys.tolist() == [_oracle_key(s.buffer, h, depth) for h in s.handles[::-1].tolist()]
+        assert keys.tolist() == [
+            _oracle_key(s.buffer, h, d) for h, d in zip(s.handles[::-1].tolist(), depths.tolist())
+        ]
 
     @given(st.lists(with_depth, max_size=6))
     @settings(max_examples=150)
     def test_per_handle_depths_match_bytes_oracle(self, pairs):
         s = from_strings([x for x, _ in pairs])
-        depths = np.array([d for _, d in pairs], dtype=np.int64)
+        depths = np.array([min(d, len(x)) for x, d in pairs], dtype=np.int64)
         expect = [_oracle_key(s.buffer, h, d) for h, d in zip(s.handles.tolist(), depths.tolist())]
         assert extract_keys(s, s.handles, depths).tolist() == expect
 
@@ -280,8 +286,9 @@ class TestWordHelpers:
     @settings(max_examples=200)
     def test_match_the_strings(self, pair, depth):
         s = from_strings(pair)
-        a, b = extract_keys(s, s.handles, depth)
-        x, y = (p[depth : depth + 8] for p in pair)
+        depths = [min(depth, len(p)) for p in pair]
+        a, b = extract_keys(s, s.handles, np.array(depths, dtype=np.int64))
+        x, y = (p[d : d + 8] for p, d in zip(pair, depths))
         k = 0
         while k < min(len(x), len(y)) and x[k] == y[k]:
             k += 1
