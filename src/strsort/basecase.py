@@ -8,9 +8,11 @@ character position it examines; its total stays within L + n(n-1)/2 where
 L is the LCP sum of the sorted output.
 
 Every other sorter ends its small subproblems in word_leaves: a driver's
-LeafCollector gathers its ranges below LEAF_THRESHOLD strings, and
-word_leaves sorts all of them together, one 8-character word per string
-and level, in numpy passes.
+LeafCollector gathers its ranges below LEAF_THRESHOLD strings, one at a
+time or a step's worth at once, and word_leaves sorts all of them
+together, one 8-character word per string and level, in numpy passes.
+Each level orders its strings by (range, word) with stable_word_order,
+two unstable numpy sorts in place of a two-key stable lexsort.
 """
 
 from __future__ import annotations
@@ -133,21 +135,55 @@ def range_positions(lo, hi, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
 
 
+def stable_word_order(words: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """np.lexsort((words, group)): the stable order of the entries by (group, word).
+
+    group holds nonnegative integers.  One unstable argsort orders and
+    densely ranks the words; in that order each entry's group, word rank
+    and index are packed into one uint64 key, which the index makes
+    unique, so one unstable sort of the keys puts the indexes, their low
+    bits, in lexsort's order exactly.  Keys that would need more than 64
+    bits, which takes about 2^21 entries, fall back to lexsort.
+    """
+    n = len(words)
+    if n < 2:
+        return np.arange(n)
+    by_word = np.argsort(words)
+    sorted_words = words[by_word]
+    rank = np.zeros(n, dtype=np.uint64)
+    np.cumsum(sorted_words[1:] != sorted_words[:-1], out=rank[1:])
+    index_bits = (n - 1).bit_length()
+    group_shift = int(rank[-1]).bit_length() + index_bits
+    if group_shift + int(group.max()).bit_length() > 64:
+        return np.lexsort((words, group))
+    # in place where numpy allows: fresh temporaries cost about as much as the passes
+    key = group.astype(np.int64, copy=False)[by_word].view(np.uint64)
+    key <<= np.uint64(group_shift)  # numpy shifts 64 bits to 0
+    rank <<= np.uint64(index_bits)
+    key |= rank
+    key |= by_word.view(np.uint64)
+    key.sort()
+    key &= np.uint64((1 << index_bits) - 1)
+    return key.view(np.int64)
+
+
 def word_leaves(
     sset: StringSet,
     work: np.ndarray,
     cache: np.ndarray | None,
-    items: list[tuple[int, int, int]],
+    items,
     lcps: np.ndarray | None,
     stats: SortStats,
 ) -> None:
-    """Sort every (lo, hi, depth) range of work in place, all ranges at once.
+    """Sort every range of work in place, all ranges at once.
 
-    The strings of a range share `depth` characters and cache[i] holds the
-    word at that depth of the string work[i]; without a cache, the first
-    level fetches those words, one word fetch per string.  Each level
-    stably sorts every live string by (range, word) in one lexsort, so
-    equal strings keep their order.  An adjacent pair of one range is settled at the first
+    items holds one (lo, hi, depth) row per range: triples or a (k, 3)
+    array.  The strings of a range share `depth` characters and cache[i]
+    holds the word at that depth of the string work[i]; without a cache,
+    the first level fetches those words, one word fetch per string.  Each
+    level stably sorts every live string by (range, word) with one
+    stable_word_order, so equal strings keep their order.  An adjacent
+    pair of one range is settled at the first
     byte where its words differ or, for equal words, at their terminator;
     its LCP goes into lcps (the entry at lo is left to the caller) and
     LCP - depth + 1 into char_cmps.  Runs of equal words without a
@@ -155,10 +191,11 @@ def word_leaves(
     fetch that word: one word fetch per string and tied level.  cache is
     not reordered: no caller reads the words of a finished leaf.
     """
-    items = [item for item in items if item[1] - item[0] > 1]
-    if not items:
+    lo, hi, depth = np.asarray(items, dtype=np.int64).reshape(-1, 3).T
+    keep = hi - lo > 1
+    if not keep.any():
         return
-    slot, base, group = range_positions(*zip(*items))
+    slot, base, group = range_positions(lo[keep], hi[keep], depth[keep])
     handles = work[slot]
     if cache is None:
         words = extract_keys(sset, handles, base)
@@ -168,7 +205,7 @@ def word_leaves(
     level = 0
     while len(slot):
         # groups are contiguous and their slots ascend, so sorted entry i lands in slot[i]
-        order = np.lexsort((words, group))
+        order = stable_word_order(words, group)
         handles = handles[order]
         words = words[order]
         work[slot] = handles
@@ -196,11 +233,12 @@ def word_leaves(
 class LeafCollector:
     """Collects a driver's leaves and sorts them with word_leaves.
 
-    take() keeps every range below LEAF_THRESHOLD strings; the kept ranges
-    are sorted together once LEAF_FLUSH strings are pending and by the
-    final flush(), so the leaves' temporaries stay within LEAF_FLUSH +
-    LEAF_THRESHOLD strings.  `sort` is word_leaves as the driver's module
-    binds it, so a wrapper around that name sees the driver's leaves.
+    take() keeps one range below LEAF_THRESHOLD strings and take_many() a
+    step's leaf ranges at once; the kept ranges are sorted together once
+    LEAF_FLUSH strings are pending and by the final flush(), so the
+    leaves' temporaries stay within LEAF_FLUSH + LEAF_THRESHOLD strings.
+    `sort` is word_leaves as the driver's module binds it, so a wrapper
+    around that name sees the driver's leaves.
     """
 
     sset: StringSet
@@ -209,7 +247,8 @@ class LeafCollector:
     lcps: np.ndarray | None
     stats: SortStats
     sort: object
-    items: list = field(default_factory=list)
+    items: list = field(default_factory=list)  # (lo, hi, depth) from take()
+    chunks: list = field(default_factory=list)  # (k, 3) arrays of them from take_many()
     pending: int = 0
 
     def take(self, lo: int, hi: int, depth: int) -> bool:
@@ -223,10 +262,27 @@ class LeafCollector:
                 self.flush()
         return True
 
+    def take_many(self, lo: np.ndarray, hi: np.ndarray, depth) -> None:
+        """Keep the ranges (lo[i], hi[i], depth[i]), each of 2 to
+        LEAF_THRESHOLD - 1 strings, flushing where take() would.  depth is
+        one int or one depth per range."""
+        rows = np.column_stack(np.broadcast_arrays(lo, hi, depth)).astype(np.int64, copy=False)
+        filled = self.pending + np.cumsum(hi - lo)  # pending strings after each range
+        while len(rows):
+            k = int(np.searchsorted(filled, LEAF_FLUSH))  # the range that fills a flush
+            if k == len(rows):
+                self.chunks.append(rows)
+                self.pending = int(filled[-1])
+                return
+            self.chunks.append(rows[: k + 1])
+            self.flush()
+            rows, filled = rows[k + 1 :], filled[k + 1 :] - filled[k]
+
     def flush(self) -> None:
         """Sort the pending leaves."""
-        self.sort(self.sset, self.work, self.cache, self.items, self.lcps, self.stats)
-        self.items, self.pending = [], 0
+        rows = np.concatenate([np.array(self.items, dtype=np.int64).reshape(-1, 3), *self.chunks])
+        self.sort(self.sset, self.work, self.cache, rows, self.lcps, self.stats)
+        self.items, self.chunks, self.pending = [], [], 0
 
 
 def lcp_insertion_sort(

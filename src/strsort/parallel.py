@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -46,7 +47,7 @@ from .basecase import LEAF_THRESHOLD, SortedWithLcp, fill_dchar
 from .counters import SortStats
 from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
-from .radix import RADIX16_THRESHOLD, _digits8, _digits16, radix8_items, radix_children, skip_shared
+from .radix import RADIX16_THRESHOLD, _digits8, _digits16, bucket_spans, radix8_items, skip_shared
 from .ssss import (
     DEFAULT_V,
     S5Context,
@@ -526,7 +527,7 @@ def parallel_radix(
 
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
     ones flow into the queue as batch jobs of the in-place radix8_items
-    with voluntary sharing.  radix_children decides which buckets recurse.
+    with voluntary sharing.  bucket_spans decides which buckets recurse.
     Every step is stable, so the handles equal radix16_adaptive's.  After a
     step into one bucket, cur and other hold the range in the same order, and
     skip_shared moves it past its shared prefix or finishes equal strings.
@@ -539,14 +540,16 @@ def parallel_radix(
     def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
         bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
-        children, finished = radix_children(bounds, lo, depth, width)
-        if children == [(lo, hi, depth + width // 8)]:  # one bucket: cur and other agree
-            d = skip_shared(sset, sh.cur[lo:hi], children[0][2])
-            children = [] if d is None else [(lo, hi, d)]
-        if in_cur:
-            for clo, chi in finished:
-                sh.cur[clo:chi] = sh.other[clo:chi]
-        return [(clo, chi, d, not in_cur) for clo, chi, d in children]
+        starts, ends, recurse = bucket_spans(bounds, lo)
+        d = depth + width // 8
+        if len(starts) == 1 and recurse[0]:  # one bucket: cur and other agree
+            d = skip_shared(sset, sh.cur[lo:hi], d)
+            return [] if d is None else [(lo, hi, d, not in_cur)]
+        if in_cur:  # the finished buckets are settled in cur
+            np.copyto(sh.cur[lo:hi], sh.other[lo:hi], where=np.repeat(~recurse, ends - starts))
+        return list(zip(
+            starts[recurse].tolist(), ends[recurse].tolist(), itertools.repeat(d), itertools.repeat(not in_cur)
+        ))
 
     with WorkPool(p, _phased_executor, sh) as pool:
         phased_sort(pool, [(0, len(sset), 0, True)], step)

@@ -271,7 +271,8 @@ def s5_step(
     counts = np.bincount(oracle, minlength=tree.num_buckets)
     bounds = np.zeros(tree.num_buckets + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    order = np.argsort(oracle, kind="stable")
+    # at most 2 * DEFAULT_V + 1 buckets: numpy's stable sort of 16-bit keys is a radix sort
+    order = np.argsort(oracle.astype(np.uint16), kind="stable")
     dst[lo:hi] = src[lo:hi][order]
     if ctx.lcps is not None:
         mins, maxs = bucket_word_range(oracle, keys, tree.num_buckets)

@@ -198,18 +198,40 @@ def extract_keys(sset: StringSet, handles: np.ndarray, depth) -> np.ndarray:
     after a word without a terminator.
     """
     words = sset.words_at(np.asarray(handles, dtype=np.int64) + depth)
-    return words & _KEEP[first_zero_byte(words)]
+    words &= _KEEP[first_zero_byte(words)]
+    return words
 
 
-_BYTE_BOUNDS = np.uint64(1) << (np.arange(WORD_CHARS, dtype=np.uint64) * np.uint64(8))
 _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_ALL = np.uint64((1 << 64) - 1)
 _KEEP = np.array(  # _KEEP[k] keeps the first k bytes of a word
     [(1 << 64) - (1 << (64 - 8 * k)) for k in range(WORD_CHARS + 1)], dtype=np.uint64
 )
 
 
 def _leading_zero_bytes(x) -> np.ndarray:
-    return WORD_CHARS - np.searchsorted(_BYTE_BOUNDS, x, side="right")
+    """Zero bytes above the highest set bit of each uint64 (WORD_CHARS for 0).
+
+    Clearing every set bit that has a set bit above it leaves the highest
+    one and a clear bit below it, so float64 holds the value exactly and
+    its exponent field is 1023 + that bit's index.  Each pass but the cast
+    works in place: at 150k words, fresh temporaries cost more here than
+    the arithmetic.  One word, as the sorters' per-step calls pass, takes
+    Python's int.bit_length, which costs less than one numpy call.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    if x.ndim == 0:
+        return WORD_CHARS - (int(x).bit_length() + 7) // 8
+    top = np.right_shift(x, np.uint64(1), out=np.empty_like(x))
+    np.invert(top, out=top)
+    top &= x
+    exp = top.astype(np.float64).view(np.int64)
+    exp >>= 52
+    exp += 1
+    exp >>= 3  # 128 + bit // 8 for a set bit, 0 for x = 0
+    np.subtract(135, exp, out=exp)
+    np.minimum(exp, WORD_CHARS, out=exp)
+    return exp
 
 
 def first_diff_byte(a, b) -> np.ndarray:
@@ -227,7 +249,12 @@ def first_zero_byte(words) -> np.ndarray:
     unless the byte is zero, without a carry into the next byte.
     """
     w = np.asarray(words, dtype=np.uint64)
-    return _leading_zero_bytes(~(((w & _LOW7) + _LOW7) | w | _LOW7))
+    flags = w & _LOW7  # the only temporary: the other passes work in place
+    flags += _LOW7
+    flags |= w
+    flags |= _LOW7
+    flags ^= _ALL  # the high bit of each zero byte
+    return _leading_zero_bytes(flags)
 
 
 def shared_chars(a, b) -> np.ndarray:

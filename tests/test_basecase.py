@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings
 from strsort import mkqs, radix
-from strsort.basecase import LEAF_FLUSH, insertion_sort, lcp_insertion_sort, word_leaves
+from strsort.basecase import (
+    LEAF_FLUSH,
+    LeafCollector,
+    insertion_sort,
+    lcp_insertion_sort,
+    stable_word_order,
+    word_leaves,
+)
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs_cached
 from strsort.strset import LCP_UNDEF, WORD_CHARS, extract_keys, from_strings, lcp_sum
@@ -168,6 +175,61 @@ class TestWordLeaves:
         assert list(work) == list(s.handles)
 
 
+@st.composite
+def grouped_words(draw):
+    """(words, group) with nondecreasing groups and words of one of four kinds."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=12))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
+    # groups past 2^62 need more than 64 key bits: the lexsort fallback
+    offset = draw(st.sampled_from([0, 1 << 40, (1 << 62) + 7]))
+    group = np.repeat(offset + np.cumsum(np.asarray(gaps, dtype=np.int64)), sizes)
+    n = len(group)
+    kind = draw(st.sampled_from(["any", "few", "equal", "low_byte"]))
+    if kind == "any":
+        words = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=n, max_size=n))
+    elif kind == "few":
+        pool = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3))
+        words = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "equal":
+        words = [draw(st.integers(0, (1 << 64) - 1))] * n
+    else:  # words that differ only in their last character
+        high = draw(st.integers(0, (1 << 56) - 1)) << 8
+        words = [high | low for low in draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))]
+    return np.asarray(words, dtype=np.uint64), group
+
+
+class TestStableWordOrder:
+    @given(grouped_words())
+    @settings(max_examples=300)
+    def test_matches_lexsort(self, case):
+        words, group = case
+        assert np.array_equal(stable_word_order(words, group), np.lexsort((words, group)))
+
+    @pytest.mark.parametrize("words, group", [
+        ([], []),
+        ([5], [3]),
+        ([9, 2], [0, 0]),  # n = 2, one group
+        ([2, 9], [0, 1]),
+        ([7, 7, 7, 7], [1, 1, 1, 1]),  # all equal, one group
+        ([0x61FF, 0x6100, 0x61FF, 0x6101, 0x6100], [0, 0, 0, 0, 0]),  # low byte only
+    ])
+    def test_small_cases(self, words, group):
+        words, group = np.asarray(words, dtype=np.uint64), np.asarray(group, dtype=np.int64)
+        assert np.array_equal(stable_word_order(words, group), np.lexsort((words, group)))
+
+    @pytest.mark.parametrize("top_group, falls_back", [((1 << 60) - 1, False), (1 << 60, True)])
+    def test_lexsort_fallback_from_large_groups(self, monkeypatch, top_group, falls_back):
+        # 3 distinct words take 2 rank bits and 4 entries 2 index bits, so a
+        # group of 2^60 makes the key 65 bits wide and one of 2^60 - 1 fits 64
+        words = np.asarray([3, 1, 2, 1], dtype=np.uint64)
+        group = np.asarray([0, 0, top_group, top_group], dtype=np.int64)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        assert list(stable_word_order(words, group)) == [1, 0, 3, 2]
+        assert bool(calls) == falls_back
+
+
 def count_calls(monkeypatch, module, name) -> list:
     calls = []
     fn = getattr(module, name)
@@ -192,7 +254,10 @@ def test_mkqs_cached_flushes_its_leaves_once(monkeypatch):
 
 @pytest.mark.parametrize("module, sort, n", [
     (radix, radix.radix16_adaptive, 20_000),
-    (radix, radix.radix16_adaptive, 70_000),  # 16-bit steps hand every bucket to one radix8_items
+    # a 16-bit step hands its leaf buckets, 17 strings on average, to the
+    # sort's one collector at once, which sorts them LEAF_FLUSH at a time
+    (radix, radix.radix16_adaptive, 70_000),
+    (radix, radix.radix16_adaptive, 150_000),
     (radix, radix.radix8_inplace, 20_000),
     (mkqs, mkqs.mkqs, 20_000),
 ])
@@ -203,4 +268,30 @@ def test_plain_drivers_flush_their_leaves_once(monkeypatch, module, sort, n):
     out = sort(s)
     assert 1 <= len(calls) <= 1 + n // LEAF_FLUSH
     assert all(args[2] is None for args in calls)
-    assert ref_strings(out) == ref_sorted_strings(s)
+    # every step and leaf is stable, so equal strings keep their input order
+    strings = ref_strings(s)
+    assert list(out.handles) == list(s.handles[sorted(range(n), key=strings.__getitem__)])
+
+
+def test_take_many_flushes_where_take_would():
+    # the same ranges, one take() at a time and in take_many() batches,
+    # reach word_leaves in the same groups
+    rng = np.random.default_rng(4)
+    sizes = rng.integers(2, 1024, size=400)
+    hi = np.cumsum(sizes)
+    lo, depth = hi - sizes, rng.integers(0, 3, size=400)
+    flushes = {}
+    for how in ("one", "many"):
+        seen = []
+        leaves = LeafCollector(None, None, None, None, None, lambda *args: seen.append(args[3].tolist()))
+        if how == "one":
+            for row in zip(lo.tolist(), hi.tolist(), depth.tolist()):
+                assert leaves.take(*row)
+        else:
+            for cut in np.split(np.arange(400), [1, 7, 150, 151, 320]):
+                leaves.take_many(lo[cut], hi[cut], depth[cut])
+        leaves.flush()
+        flushes[how] = [sorted(map(tuple, rows)) for rows in seen]
+    assert flushes["one"] == flushes["many"]
+    assert len(flushes["one"]) == 1 + int(sizes.sum()) // LEAF_FLUSH
+    assert all(sum(b - a for a, b, _ in rows) < LEAF_FLUSH + 1024 for rows in flushes["one"])

@@ -395,6 +395,33 @@ class TestS5Sort:
         deeper = [r for r in records[1:] if r[1] == WORD_CHARS]
         assert deeper, "expected recursion into an equality bucket at depth 8"
 
+    @pytest.mark.parametrize("variant", ["unroll", "equal"])
+    def test_steps_distribute_stably_by_bucket(self, monkeypatch, variant):
+        # 40,000 strings give the root step a full tree of DEFAULT_V
+        # splitters; every step must move its strings as a stable sort of
+        # their int64 bucket ids would, so the sort is stable
+        s = random_set(40_000, seed=21, max_len=4)
+        steps = []
+        step = ssss.s5_step
+
+        def recording(ctx, src, dst, lo, hi, depth):
+            seg = src[lo:hi].copy()
+            bounds, tree = step(ctx, src, dst, lo, hi, depth)
+            steps.append((seg, dst[lo:hi].copy(), depth, tree))
+            return bounds, tree
+
+        monkeypatch.setattr(ssss, "s5_step", recording)
+        res = s5_sort(s, want_lcps=True, variant=variant, t_medium=1024)
+        assert steps[0][3].v == ssss.DEFAULT_V
+        for seg, moved, depth, tree in steps:
+            oracle = classify_keys(extract_keys(s, seg, depth), tree, variant)
+            assert np.array_equal(moved, seg[np.argsort(oracle, kind="stable")])
+        assert classify_keys(extract_keys(s, steps[0][0], 0), steps[0][3], variant).max() > 1 << 13
+        strings = ref_strings(s)
+        order = sorted(range(len(s)), key=strings.__getitem__)
+        assert np.array_equal(res.set.handles, s.handles[order])
+        assert list(res.lcps) == ref_lcps([strings[i] for i in order])
+
     def test_all_equal_terminates(self):
         s = all_equal_set(5000, b"abcdefghijxyz")
         res = s5_sort(s, want_lcps=True, t_medium=512)

@@ -60,9 +60,10 @@ class TestExtractKey:
         assert key.to_bytes(8, "big") == bytes([0x61, 0x62, 0, 0, 0, 0, 0, 0])
 
     def test_empty_string_key_is_zero(self):
-        s = from_strings([b"", b"x"])
+        # an empty string reaches only depth 0; the strings after it fill
+        # the rest of its word, and the key must not read them
+        s = from_strings([b"", b"x", b"yyyyyyy"])
         assert extract_keys(s, s.handles[:1], 0)[0] == 0
-        assert extract_keys(s, s.handles[:1], 5)[0] == 0
 
     def test_key_does_not_leak_into_next_string(self):
         s = from_strings([b"ab", b"cd"])
