@@ -467,6 +467,8 @@ def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
         parent, stream = s_parent[seg], s_stream[seg]
         del seg
         pos, size = np.concatenate(pos), np.concatenate(size)
+        # the rows arrive as K sorted runs, which lexsort's timsort merges faster
+        # than basecase.stable_word_order's two unstable sorts
         order = np.lexsort((stream, words, parent))
         pos, size, stream, parent, words = (
             x[order] for x in (pos, size, stream, parent, words)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from corpus import random_set, ref_lcps, ref_strings, suffix_set
 from strsort.strset import (
     LCP_UNDEF,
+    WORD_CHARS,
     StringSet,
     dist_stats,
     extract_keys,
@@ -282,6 +283,15 @@ class TestWordHelpers:
             dtype=np.uint64,
         )
         assert list(first_zero_byte(words)) == [0, 1, 1, 8, 2]
+
+    def test_first_diff_byte_at_every_bit(self):
+        # the highest differing bit at each of the 64 positions, alone or
+        # with every bit below it set; arrays and single words alike
+        xs = [0] + [1 << b for b in range(64)] + [(1 << b) - 1 for b in range(1, 65)]
+        want = [WORD_CHARS - (x.bit_length() + 7) // 8 for x in xs]
+        words = np.array(xs, dtype=np.uint64)
+        assert list(first_diff_byte(words, np.uint64(0))) == want
+        assert [first_diff_byte(w, np.uint64(0)) for w in words] == want
 
     @given(st.lists(text_bytes, min_size=2, max_size=2), st.integers(0, 4))
     @settings(max_examples=200)
