@@ -30,26 +30,11 @@ LEAF_FLUSH = 1 << 16  # collected leaf strings that make a driver sort them befo
 
 @dataclass
 class SortedWithLcp:
-    """A sorted set with its LCP array and optional distinguishing characters.
-
-    dchar[i] is the character of string i at offset lcps[i]: the first
-    position where it differs from its predecessor (terminator byte if the
-    string ends there).  Entry 0 of lcps is the LCP_UNDEF sentinel.
-    """
+    """A sorted set with its LCP array; entry 0 of lcps is the LCP_UNDEF sentinel."""
 
     set: StringSet
     lcps: np.ndarray
-    dchar: np.ndarray | None = None
     stats: SortStats | None = None
-
-
-def fill_dchar(sset: StringSet, lcps: np.ndarray) -> np.ndarray:
-    """Distinguishing characters derived from handles and LCP values."""
-    if len(sset) == 0:
-        return np.zeros(0, dtype=np.uint8)
-    arr = sset.char_array()
-    offs = np.where(lcps < 0, 0, lcps)
-    return arr[sset.handles + offs]
 
 
 def insertion_sort(sset: StringSet, depth: int = 0) -> StringSet:
@@ -288,7 +273,6 @@ class LeafCollector:
 def lcp_insertion_sort(
     sset: StringSet,
     depth: int = 0,
-    want_dchar: bool = False,
     stats: SortStats | None = None,
 ) -> SortedWithLcp:
     """LCP-aware insertion sort of a set with common prefix length `depth`."""
@@ -298,5 +282,4 @@ def lcp_insertion_sort(
     )
     out = sset.with_handles(np.asarray(handles, dtype=np.int64))
     lcp_arr = np.asarray(lcps, dtype=np.int64) if handles else np.zeros(0, np.int64)
-    dchar = fill_dchar(out, lcp_arr) if want_dchar else None
-    return SortedWithLcp(out, lcp_arr, dchar, stats)
+    return SortedWithLcp(out, lcp_arr, stats)

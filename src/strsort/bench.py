@@ -94,7 +94,7 @@ def _algo_lcp_mergesort(sset, threads, seed, stats):
 
 
 def _algo_kway_merge(sset, threads, seed, stats, shards: int = 4):
-    """Presort contiguous shards, then tournament-merge them."""
+    """Presort contiguous shards, then K-way LCP-merge them."""
     n = len(sset)
     cuts = np.linspace(0, n, shards + 1).astype(np.int64)
     streams = []
@@ -223,10 +223,6 @@ class RunResult:
                 if v:
                     lines.append(f"{k:<18}: {v}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_csv(text: str) -> list[dict]:
-        return list(csv.DictReader(io.StringIO(text)))
 
 
 class Corpus:

@@ -28,11 +28,10 @@ class SortStats:
         cache: radix sort and plain mkqs, which take no stats), one per
         block head and level of the merge split, both in the coordinator's
         lcpmerge.split_merge_jobs and in each job's refinement in
-        lcpmerge.run_merge_job, and two per pair and word in
-        parallel.fill_job_lcps.
+        lcpmerge.run_merge_job.
     merge_buffer_cmps
-        Character comparisons during merging that had to read the buffer
-        (i.e. were not answered from a cached distinguishing character).
+        Character comparisons that lcpmerge.binary_lcp_merge reads from the
+        buffer.  The K-way merge compares no characters.
     scratch_words
         Words of handle-sized scratch allocated by a sorter.
     jobs_enqueued / jobs_executed

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basecase import LeafCollector, SortedWithLcp, fill_dchar, word_leaves
+from .basecase import LeafCollector, SortedWithLcp, word_leaves
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
@@ -162,7 +162,6 @@ def mkqs_cached_items(
 def mkqs_cached(
     sset: StringSet,
     depth: int = 0,
-    want_dchar: bool = False,
     stats: SortStats | None = None,
 ) -> SortedWithLcp:
     """Caching multikey quicksort of a whole set, with LCP output."""
@@ -174,5 +173,4 @@ def mkqs_cached(
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64)
     mkqs_cached_range(sset, work_h, work_c, 0, n, depth, lcps, stats)
     out = sset.with_handles(work_h)
-    dchar = fill_dchar(out, lcps) if want_dchar else None
-    return SortedWithLcp(out, lcps, dchar, stats)
+    return SortedWithLcp(out, lcps, stats)

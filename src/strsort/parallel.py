@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import LEAF_THRESHOLD, SortedWithLcp, fill_dchar
+from .basecase import LEAF_THRESHOLD, SortedWithLcp
 from .counters import SortStats
-from .lcpmerge import LcpStream, run_merge_job, split_merge_jobs
+from .lcpmerge import LcpStream, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
 from .radix import RADIX16_THRESHOLD, _digits8, _digits16, bucket_spans, radix8_items, skip_shared
 from .ssss import (
@@ -59,7 +59,7 @@ from .ssss import (
     step_tree,
     write_boundary_lcps,
 )
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
+from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte
 
 POLL_S = 0.1  # how often a wait with no reply checks the workers' exit codes
 SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
@@ -496,7 +496,7 @@ def parallel_s5(
     out = sset.with_handles(sh.cur.copy())
     if not want_lcps:
         return out
-    return SortedWithLcp(out, sh.s5.lcps.copy(), None, pool.stats)  # entry 0 is never written
+    return SortedWithLcp(out, sh.s5.lcps.copy(), pool.stats)  # entry 0 is never written
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +647,12 @@ class _MergeShared:
     streams: list
     out_h: np.ndarray
     out_l: np.ndarray
-    use_cache: bool
 
 
 def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
     """Run one merge job; when a poll finds a worker idle, the job stops at
-    a group boundary and its rest is split into new jobs for the queue."""
+    a group boundary and its rest, already split to the end, goes back to
+    the queue as new jobs."""
     _, mjob, offset = job
     size = mjob.size
     out_h = shared.out_h[offset : offset + size]
@@ -661,20 +661,11 @@ def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
     def poll(emitted: int) -> bool:
         return env.idle_workers() > 0
 
-    _, _, emitted, leftover = run_merge_job(
-        shared.streams, mjob, env.stats, shared.use_cache, out_h, out_l, poll
-    )
-    out_l[:1] = LCP_UNDEF  # the LCP to the previous job's last string is not known here
-    if leftover:
-        subjobs = split_merge_jobs(
-            [shared.streams[k].slice(s, l) for k, s, l in leftover],
-            max(2, env.idle_workers() + 1),
-            mjob.shared_prefix,
-            stats=env.stats,
-        )
+    _, _, emitted, rest = run_merge_job(shared.streams, mjob, env.stats, out_h, out_l, poll)
+    if rest is not None:
         pos = offset + emitted
-        for sub in subjobs:
-            env.enqueue(("merge", sub.rebased(leftover), pos))
+        for sub in pack_merge_jobs(rest, max(2, env.idle_workers() + 1)):
+            env.enqueue(("merge", sub, pos))
             pos += sub.size
         env.record_share()
 
@@ -688,34 +679,10 @@ def _pmerge_executor(ctx, job, env: _Env) -> None:
         _phased_executor(phased, job, env)
 
 
-def fill_job_lcps(
-    sset: StringSet, handles: np.ndarray, lcps: np.ndarray, stats: SortStats | None = None
-) -> None:
-    """Compute the LCPs that merge jobs left LCP_UNDEF at their first slot.
-
-    Compares the words of all pending pairs at once and refetches, one word
-    deeper, only the pairs still equal after a full word.  Each fetched word
-    is charged to stats.word_fetches.
-    """
-    pos = np.flatnonzero(lcps[1:] == LCP_UNDEF) + 1
-    a, b = handles[pos - 1], handles[pos]
-    depth = 0
-    while len(pos):
-        wa, wb = extract_keys(sset, a, depth), extract_keys(sset, b, depth)
-        if stats is not None:
-            stats.word_fetches += 2 * len(pos)
-        h = shared_chars(wa, wb)
-        done = h < WORD_CHARS
-        lcps[pos[done]] = depth + h[done]
-        pos, a, b = pos[~done], a[~done], b[~done]
-        depth += WORD_CHARS
-
-
 def partitioned_merge_sort(
     sset: StringSet,
     K: int = 4,
     p: int | None = None,
-    use_cache: bool = True,
     want_lcps: bool = False,
     seed: int = 1,
     stats: SortStats | None = None,
@@ -725,16 +692,13 @@ def partitioned_merge_sort(
 
     The parts are the roots of one parallel sample sort that records LCPs:
     a part of at least n/p strings takes phased steps on all p workers and
-    smaller parts run as batch jobs.  The coordinator then derives the
-    distinguishing characters (when use_cache is set), splits the parts into
-    about 8p jobs with split_merge_jobs (one numpy pass per word level) and
-    merges them on the same pool.  Each merge job splits its groups on down
-    to MERGE_LEAF strings, and re-splits its rest when workers go idle.
-    Groups from one part and groups of equal strings are copied; only
-    groups of at most MERGE_LEAF strings from several parts meet in the
-    loser tree, where cached distinguishing characters answer the first
-    comparison of every game.  With want_lcps, fill_job_lcps computes the
-    LCP at each job start.
+    smaller parts run as batch jobs.  The coordinator then splits the parts
+    into about 8p jobs with split_merge_jobs (one numpy pass per word level)
+    and merges them on the same pool.  Each merge job splits its groups on
+    until each comes from one part or holds equal strings, and copies them;
+    when workers go idle, it hands the groups it has not written back to
+    the queue as new jobs.  A job's first block holds its LCP to the
+    string before it, so every LCP of the output is written by its job.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
@@ -752,28 +716,20 @@ def partitioned_merge_sort(
     parts = [(cuts[k], cuts[k + 1]) for k in range(K) if cuts[k] < cuts[k + 1]]
     # everything the merge jobs read is allocated before the pool forks
     sh = _s5_shared(sset, p, True, seed, t_medium)
-    lcps = sh.s5.lcps
-    dchar = shared_array(n, np.uint8) if use_cache else None
-    streams = [
-        LcpStream(sset, sh.cur[lo:hi], lcps[lo:hi], None if dchar is None else dchar[lo:hi])
-        for lo, hi in parts
-    ]
-    merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64), use_cache)
+    streams = [LcpStream(sset, sh.cur[lo:hi], sh.s5.lcps[lo:hi]) for lo, hi in parts]
+    merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
         roots = [(lo, hi, 0, True) for lo, hi in parts]
         phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
-        if dchar is not None:
-            dchar[:] = fill_dchar(sset.with_handles(sh.cur), lcps)
         offset = 0
         for job in split_merge_jobs(streams, 8 * p, stats=pool.stats):
             pool.submit(("merge", job, offset))
             offset += job.size
         pool.wait_idle()
-    if want_lcps:
-        fill_job_lcps(sset, merge.out_h, merge.out_l, pool.stats)
+    merge.out_l[:1] = LCP_UNDEF
     if stats is not None:
         stats.add(pool.stats)
     out = sset.with_handles(merge.out_h.copy())
     if not want_lcps:
         return out
-    return SortedWithLcp(out, merge.out_l.copy(), None, pool.stats)
+    return SortedWithLcp(out, merge.out_l.copy(), pool.stats)

@@ -346,4 +346,4 @@ def s5_sort(
     out = sset.with_handles(cur)
     if not want_lcps:
         return out
-    return SortedWithLcp(out, lcps, None, stats)
+    return SortedWithLcp(out, lcps, stats)

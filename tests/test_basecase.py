@@ -66,14 +66,6 @@ class TestLcpInsertionSort:
         assert ref_strings(res.set) == [b"zza", b"zzb"]
         assert list(res.lcps) == [LCP_UNDEF, 2]
 
-    def test_dchar(self):
-        s = from_strings([b"ab", b"ac", b"ab"])
-        res = lcp_insertion_sort(s, want_dchar=True)
-        # sorted: ab, ab, ac with lcps [_, 2, 1]
-        assert list(res.lcps) == [LCP_UNDEF, 2, 1]
-        assert res.dchar[1] == 0  # "ab" ends at position 2
-        assert res.dchar[2] == ord("c")
-
     @given(st.lists(text_bytes, max_size=24))
     @settings(max_examples=150)
     def test_matches_oracle(self, items):

@@ -10,20 +10,19 @@ from strsort import lcpmerge
 from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
 from strsort.lcpmerge import (
+    DEPTH,
     LcpStream,
     binary_lcp_merge,
     binary_lcp_mergesort,
     kway_lcp_merge,
     lcp_compare,
-    lcp_compare_cached,
-    MERGE_LEAF,
     MERGE_POLL_INTERVAL,
+    pack_merge_jobs,
     run_merge_job,
     split_merge_jobs,
 )
 from strsort.parallel import partitioned_merge_sort, shared_array
-from strsort.ssss import s5_sort
-from strsort.strset import LCP_UNDEF, from_strings, lcp, lcp_sum, verify
+from strsort.strset import LCP_UNDEF, WORD_CHARS, from_strings, lcp, lcp_sum, verify
 
 text_bytes = st.binary(min_size=0, max_size=10).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -31,14 +30,14 @@ text_bytes = st.binary(min_size=0, max_size=10).map(
 
 
 def stream_of(items: list[bytes]) -> LcpStream:
-    res = lcp_insertion_sort(from_strings(sorted(items)), want_dchar=True)
-    return LcpStream(res.set, res.set.handles, res.lcps, res.dchar)
+    res = lcp_insertion_sort(from_strings(sorted(items)))
+    return LcpStream(res.set, res.set.handles, res.lcps)
 
 
 def stream_from_sorted(sset, handles) -> LcpStream:
     sub = sset.with_handles(np.asarray(handles, dtype=np.int64))
-    res = lcp_insertion_sort(sub, want_dchar=True)
-    return LcpStream(res.set, res.set.handles, res.lcps, res.dchar)
+    res = lcp_insertion_sort(sub)
+    return LcpStream(res.set, res.set.handles, res.lcps)
 
 
 class TestLcpCompare:
@@ -90,32 +89,6 @@ class TestLcpCompare:
         sx = a if x == 0 else b
         sy = a if y == 0 else b
         assert sx <= sy
-
-
-class TestLcpCompareCached:
-    def test_case2_zero_reads(self):
-        s = from_strings([b"ab", b"aaa"])
-        stats = SortStats()
-        arr = s.char_array()
-        ca = int(arr[int(s.handles[0]) + 1])
-        cb = int(arr[int(s.handles[1]) + 2])
-        lcp_compare_cached(
-            s, 0, int(s.handles[0]), 1, ca, 1, int(s.handles[1]), 2, cb, stats
-        )
-        assert stats.merge_buffer_cmps == 0
-
-    def test_case1_first_mismatch_zero_reads(self):
-        # predecessor "a": "ab" vs "ac" decided by the cached chars alone
-        s = from_strings([b"ab", b"ac"])
-        stats = SortStats()
-        x, hx, y, hp, cy = lcp_compare_cached(
-            s, 0, int(s.handles[0]), 1, ord("b"),
-            1, int(s.handles[1]), 1, ord("c"), stats,
-        )
-        assert x == 0 and hp == 1
-        assert stats.merge_buffer_cmps == 0
-        assert stats.char_cmps == 1
-        assert cy == ord("c")
 
 
 class TestBinaryMerge:
@@ -187,6 +160,17 @@ class TestBinaryMergesort:
             assert stats.char_cmps <= bound
 
 
+def fetch_budget(lcps, shared=0):
+    """sum(1 + h // WORD_CHARS) over the strings of a merged output, where h
+    is the larger of a string's two output LCPs minus `shared`."""
+    l = np.asarray(lcps, dtype=np.int64).copy()
+    if len(l) == 0:
+        return 0
+    l[0] = shared  # entry 0 is LCP_UNDEF
+    h = np.maximum(l, np.append(l[1:], shared)) - shared
+    return int((1 + h // WORD_CHARS).sum())
+
+
 def make_shards(sset, k, seed=0):
     """Sort k contiguous shards of a set into LcpStreams."""
     n = len(sset)
@@ -222,41 +206,8 @@ class TestKwayMerge:
             want = sorted(ref_strings(s))
             assert ref_strings(out) == want
             assert list(l) == ref_lcps(want)
-            n = len(s)
-            dL = lcp_sum(np.asarray(l)) - sum(lcp_sum(sh.lcps) for sh in shards)
-            assert stats.char_cmps <= dL + n * 2 + 4
-
-    def test_cached_equals_uncached(self):
-        for seed in range(3):
-            s = random_set(700, seed=seed + 10)
-            shards = make_shards(s, 4)
-            h1, l1 = kway_lcp_merge(shards, cached=False)
-            h2, l2 = kway_lcp_merge(shards, cached=True)
-            assert list(h1) == list(h2)
-            assert list(l1) == list(l2)
-
-    def test_cached_buffer_reads_within_delta_l(self):
-        s = random_set(2000, seed=5)
-        shards = make_shards(s, 4)
-        stats = SortStats()
-        h, l = kway_lcp_merge(shards, stats=stats, cached=True)
-        dL = lcp_sum(np.asarray(l)) - sum(lcp_sum(sh.lcps) for sh in shards)
-        assert stats.merge_buffer_cmps <= dL
-
-    def test_cached_without_dchar_reads_the_buffer(self):
-        # streams without distinguishing characters: the cached tree must
-        # read each player's character, not take 0 for a terminator
-        s = url_like_set(3000)
-        cuts = np.linspace(0, len(s), 5).astype(int)
-        streams = []
-        for i in range(4):
-            res = s5_sort(s.with_handles(s.handles[cuts[i] : cuts[i + 1]]), want_lcps=True)
-            streams.append(LcpStream(s, res.set.handles, res.lcps))
-        h1, l1 = kway_lcp_merge(streams, cached=False)
-        h2, l2 = kway_lcp_merge(streams, cached=True)
-        want = ref_sorted_strings(s)
-        assert ref_strings(s.with_handles(h2)) == want
-        assert list(l2) == list(l1) == ref_lcps(want)
+            assert stats.char_cmps == 0
+            assert stats.word_fetches <= fetch_budget(l)
 
     def test_common_prefix_streams(self):
         items = [b"pref" + bytes([c]) * k for c in range(97, 105) for k in range(1, 4)]
@@ -267,6 +218,7 @@ class TestKwayMerge:
         out = s.with_handles(h)
         assert ref_strings(out) == sorted(items)
         assert list(l) == ref_lcps(sorted(items))
+        assert stats.word_fetches <= fetch_budget(l, shared=4)
 
 
 def uneven_shards(sset, sizes):
@@ -302,7 +254,8 @@ SPLIT_CORPORA = ("empty_strings", "equal_long", "long_prefixes", "bytes_1_255", 
 
 
 def check_split(sset, shards, jobs):
-    """Partition property, valid shared prefixes, and oracle order and LCPs."""
+    """Partition property, and oracle order and LCPs, the LCP at each job
+    start included."""
     seen = {k: [] for k in range(len(shards))}
     for job in jobs:
         for k, start, length in job.ranges:
@@ -317,12 +270,9 @@ def check_split(sset, shards, jobs):
     want_lcps = ref_lcps(want)
     got, pos = [], 0
     for job in jobs:
-        h, l, emitted, leftover = run_merge_job(shards, job)
-        assert (emitted, leftover) == (job.size, None)
-        strings = ref_strings(sset.with_handles(h))
-        prefix = strings[0][: job.shared_prefix]
-        assert all(len(x) >= job.shared_prefix and x.startswith(prefix) for x in strings)
-        got += strings
+        h, l, emitted, rest = run_merge_job(shards, job)
+        assert (emitted, rest) == (job.size, None)
+        got += ref_strings(sset.with_handles(h))
         lo = 1 if pos == 0 else 0  # entry 0 of the whole output is the caller's
         assert list(l[lo:]) == want_lcps[pos + lo : pos + job.size]
         pos += job.size
@@ -380,27 +330,6 @@ class TestSplitMergeJobs:
                     assert list(chunk) == list(mono_l[pos + 1 : pos + 1 + len(chunk)])
                 pos += len(p[1])
 
-    def test_shared_prefix_covers_job(self):
-        s = random_set(300, seed=9)
-        shards = make_shards(s, 3)
-        jobs = split_merge_jobs(shards, target_jobs=10)
-        for job in jobs:
-            for k, start, length in job.ranges:
-                st = shards[k]
-                for i in range(start, start + length):
-                    h = int(st.handles[st.start + i])
-                    e = st.sset.length_of(h)
-                    assert e >= min(job.shared_prefix, e)
-                    first = st.sset.buffer[h : h + job.shared_prefix]
-                    ref = int(st.handles[st.start + job.ranges[0][1]])
-                    # all strings in the job share the prefix
-                    if job.shared_prefix:
-                        ref_first = st.sset.buffer[
-                            int(shards[job.ranges[0][0]].handles[shards[job.ranges[0][0]].start + job.ranges[0][1]]) :
-                        ][: job.shared_prefix]
-                        assert first == ref_first
-
-
     @pytest.mark.parametrize("width", range(1, 9))
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
     def test_matches_oracle(self, corpus, width):
@@ -429,6 +358,11 @@ class TestSplitMergeJobs:
         jobs = split_merge_jobs(shards, 2, stats=stats)
         assert stats.word_fetches == 6
         check_split(s, shards, jobs)
+        # one job: the root level leaves the group pending at depth 8, and
+        # the job's refinement fetches from there, not again from depth 0
+        stats = SortStats()
+        kway_lcp_merge(shards, stats=stats)
+        assert stats.word_fetches == 6
 
     @pytest.mark.parametrize("width", [4, 8])
     @pytest.mark.parametrize("make", [lambda: random_set(20_000, seed=2), lambda: url_like_set(20_000)])
@@ -448,25 +382,27 @@ class TestSplitMergeJobs:
         assert 1 <= len(calls) <= 1 + max_depth // width
         assert sum(j.size for j in jobs) == len(s)
 
-    def test_poll_stops_between_and_inside_tree_groups(self):
-        # every value appears in several runs, so the job is many small tree
-        # groups; the stop lands after MERGE_POLL_INTERVAL tree-merged strings
+    def test_poll_stops_between_small_groups(self):
+        # every value appears once in each run, so the job is many small
+        # equal groups; the stop lands after MERGE_POLL_INTERVAL strings, and
+        # the rest goes out as jobs that fetch no word again
         items = [b"%d" % (i % 3000) for i in range(12_000)]
         s = from_strings(items)
         shards = make_shards(s, 4)
         (job,) = split_merge_jobs(shards, 1)
-        h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
-        assert leftover and MERGE_POLL_INTERVAL <= emitted < len(s)
+        h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
+        assert rest is not None and MERGE_POLL_INTERVAL <= emitted < len(s)
         want = sorted(items)
         assert ref_strings(s.with_handles(h[:emitted])) == want[:emitted]
-        subs = split_merge_jobs([shards[k].slice(a, m) for k, a, m in leftover], 3)
-        tail = [run_merge_job(shards, sub.rebased(leftover))[0] for sub in subs]
-        assert sum(m for _, _, m in leftover) == len(s) - emitted
+        subs = pack_merge_jobs(rest, 3)
+        assert len(subs) == 3 and sum(sub.size for sub in subs) == len(s) - emitted
+        stats = SortStats()
+        tail = [run_merge_job(shards, sub, stats)[0] for sub in subs]
         assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
-        assert len({k for k, _, _ in leftover}) == len(leftover)  # one range per stream
+        assert stats.word_fetches == 0
 
 
-def tree_corpus(name):
+def merge_corpus(name):
     """(set, shard sizes) of a split corpus or a 20,000-string set."""
     if name in SPLIT_CORPORA:
         return split_corpus(name)
@@ -474,70 +410,82 @@ def tree_corpus(name):
     return s, [3000, 9000, 1000, 7000]
 
 
-class TestMergeLeaf:
+@pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
+def test_kway_word_fetches_within_budget(corpus):
+    # a string is fetched only at depths its group shares with another
+    # string, so never deeper than its larger output LCP
+    s, sizes = merge_corpus(corpus)
+    shards = uneven_shards(s, sizes)
+    stats = SortStats()
+    h, l = kway_lcp_merge(shards, stats=stats)
+    want = ref_sorted_strings(s)
+    assert ref_strings(s.with_handles(h)) == want
+    assert list(l) == ref_lcps(want)
+    assert 0 < stats.word_fetches <= fetch_budget(l)
+    assert stats.char_cmps == 0
+
+
+class TestRefine:
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
-    def test_tree_sees_only_small_groups(self, monkeypatch, corpus):
-        s, sizes = tree_corpus(corpus)
+    def test_refined_table_has_no_pending_group(self, monkeypatch, corpus):
+        s, sizes = merge_corpus(corpus)
         shards = uneven_shards(s, sizes)
-        groups = []
-        real = lcpmerge.loser_tree_merge
+        pending = []
+        real = lcpmerge._refine
 
-        def spy(runs, *args):
-            groups.append((sum(r.length > 0 for r in runs), sum(r.length for r in runs)))
-            return real(runs, *args)
+        def spy(streams, blocks, stats):
+            refined = real(streams, blocks, stats)
+            pending.append((int((blocks[:, DEPTH] >= 0).sum()), int((refined[:, DEPTH] >= 0).sum())))
+            return refined
 
-        monkeypatch.setattr(lcpmerge, "loser_tree_merge", spy)
+        monkeypatch.setattr(lcpmerge, "_refine", spy)
         h, l = kway_lcp_merge(shards)
         want = ref_sorted_strings(s)
         assert ref_strings(s.with_handles(h)) == want
         assert list(l) == ref_lcps(want)
-        assert all(runs >= 2 and size <= MERGE_LEAF for runs, size in groups)
-        if corpus in ("url", "random"):
-            assert groups
+        assert pending and all(after == 0 for _, after in pending)
+        if corpus in ("equal_long", "long_prefixes", "mixed", "url"):
+            assert pending[0][0] > 0  # groups from several runs share a word
 
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
-    def test_pool_tree_sees_only_small_groups(self, monkeypatch, corpus):
-        # the spy runs in the forked workers: a large group fails the sort,
-        # and a shared flag shows that the tree ran at all
-        s, _ = tree_corpus(corpus)
+    def test_pool_refined_table_has_no_pending_group(self, monkeypatch, corpus):
+        # the spy runs in the forked workers: a pending row left in a refined
+        # table fails the sort, and a shared flag shows that a job had
+        # pending groups to refine at all
+        s, _ = merge_corpus(corpus)
         seen = shared_array(1, np.int64)
         seen[0] = 0
-        real = lcpmerge.loser_tree_merge
+        real = lcpmerge._refine
 
-        def spy(runs, *args):
-            size = sum(r.length for r in runs)
-            if sum(r.length > 0 for r in runs) < 2 or size > MERGE_LEAF:
-                raise AssertionError(f"tree group of {size} strings")
-            seen[0] = 1
-            return real(runs, *args)
+        def spy(streams, blocks, stats):
+            refined = real(streams, blocks, stats)
+            if (refined[:, DEPTH] >= 0).any():
+                raise AssertionError("a refined table holds a pending group")
+            if (blocks[:, DEPTH] >= 0).any():
+                seen[0] = 1
+            return refined
 
-        monkeypatch.setattr(lcpmerge, "loser_tree_merge", spy)
+        monkeypatch.setattr(lcpmerge, "_refine", spy)
         res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True, t_medium=512)
         want = ref_sorted_strings(s)
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
-        if corpus in ("url", "random"):
+        if corpus == "url":
             assert seen[0] == 1
-
-
-def no_tree(*args):
-    raise AssertionError("loser tree called")
 
 
 EQUAL_VALUES = (b"", b"q" * 30, b"abcdefgh9")
 
 
 class TestEqualGroups:
-    def test_copied_in_stream_order_with_exact_lcps(self, monkeypatch):
-        # each equal value is larger than MERGE_LEAF and spread over uneven
-        # runs; the other strings are distinct, so no group needs the tree
+    def test_copied_in_stream_order_with_exact_lcps(self):
+        # each equal value is spread over uneven runs, among distinct strings
         rng = np.random.default_rng(5)
         items = [v for v, m in zip(EQUAL_VALUES, (13, 11, 9)) for _ in range(m)]
         items += [b"abcdefgh%d" % i for i in range(10, 40)] + [b"q" * 29, b"q" * 31, b"r"]
         items = [items[i] for i in rng.permutation(len(items))]
         s = from_strings(items)
         shards = uneven_shards(s, [7, 25, 3, len(items) - 35])
-        monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
         # stable: equal strings in stream order, then position in the stream
         keyed = [
             (ref_strings(s.with_handles(sh.handles[i : i + 1]))[0], k, i, int(sh.handles[i]))
@@ -555,20 +503,19 @@ class TestEqualGroups:
         assert list(l) == ref_lcps(sorted(items))
 
     @pytest.mark.parametrize("value", EQUAL_VALUES)
-    def test_all_equal_is_one_job(self, monkeypatch, value):
+    def test_all_equal_is_one_job(self, value):
         s = from_strings([value] * 40)
         shards = uneven_shards(s, [11, 0, 25, 4])
-        monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
         for target in (1, 2, 8, 1000):
             jobs = split_merge_jobs(shards, target)
             assert len(jobs) == 1
-            h, l, emitted, leftover = run_merge_job(shards, jobs[0])
-            assert (emitted, leftover) == (40, None)
+            h, l, emitted, rest = run_merge_job(shards, jobs[0])
+            assert (emitted, rest) == (40, None)
             assert list(h) == list(s.handles)
             assert list(l[1:]) == [len(value)] * 39
 
 
-def test_poll_stops_at_group_boundary_without_tree(monkeypatch):
+def test_poll_stops_at_group_boundary():
     # every value appears 6 times, in one run or as an equal group of
     # several: all groups are copied, and polls fire between them
     rng = np.random.default_rng(8)
@@ -578,22 +525,22 @@ def test_poll_stops_at_group_boundary_without_tree(monkeypatch):
     shards = make_shards(s, 3)
     n = len(s)
     assert all(sh.length > 2 * MERGE_POLL_INTERVAL for sh in shards)
-    monkeypatch.setattr(lcpmerge, "loser_tree_merge", no_tree)
     full_h, full_l = kway_lcp_merge(shards)
     (job,) = split_merge_jobs(shards, 1)
-    h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
+    h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
     assert MERGE_POLL_INTERVAL <= emitted < n
     want = sorted(items)
     assert want[emitted - 1] != want[emitted]  # a group boundary
     assert list(h[:emitted]) == list(full_h[:emitted])
-    assert sorted(k for k, _, _ in leftover) == [0, 1, 2]
-    assert sum(m for _, _, m in leftover) == n - emitted
-    subs = split_merge_jobs([shards[k].slice(a, m) for k, a, m in leftover], 3)
+    subs = pack_merge_jobs(rest, 3)
+    assert sorted({k for sub in subs for k, _, _ in sub.ranges}) == [0, 1, 2]
+    assert sum(sub.size for sub in subs) == n - emitted
     pos = emitted
     for sub in subs:
-        th, tl, _, _ = run_merge_job(shards, sub.rebased(leftover))
+        th, tl, _, _ = run_merge_job(shards, sub)
+        # the LCP at a subjob's start is exact too
         assert list(th) == list(full_h[pos : pos + sub.size])
-        assert list(tl[1:]) == list(full_l[pos + 1 : pos + sub.size])
+        assert list(tl) == list(full_l[pos : pos + sub.size])
         pos += sub.size
     assert pos == n
 
@@ -604,8 +551,9 @@ def test_poll_stops_before_the_last_group():
     s = from_strings([b"a"] * 5000 + [b"b"] * 5000)
     shards = uneven_shards(s, [5000, 5000])
     (job,) = split_merge_jobs(shards, 1)
-    h, l, emitted, leftover = run_merge_job(shards, job, poll=lambda e: True)
-    assert (emitted, leftover) == (5000, [(1, 0, 5000)])
+    h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
+    assert emitted == 5000
+    assert rest.tolist() == [[1, 0, 5000, 0, 0, -1]]  # stream 1 from 0, LCP 0 to "a"
     assert list(h[:emitted]) == list(s.handles[:5000])
 
 

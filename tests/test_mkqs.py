@@ -121,11 +121,3 @@ class TestMkqsCached:
         d = dist_stats(s)
         assert res.stats.word_fetches <= d.D // WORD_CHARS + len(s)
         assert ref_strings(res.set) == sorted(items)
-
-    def test_dchar(self):
-        s = random_set(120, seed=3)
-        res = mkqs_cached(s, want_dchar=True)
-        arr = res.set.char_array()
-        for i in range(1, len(s)):
-            h = int(res.set.handles[i])
-            assert res.dchar[i] == arr[h + int(res.lcps[i])]

@@ -20,8 +20,8 @@ from corpus import (
 from strsort import mkqs, parallel
 from strsort import radix as radix_mod
 from strsort.counters import SortStats
-from strsort.basecase import LEAF_FLUSH, fill_dchar
-from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, MergeJob
+from strsort.basecase import LEAF_FLUSH
+from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, run_merge_job, split_merge_jobs
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
     WorkerFailure,
@@ -32,7 +32,6 @@ from strsort.parallel import (
     _mkqs_buckets,
     _Phased,
     _phased_executor,
-    fill_job_lcps,
     parallel_mkqs,
     parallel_radix,
     parallel_s5,
@@ -50,7 +49,6 @@ from strsort.strset import (
     dist_stats,
     extract_keys,
     from_strings,
-    lcp_array_oracle,
     verify,
 )
 
@@ -461,22 +459,6 @@ class TestPartitionedMergeSort:
         res = partitioned_merge_sort(s, K=8, p=2, want_lcps=True)
         assert verify(s, res.set).ok
 
-    def test_cached_fewer_merge_reads(self):
-        s = random_set(6000, seed=11)
-        m_cached = SortStats()
-        m_plain = SortStats()
-        a = partitioned_merge_sort(
-            s, K=4, p=2, use_cache=True, want_lcps=True,
-            stats=m_cached, t_medium=512,
-        )
-        b = partitioned_merge_sort(
-            s, K=4, p=2, use_cache=False, want_lcps=True,
-            stats=m_plain, t_medium=512,
-        )
-        assert ref_strings(a.set) == ref_strings(b.set)
-        assert list(a.lcps) == list(b.lcps)
-        assert m_cached.merge_buffer_cmps < m_plain.merge_buffer_cmps
-
     def test_merge_job_resplit_when_workers_idle(self):
         # a job only splits after MERGE_POLL_INTERVAL emitted strings, so the
         # executor runs directly here with a scheduler that always reports an
@@ -486,36 +468,27 @@ class TestPartitionedMergeSort:
         for k in range(4):
             sub = s.with_handles(s.handles[k * 2500 : (k + 1) * 2500])
             res = s5_sort(sub, want_lcps=True, t_medium=512)
-            streams.append(LcpStream(s, res.set.handles, res.lcps, fill_dchar(res.set, res.lcps)))
+            streams.append(LcpStream(s, res.set.handles, res.lcps))
         n = len(s)
         assert n > MERGE_POLL_INTERVAL
         out_h = np.zeros(n, dtype=np.int64)
         out_l = np.zeros(n, dtype=np.int64)
-        shared = _MergeShared(streams, out_h, out_l, True)
+        shared = _MergeShared(streams, out_h, out_l)
         env = _IdleEnv()
-        _merge_executor(shared, ("merge", MergeJob([(k, 0, 2500) for k in range(4)], 0), 0), env)
+        (job,) = split_merge_jobs(streams, 1, stats=env.stats)
+        _merge_executor(shared, ("merge", job, 0), env)
         assert env.queue and env.stats.share_events == 1
         while env.queue:
             _merge_executor(shared, env.queue.pop(0), env)
-        fill_job_lcps(s, out_h, out_l)
+        # the subjobs write the split's groups and fetch no word again
+        unpolled = SortStats()
+        for job in split_merge_jobs(streams, 1, stats=unpolled):
+            run_merge_job(streams, job, unpolled)
+        assert env.stats.word_fetches == unpolled.word_fetches
+        out_l[0] = LCP_UNDEF
         want = sorted(ref_strings(s))
         assert ref_strings(s.with_handles(out_h)) == want
         assert list(out_l) == ref_lcps(want)
-
-    def test_fill_job_lcps_refetches_only_tied_pairs(self):
-        # pairs tied after one word (the shared 10-char prefix) take a
-        # second word, the rest one: 2 fetches per pair and word
-        items = [b"0123456789" + bytes([c]) * k for c in b"ab" for k in range(4)]
-        items = sorted(items + [b"x", b"xy", b""])
-        s = from_strings(items)
-        want = lcp_array_oracle(s)
-        lcps = want.copy()
-        lcps[1:] = LCP_UNDEF
-        stats = SortStats()
-        fill_job_lcps(s, s.handles, lcps, stats)
-        assert list(lcps) == list(want)
-        tied = int((want[1:] >= WORD_CHARS).sum())
-        assert stats.word_fetches == 2 * (len(s) - 1 + tied)
 
     def test_part_sort_failure_raises(self, monkeypatch):
         def boom(shared, entries, env):
