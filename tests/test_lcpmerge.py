@@ -17,6 +17,7 @@ from strsort.lcpmerge import (
     kway_lcp_merge,
     lcp_compare,
     MERGE_POLL_INTERVAL,
+    OUT,
     pack_merge_jobs,
     run_merge_job,
     split_merge_jobs,
@@ -220,6 +221,19 @@ class TestKwayMerge:
         assert list(l) == ref_lcps(sorted(items))
         assert stats.word_fetches <= fetch_budget(l, shared=4)
 
+    def test_shared_prefix_skips_its_words(self):
+        # every string shares two words: merging from depth 16 gives the same
+        # output and saves the one fetch per run head at each of those levels
+        items = [b"common-prefix-16" + b"%d" % (i * 7919 % 1000) for i in range(400)]
+        s = from_strings(items)
+        shards = make_shards(s, 4)
+        full, skip = SortStats(), SortStats()
+        h0, l0 = kway_lcp_merge(shards, stats=full)
+        h1, l1 = kway_lcp_merge(shards, shared=16, stats=skip)
+        assert list(h1) == list(h0)
+        assert list(l1) == list(l0) == ref_lcps(sorted(items))
+        assert skip.word_fetches == full.word_fetches - 2 * len(shards)
+
 
 def uneven_shards(sset, sizes):
     """Sorted LcpStreams over consecutive slices of the given sizes."""
@@ -400,6 +414,32 @@ class TestSplitMergeJobs:
         tail = [run_merge_job(shards, sub, stats)[0] for sub in subs]
         assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
         assert stats.word_fetches == 0
+
+
+class TestPackMergeJobs:
+    @pytest.mark.parametrize("target", [1, 2, 3, 7, 64])
+    def test_jobs_start_at_groups_and_merge_exactly(self, target):
+        # a refined table of many groups, some of equal strings from several
+        # runs, packed into about target jobs: no job starts inside a group,
+        # and the jobs merge to the oracle with the LCP at each job start
+        s = from_strings(ref_strings(url_like_set(1500)) * 2)
+        shards = uneven_shards(s, [400, 1500, 0, 1100])
+        (job,) = split_merge_jobs(shards, 1)
+        blocks = lcpmerge._refine(shards, job.blocks, SortStats())
+        out = blocks[:, OUT].copy()
+        group_start = np.diff(out, prepend=-1) != 0
+        assert group_start.sum() > 64 and not group_start.all()
+        jobs = pack_merge_jobs(blocks.copy(), target)
+        assert 1 <= len(jobs) <= target
+        if target > 1:
+            assert len(jobs) > 1
+        firsts = np.cumsum([0] + [len(j.blocks) for j in jobs])
+        assert firsts[-1] == len(blocks)
+        assert all(group_start[firsts[:-1]])
+        for j, a in zip(jobs, firsts[:-1]):
+            assert j.blocks[0, OUT] == 0
+            assert list(j.blocks[:, OUT] + out[a]) == list(out[a : a + len(j.blocks)])
+        check_split(s, shards, jobs)
 
 
 def merge_corpus(name):
