@@ -26,9 +26,10 @@ class SortStats:
         partition, one per string and tied level in word_leaves (and one
         per leaf string for its first word when the driver keeps no word
         cache: radix sort and plain mkqs, which take no stats), one per
-        block head and level of the merge split, both in the coordinator's
-        lcpmerge.split_merge_jobs and in each job's refinement in
-        lcpmerge.run_merge_job.
+        block head and level of the merge split in each job's refinement
+        in lcpmerge.run_merge_job.  The coordinator's
+        lcpmerge.split_merge_jobs fetches none: it binary-searches the
+        buffer's bytes.
     merge_buffer_cmps
         Character comparisons that lcpmerge.binary_lcp_merge reads from the
         buffer.  The K-way merge compares no characters.

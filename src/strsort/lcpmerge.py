@@ -7,17 +7,21 @@ and every matched character permanently raises the output LCP sum.
 Character comparisons are counted per position examined.  The binary LCP
 merge and mergesort are built on it.
 
-The K-way LCP merge is not a tournament tree: it splits its sorted runs
-into groups of strings with equal words, level by level in numpy, from the
-runs' LCP arrays and one word fetch per block head and level.  The
-coordinator's split_merge_jobs stops at groups of N / target_jobs strings
-and packs them into jobs; each merge job's run_merge_job splits its pending
-groups on, from their depths, until every group is copied: a group from one
-run, or a group of equal strings, run by run in stream order.
+The K-way LCP merge is not a tournament tree.  split_merge_jobs cuts the
+sorted runs into independent jobs by multiway splitting: splitters drawn
+by regular sampling, each found in every run by binary search over the
+buffer's bytes, O(K * m * log n) string reads for m jobs and no word
+fetch.  The strings of a job share the LCP of its two bounding values, so
+each job's run_merge_job splits it from that depth into groups of strings
+with equal words, level by level in numpy, from the runs' LCP arrays and
+one word fetch per block head and level, until every group is copied: a
+group from one run, or a group of equal strings, run by run in stream
+order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +69,16 @@ class MergeJob:
     group's blocks follow each other from OUT, and each holds the LCP to
     write at its first string; a pending group's first block holds the
     group's LCP.  The first block's LCP is the one to the string before the
-    job.
+    job.  A job of split_merge_jobs is one pending group, one block per run
+    at OUT 0, or one copied block; a job that pack_merge_jobs packs from a
+    refined table holds copied groups only.
     """
 
-    ranges: list[tuple[int, int, int]]  # (stream index, start, length)
     blocks: np.ndarray
 
     @property
     def size(self) -> int:
-        return sum(r[2] for r in self.ranges)
+        return int(self.blocks[:, LEN].sum())
 
 
 def lcp_compare(
@@ -184,10 +189,13 @@ def kway_lcp_merge(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge K sorted runs sharing `shared` prefix characters, with LCPs.
 
-    Runs the one job of split_merge_jobs, whose run_merge_job splits every
-    group from several runs to the end.  It compares no characters, and a
-    string's word is fetched only at depths up to its larger output LCP h:
-    at most 1 + (h - shared) // WORD_CHARS word fetches per string.
+    Runs the one job of split_merge_jobs: its strings share the LCP D of
+    the smallest run head and the largest run tail, which the split reads,
+    and run_merge_job splits every group from several runs from depth D to
+    the end.  It compares no characters, and a string's word is fetched
+    only at depths from D up to its larger output LCP h: at most
+    1 + (h - D) // WORD_CHARS <= 1 + (h - shared) // WORD_CHARS word fetches
+    per string.
     """
     stats = stats if stats is not None else SortStats()
     n = sum(st.length for st in streams)
@@ -205,38 +213,41 @@ def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
-def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
-    """Split groups of run segments into blocks, one word level at a time.
+def _index_type(sset: StringSet):
+    """Positions, lengths and LCPs are below the buffer size."""
+    return np.int32 if len(sset.buffer) < 2**31 else np.int64
+
+
+def _split_levels(streams, segs, parents, stats) -> np.ndarray:
+    """Split groups of run segments to the end, one word level at a time.
 
     segs = (parent, stream, lo, hi) arrays locate each group's segments,
     one per run; parents = (start, lead, depth) arrays give each group's
     output start, LCP to the string before it, and the depth of its next
     word.  A level cuts every active segment into blocks from its LCP array
     alone: a string joins its predecessor's block when their LCP reaches
-    the segment's depth + width, or when both are the same string ending at
-    that LCP (in a sorted run the second holds exactly when the later
-    string ends there).  It fetches the word of every block head at its
-    depth in one extract_keys call, charged to stats.word_fetches, and
+    the segment's depth + WORD_CHARS, or when both are the same string
+    ending at that LCP (in a sorted run the second holds exactly when the
+    later string ends there).  It fetches the word of every block head at
+    its depth in one extract_keys call, charged to stats.word_fetches, and
     orders the heads by one stable lexsort of (parent, word, stream).
     Equal words form a group, and neighbouring groups share depth +
     shared_chars(words) characters.  A group from one run is one copied
     block.  When the word of a group from several runs holds the
     terminator, its strings are all equal and its blocks are copied in
-    stream order.  Otherwise the group recurses at depth + width when it
-    holds more than `cut` strings, and is left pending at that depth when
-    it does not.  Returns the blocks table, sorted by (OUT, STREAM).
+    stream order.  Otherwise the group recurses at depth + WORD_CHARS.
+    Returns the blocks table of copied groups, sorted by OUT, each group's
+    blocks in stream order.
     """
-    w = max(1, min(width, WORD_CHARS))
-    mask = np.uint64(((1 << (8 * w)) - 1) << (8 * (WORD_CHARS - w)))
+    w = WORD_CHARS
     sset = streams[0].sset
     chars = sset.char_array()
-    # positions, lengths and LCPs are below the buffer size
-    itype = np.int32 if len(sset.buffer) < 2**31 else np.int64
+    itype = _index_type(sset)
     s_parent, s_stream, s_lo, s_hi = (np.asarray(x, dtype=itype) for x in segs)
     p_start, p_lead, p_depth = (np.asarray(x, dtype=itype) for x in parents)
     tables = []
-    # each level frees its head-sized arrays once spent: the coordinator's
-    # split runs on the whole input, and its peak memory is the sort's
+    # each level frees its head-sized arrays once spent: the one job of
+    # kway_lcp_merge spans the whole input, and its peak memory is the merge's
     while len(s_lo):
         lens = s_hi - s_lo
         pos, size, seg, handles = [], [], [], []
@@ -264,7 +275,7 @@ def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
             del idx, at
         seg = np.concatenate(seg)
         handles = np.concatenate(handles)
-        words = extract_keys(sset, handles, p_depth[s_parent[seg]]) & mask
+        words = extract_keys(sset, handles, p_depth[s_parent[seg]])
         if stats is not None:
             stats.word_fetches += len(handles)
         del handles
@@ -297,10 +308,8 @@ def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
         g_size = np.add.reduceat(size, first)
         g_start = np.cumsum(g_size, dtype=itype) - g_size
         multi = g_runs > 1
-        # equal strings need no deeper level, whatever the cut
         equal = multi & (fz < w)
-        deeper = multi & ~equal & (g_size > cut)
-        pending = multi & ~equal & ~deeper
+        deeper = multi & ~equal
         del fz, g_size, multi
         pfirst = np.ones(len(first), dtype=bool)
         pfirst[1:] = g_parent[1:] != g_parent[:-1]
@@ -324,48 +333,111 @@ def _split_levels(streams, segs, parents, cut, width, stats) -> np.ndarray:
         table[:, OUT] = g_start[gid]
         # a later run of an equal group follows strings equal to its own
         table[:, LCP] = np.where(new, g_lead[gid], np.where(equal[gid], g_depth[gid], 0))
-        table[:, DEPTH] = np.where(pending[gid], g_depth[gid], -1)
+        table[:, DEPTH] = -1
         tables.append(table[~rec] if rec.any() else table)
-        del table, rec, gid, new, equal, pending
+        del table, rec, gid, new, equal
     if len(tables) == 1:  # parents are numbered in output order
         return tables[0]
-    # deeper groups' blocks go between their neighbours
+    # deeper groups' blocks go between their neighbours; a group's blocks lie
+    # in one level's table, in stream order, and OUT differs between groups
     blocks = np.concatenate(tables)
     del tables
-    return blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
+    return blocks[np.argsort(blocks[:, OUT], kind="stable")]
+
+
+def _lcp_bytes(a: bytes, b: bytes) -> int:
+    """LCP of two strings read from their starts, each with its terminator
+    or further: the first position where the reads differ."""
+    n = min(len(a), len(b))
+    diff = np.frombuffer(a, np.uint8, n) != np.frombuffer(b, np.uint8, n)
+    # equal reads both end in their strings' terminator
+    return int(diff.argmax()) if diff.any() else n - 1
 
 
 def split_merge_jobs(
     streams: list[LcpStream],
     target_jobs: int,
     shared: int = 0,
-    width: int = WORD_CHARS,
     stats: SortStats | None = None,
 ) -> list[MergeJob]:
-    """Split K sorted runs into independent merge jobs, one word level at a time.
+    """Split K sorted runs into independent merge jobs by sampled splitters.
 
-    This is the first of two split stages.  Every string shares `shared`
-    characters; _split_levels splits the runs as one root group with a cut
-    of N / target_jobs strings, one word fetch per block head and level.
-    pack_merge_jobs packs the groups into about target_jobs jobs.  The
-    second stage, in run_merge_job, splits each job's pending groups to the
-    end.
+    This is the first of two split stages.  With m = target_jobs (at most
+    N), each non-empty run of length L gives the strings at i * L // m for
+    i = 1 .. m-1 as samples (regular sampling), each standing for L / m
+    strings.  In sorted order, splitter i is the sample at which these
+    weights reach i * N / m; an equal splitter counts once.  Each
+    splitter's lower bound in every run is found by binary search over the
+    buffer's bytes, so equal strings never straddle two jobs.  A job holds
+    the strings between two splitters, one table row per run with any
+    (OUT = 0): a copied block when one run has them all, else one pending
+    group at depth D, the LCP of the job's bounding values (its splitters,
+    or the smallest run head and the largest run tail at the ends), which
+    all its strings share.  Its first string equals its lower splitter, so
+    the group's LCP to the string before the job is the largest LCP of the
+    splitter to a run's string just before its lower bound; the first
+    job's is `shared`, the LCP every string shares.  The split reads at
+    most K * m * (ceil(log2 N) + 2) strings and fetches no word, and
+    charges nothing to stats.  The second stage, in run_merge_job, splits
+    each job's pending group to the end.
     """
     total = sum(s.length for s in streams)
     if total == 0:
         return []
-    target_jobs = max(1, target_jobs)
-    nonempty = [k for k, s in enumerate(streams) if s.length]
-    zeros = [0] * len(nonempty)
-    blocks = _split_levels(
-        streams,
-        (zeros, nonempty, zeros, [streams[k].length for k in nonempty]),
-        ([0], [shared], [shared]),
-        total / target_jobs,
-        width,
-        stats,
-    )
-    return pack_merge_jobs(blocks, target_jobs)
+    runs = [k for k, s in enumerate(streams) if s.length]
+    sset = streams[runs[0]].sset
+    itype = _index_type(sset)
+    if len(runs) == 1:
+        (k,) = runs
+        return [MergeJob(np.array([[k, 0, total, 0, shared, -1]], dtype=itype))]
+    buf = sset.buffer
+
+    def read(handles) -> list[bytes]:
+        """Whole strings, terminators included."""
+        handles = np.asarray(handles, dtype=np.int64)
+        return [buf[h : e + 1] for h, e in zip(handles.tolist(), sset.ends(handles).tolist())]
+
+    m = max(1, min(target_jobs, total))
+    samples = [
+        (s, streams[k].length)
+        for k in runs
+        for s in read(streams[k].handles[np.arange(1, m) * streams[k].length // m])
+    ]
+    splitters, reached, i = [], 0, 1
+    for s, weight in sorted(samples):
+        reached += weight  # m times the strings the samples so far stand for
+        while i < m and reached >= i * total:
+            if not splitters or splitters[-1] != s:
+                splitters.append(s)
+            i += 1
+    # cuts[j][k]: where job j starts in run k; leads[j]: its first LCP
+    cuts = [[0] * len(streams)]
+    leads = [shared]
+    for sp in splitters:
+        width = len(sp)
+        cut, lead = list(cuts[-1]), shared
+        for k in runs:
+            hs = streams[k].handles
+            # a string's first len(sp) bytes, read past its terminator if
+            # need be, order against sp as the string does: sp's one zero
+            # byte is its last
+            cut[k] = bisect_left(hs, sp, cut[k], key=lambda h: buf[h : h + width])
+            if cut[k]:
+                h = int(hs[cut[k] - 1])
+                lead = max(lead, _lcp_bytes(sp, buf[h : h + width]))
+        cuts.append(cut)
+        leads.append(lead)
+    cuts.append([s.length for s in streams])
+    bounds = [min(read([streams[k].handles[0] for k in runs]))]
+    bounds += splitters + [max(read([streams[k].handles[-1] for k in runs]))]
+    jobs = []
+    for j, lead in enumerate(leads):
+        rows = [(k, cuts[j][k], cuts[j + 1][k] - cuts[j][k]) for k in runs if cuts[j + 1][k] > cuts[j][k]]
+        if not rows:  # only before the first splitter: each holds itself
+            continue
+        depth = _lcp_bytes(bounds[j], bounds[j + 1]) if len(rows) > 1 else -1
+        jobs.append(MergeJob(np.array([(*r, 0, lead, depth) for r in rows], dtype=itype)))
+    return jobs
 
 
 def pack_merge_jobs(blocks: np.ndarray, target_jobs: int) -> list[MergeJob]:
@@ -381,11 +453,7 @@ def pack_merge_jobs(blocks: np.ndarray, target_jobs: int) -> list[MergeJob]:
     for a, b in zip([0] + cuts, cuts + [len(blocks)]):
         jb = blocks[a:b]
         jb[:, OUT] -= jb[0, OUT]
-        ranges = []
-        for k in np.flatnonzero(np.bincount(jb[:, STREAM])).tolist():
-            mine = jb[jb[:, STREAM] == k]
-            ranges.append((k, int(mine[0, POS]), int(mine[:, LEN].sum())))
-        jobs.append(MergeJob(ranges, jb))
+        jobs.append(MergeJob(jb))
     return jobs
 
 
@@ -399,7 +467,7 @@ def run_merge_job(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
     """Execute one merge job.
 
-    This is the second split stage.  _refine splits every pending group on
+    This is the second split stage.  _refine splits a pending group on
     from its depth until every group is copied: it comes from one run, or
     its strings are all equal.  The groups are then written per stream in
     vectorized passes, with the LCP at each block start taken from the
@@ -437,23 +505,15 @@ def run_merge_job(
 
 
 def _refine(streams: list[LcpStream], blocks: np.ndarray, stats: SortStats) -> np.ndarray:
-    """The blocks table with every pending group split to the end."""
-    rows = blocks[:, DEPTH] >= 0
-    if not rows.any():
+    """The blocks table with its pending group split to the end."""
+    if blocks[0, DEPTH] < 0:  # copied groups only
         return blocks
-    b = blocks[rows]
-    new = np.diff(b[:, OUT], prepend=-1) != 0
-    heads = b[new]
-    refined = _split_levels(
+    return _split_levels(
         streams,
-        (np.cumsum(new) - 1, b[:, STREAM], b[:, POS], b[:, POS] + b[:, LEN]),
-        (heads[:, OUT], heads[:, LCP], heads[:, DEPTH]),
-        0,
-        WORD_CHARS,
+        (np.zeros(len(blocks)), blocks[:, STREAM], blocks[:, POS], blocks[:, POS] + blocks[:, LEN]),
+        (blocks[:1, OUT], blocks[:1, LCP], blocks[:1, DEPTH]),
         stats,
     )
-    blocks = np.concatenate((blocks[~rows], refined))
-    return blocks[np.lexsort((blocks[:, STREAM], blocks[:, OUT]))]
 
 
 def _emit(streams, blocks, out_h, out_l) -> None:

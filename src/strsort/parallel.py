@@ -693,12 +693,14 @@ def partitioned_merge_sort(
     The parts are the roots of one parallel sample sort that records LCPs:
     a part of at least n/p strings takes phased steps on all p workers and
     smaller parts run as batch jobs.  The coordinator then splits the parts
-    into about 8p jobs with split_merge_jobs (one numpy pass per word level)
-    and merges them on the same pool.  Each merge job splits its groups on
-    until each comes from one part or holds equal strings, and copies them;
-    when workers go idle, it hands the groups it has not written back to
-    the queue as new jobs.  A job's first block holds its LCP to the
-    string before it, so every LCP of the output is written by its job.
+    into about 8p jobs with split_merge_jobs (sampled splitters, each found
+    in every part by binary search: O(K * p * log n) string reads and no
+    word fetch) and merges them on the same pool.  Each merge job splits
+    its strings from their splitters' LCP on until each group comes from
+    one part or holds equal strings, and copies them; when workers go
+    idle, it hands the groups it has not written back to the queue as new
+    jobs.  A job's first block holds its LCP to the string before it, so
+    every LCP of the output is written by its job.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)

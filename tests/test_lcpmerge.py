@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
 from strsort.lcpmerge import (
     DEPTH,
+    LEN,
     LcpStream,
     binary_lcp_merge,
     binary_lcp_mergesort,
@@ -18,12 +20,14 @@ from strsort.lcpmerge import (
     lcp_compare,
     MERGE_POLL_INTERVAL,
     OUT,
+    POS,
+    STREAM,
     pack_merge_jobs,
     run_merge_job,
     split_merge_jobs,
 )
 from strsort.parallel import partitioned_merge_sort, shared_array
-from strsort.strset import LCP_UNDEF, WORD_CHARS, from_strings, lcp, lcp_sum, verify
+from strsort.strset import LCP_UNDEF, WORD_CHARS, StringSet, from_strings, lcp, lcp_sum, verify
 
 text_bytes = st.binary(min_size=0, max_size=10).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -222,8 +226,9 @@ class TestKwayMerge:
         assert stats.word_fetches <= fetch_budget(l, shared=4)
 
     def test_shared_prefix_skips_its_words(self):
-        # every string shares two words: merging from depth 16 gives the same
-        # output and saves the one fetch per run head at each of those levels
+        # every string shares two words: the split finds them from the
+        # smallest run head and the largest run tail, so merging from depth
+        # 0 fetches no word of the shared prefix, as merging from 16 does
         items = [b"common-prefix-16" + b"%d" % (i * 7919 % 1000) for i in range(400)]
         s = from_strings(items)
         shards = make_shards(s, 4)
@@ -232,7 +237,7 @@ class TestKwayMerge:
         h1, l1 = kway_lcp_merge(shards, shared=16, stats=skip)
         assert list(h1) == list(h0)
         assert list(l1) == list(l0) == ref_lcps(sorted(items))
-        assert skip.word_fetches == full.word_fetches - 2 * len(shards)
+        assert 0 < full.word_fetches == skip.word_fetches <= fetch_budget(l0, shared=16)
 
 
 def uneven_shards(sset, sizes):
@@ -267,19 +272,21 @@ def split_corpus(name):
 SPLIT_CORPORA = ("empty_strings", "equal_long", "long_prefixes", "bytes_1_255", "mixed")
 
 
+def check_partition(shards, jobs):
+    """The table rows of the jobs, in order, tile every run from its start
+    to its end with non-empty blocks."""
+    pos = [0] * len(shards)
+    for job in jobs:
+        for k, start, length in job.blocks[:, [STREAM, POS, LEN]].tolist():
+            assert start == pos[k] and length > 0
+            pos[k] += length
+    assert pos == [shard.length for shard in shards]
+
+
 def check_split(sset, shards, jobs):
     """Partition property, and oracle order and LCPs, the LCP at each job
     start included."""
-    seen = {k: [] for k in range(len(shards))}
-    for job in jobs:
-        for k, start, length in job.ranges:
-            seen[k].append((start, length))
-    for k, shard in enumerate(shards):
-        pos = 0
-        for start, length in sorted(seen[k]):
-            assert start == pos
-            pos += length
-        assert pos == shard.length
+    check_partition(shards, jobs)
     want = ref_sorted_strings(sset)
     want_lcps = ref_lcps(want)
     got, pos = [], 0
@@ -294,13 +301,17 @@ def check_split(sset, shards, jobs):
 
 
 class TestSplitMergeJobs:
-    def test_disjoint_first_chars_one_job_each(self):
+    def test_distinct_strings_one_job_each(self):
+        # with more target jobs than strings, every string of a run is a
+        # sample: each distinct string starts its own job, a copied block
         groups = {c: [bytes([c]) + b"x", bytes([c]) + b"yy"] for c in range(97, 103)}
         items = [x for g in groups.values() for x in g]
         s = from_strings(items)
         shards = make_shards(s, 2)
-        jobs = split_merge_jobs(shards, target_jobs=100, width=1)
-        assert len(jobs) == len(groups)
+        jobs = split_merge_jobs(shards, target_jobs=100)
+        assert len(jobs) == len(items)
+        assert all(job.blocks[:, DEPTH].tolist() == [-1] for job in jobs)
+        check_split(s, shards, jobs)
 
     def test_all_identical_single_job(self):
         s = from_strings([b"same"] * 40)
@@ -314,17 +325,8 @@ class TestSplitMergeJobs:
             s = random_set(600, seed=seed)
             shards = make_shards(s, 4)
             jobs = split_merge_jobs(shards, target_jobs=16)
-            seen = {k: [] for k in range(4)}
-            for job in jobs:
-                for k, start, length in job.ranges:
-                    seen[k].append((start, length))
-            for k in range(4):
-                covered = sorted(seen[k])
-                pos = 0
-                for start, length in covered:
-                    assert start == pos
-                    pos += length
-                assert pos == shards[k].length
+            assert len(jobs) > 1
+            check_partition(shards, jobs)
 
     def test_jobwise_equals_monolithic(self):
         for seed in range(4):
@@ -344,43 +346,45 @@ class TestSplitMergeJobs:
                     assert list(chunk) == list(mono_l[pos + 1 : pos + 1 + len(chunk)])
                 pos += len(p[1])
 
-    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("target", [1, 4, 1000])
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
-    def test_matches_oracle(self, corpus, width):
+    def test_matches_oracle(self, corpus, target):
         s, sizes = split_corpus(corpus)
         shards = uneven_shards(s, sizes)
-        for target in (1, 4, 1000):
-            check_split(s, shards, split_merge_jobs(shards, target, width=width))
+        check_split(s, shards, split_merge_jobs(shards, target))
 
     def test_empty_and_single_streams(self):
         s = from_strings([b"only"])
         shards = uneven_shards(s, [0, 1, 0])
         jobs = split_merge_jobs(shards, 8)
-        assert [(j.ranges, j.size) for j in jobs] == [([(1, 0, 1)], 1)]
+        assert [j.blocks.tolist() for j in jobs] == [[[1, 0, 1, 0, 0, -1]]]
+        assert jobs[0].size == 1
         check_split(s, shards, jobs)
         assert split_merge_jobs(uneven_shards(s, [0, 0]), 8) == []
 
     def test_word_fetches_one_per_head_and_level(self):
-        # level 0: one head per stream, as every LCP reaches 8; the group of
-        # 5 strings recurses at depth 8, where the repeated "abcdefgh2" joins
-        # its equal predecessor and the other four strings head blocks: 2 + 4
+        # the split fetches no word; the one job's strings share the 8
+        # characters of "abcdefgh1" and "abcdefgh4", so its refinement
+        # starts at depth 8, where the repeated "abcdefgh2" joins its equal
+        # predecessor and the other four strings head blocks: 4 fetches
         s = from_strings(
             [b"abcdefgh1", b"abcdefgh2", b"abcdefgh2", b"abcdefgh3", b"abcdefgh4"]
         )
         shards = uneven_shards(s, [3, 2])
         stats = SortStats()
         jobs = split_merge_jobs(shards, 2, stats=stats)
-        assert stats.word_fetches == 6
+        assert stats.word_fetches == 0
         check_split(s, shards, jobs)
-        # one job: the root level leaves the group pending at depth 8, and
-        # the job's refinement fetches from there, not again from depth 0
+        (job,) = split_merge_jobs(shards, 1)
+        assert job.blocks[:, DEPTH].tolist() == [8, 8]
         stats = SortStats()
         kway_lcp_merge(shards, stats=stats)
-        assert stats.word_fetches == 6
+        assert stats.word_fetches == 4
 
-    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("target", [1, 16])
     @pytest.mark.parametrize("make", [lambda: random_set(20_000, seed=2), lambda: url_like_set(20_000)])
-    def test_fetches_words_per_level_not_per_string(self, monkeypatch, make, width):
+    def test_fetches_words_per_level_not_per_string(self, monkeypatch, make, target):
+        # each job's refinement fetches its words in one call per level
         s = make()
         shards = make_shards(s, 4)
         calls = []
@@ -391,10 +395,14 @@ class TestSplitMergeJobs:
             return real(sset, handles, depth)
 
         monkeypatch.setattr(lcpmerge, "extract_keys", counting)
-        jobs = split_merge_jobs(shards, 16, width=width)
+        jobs = split_merge_jobs(shards, target)
+        assert calls == [] and sum(j.size for j in jobs) == len(s)
         max_depth = int((s.ends() - s.handles).max())
-        assert 1 <= len(calls) <= 1 + max_depth // width
-        assert sum(j.size for j in jobs) == len(s)
+        for job in jobs:
+            calls.clear()
+            run_merge_job(shards, job)
+            assert len(calls) <= 1 + max_depth // WORD_CHARS
+            assert bool(calls) == (job.blocks[:, DEPTH] >= 0).any()
 
     def test_poll_stops_between_small_groups(self):
         # every value appears once in each run, so the job is many small
@@ -414,6 +422,92 @@ class TestSplitMergeJobs:
         tail = [run_merge_job(shards, sub, stats)[0] for sub in subs]
         assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
         assert stats.word_fetches == 0
+
+
+class CountingBytes(bytes):
+    """A character buffer that counts the slices read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestSampledSplit:
+    @pytest.mark.parametrize("target", [2, 4, 16, 64])
+    def test_equal_strings_never_straddle_a_job_boundary(self, target):
+        # 37 values, each about 54 times, spread over uneven runs
+        rng = np.random.default_rng(11)
+        items = [b"v%d" % (i % 37) for i in range(2000)]
+        items = [items[i] for i in rng.permutation(len(items))]
+        s = from_strings(items)
+        shards = uneven_shards(s, [300, 900, 0, 800])
+        jobs = split_merge_jobs(shards, target)
+        check_split(s, shards, jobs)
+        want = sorted(items)
+        starts = np.cumsum([j.size for j in jobs])[:-1].tolist()
+        assert len(starts) >= min(target, 37) // 2
+        assert all(want[p - 1] != want[p] for p in starts)
+
+    @pytest.mark.parametrize("target", [4, 16, 100])
+    def test_duplicate_splitters_yield_no_empty_job(self, target):
+        # nine in ten strings are "m", so most samples are equal
+        rng = np.random.default_rng(12)
+        items = [b"m"] * 900 + [b"a"] * 50 + [b"z"] * 50
+        items = [items[i] for i in rng.permutation(len(items))]
+        s = from_strings(items)
+        shards = make_shards(s, 4)
+        jobs = split_merge_jobs(shards, target)
+        assert 1 <= len(jobs) <= 3 and all(job.size > 0 for job in jobs)
+        check_split(s, shards, jobs)
+
+    def test_url_jobs_start_at_their_splitters_lcp(self):
+        # a job's first string is its lower splitter and the next job's
+        # first string its upper one: every string of the job shares their
+        # LCP, and its group is split from there
+        s = url_like_set(20_000)
+        shards = make_shards(s, 4)
+        jobs = split_merge_jobs(shards, 16)
+        check_split(s, shards, jobs)
+        want = ref_sorted_strings(s)
+        starts = np.cumsum([0] + [j.size for j in jobs]).tolist()
+        depths = []
+        for job, a, b in zip(jobs, starts, starts[1:]):
+            if len(job.blocks) == 1:
+                continue
+            upper = want[b] if b < len(want) else want[-1]
+            splitters_lcp = ref_lcps([want[a], upper])[1]
+            (depth,) = set(job.blocks[:, DEPTH].tolist())
+            assert splitters_lcp <= depth <= ref_lcps([want[a], want[b - 1]])[1]
+            depths.append(depth)
+        assert len(depths) > 1 and min(depths) > 0
+
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
+    def test_split_fetches_no_word(self, monkeypatch, corpus):
+        s, shards = merge_shards(corpus)
+        calls = []
+        monkeypatch.setattr(lcpmerge, "extract_keys", lambda *args: calls.append(args))
+        stats = SortStats()
+        for target in (1, 4, 16, 1000):
+            assert sum(j.size for j in split_merge_jobs(shards, target, stats=stats)) == len(s)
+        assert calls == [] and stats == SortStats()
+
+    @pytest.mark.parametrize("target", [1, 4, 16, 1000])
+    @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
+    def test_split_reads_log_strings(self, corpus, target):
+        # the samples, K * m * ceil(log2 n) binary-search probes, the string
+        # before each lower bound, and the runs' heads and tails
+        s, shards = merge_shards(corpus)
+        buf = CountingBytes(s.buffer)
+        counted = StringSet(buf, s.handles)
+        shards = [LcpStream(counted, sh.handles, sh.lcps) for sh in shards]
+        buf.reads = 0
+        jobs = split_merge_jobs(shards, target)
+        k = sum(sh.length > 0 for sh in shards)
+        assert 0 < buf.reads <= k * target * (math.ceil(math.log2(len(s))) + 2)
+        check_partition(shards, jobs)
 
 
 class TestPackMergeJobs:
@@ -450,12 +544,19 @@ def merge_corpus(name):
     return s, [3000, 9000, 1000, 7000]
 
 
+@functools.cache
+def merge_shards(name):
+    """(set, sorted runs) of merge_corpus(name), built once: the runs are
+    sorted by LCP insertion sort, which takes seconds at 20,000 strings."""
+    s, sizes = merge_corpus(name)
+    return s, uneven_shards(s, sizes)
+
+
 @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
 def test_kway_word_fetches_within_budget(corpus):
     # a string is fetched only at depths its group shares with another
     # string, so never deeper than its larger output LCP
-    s, sizes = merge_corpus(corpus)
-    shards = uneven_shards(s, sizes)
+    s, shards = merge_shards(corpus)
     stats = SortStats()
     h, l = kway_lcp_merge(shards, stats=stats)
     want = ref_sorted_strings(s)
@@ -468,8 +569,7 @@ def test_kway_word_fetches_within_budget(corpus):
 class TestRefine:
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
     def test_refined_table_has_no_pending_group(self, monkeypatch, corpus):
-        s, sizes = merge_corpus(corpus)
-        shards = uneven_shards(s, sizes)
+        s, shards = merge_shards(corpus)
         pending = []
         real = lcpmerge._refine
 
@@ -573,7 +673,7 @@ def test_poll_stops_at_group_boundary():
     assert want[emitted - 1] != want[emitted]  # a group boundary
     assert list(h[:emitted]) == list(full_h[:emitted])
     subs = pack_merge_jobs(rest, 3)
-    assert sorted({k for sub in subs for k, _, _ in sub.ranges}) == [0, 1, 2]
+    assert sorted({k for sub in subs for k in sub.blocks[:, STREAM].tolist()}) == [0, 1, 2]
     assert sum(sub.size for sub in subs) == n - emitted
     pos = emitted
     for sub in subs:
