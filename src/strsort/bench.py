@@ -77,7 +77,7 @@ def _algo_radix8(sset, threads, seed, stats):
 
 
 def _algo_radix16(sset, threads, seed, stats):
-    return radix16_adaptive(sset, stats=stats)
+    return radix16_adaptive(sset)
 
 
 def _algo_s5_unroll(sset, threads, seed, stats):

@@ -34,7 +34,10 @@ class SortStats:
         Character comparisons that lcpmerge.binary_lcp_merge reads from the
         buffer.  The K-way merge compares no characters.
     scratch_words
-        Words of handle-sized scratch allocated by a sorter.
+        Words of handle-sized scratch allocated by a sequential sorter:
+        s5_sort's `other` array.  The radix sorts run in place on their
+        one handle copy and the parallel sorters' shared arrays are not
+        charged.
     jobs_enqueued / jobs_executed
         Scheduler job accounting.
     share_events

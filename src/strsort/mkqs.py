@@ -55,10 +55,10 @@ def mkqs_range(
     leaves.flush()
 
 
-def mkqs(sset: StringSet, depth: int = 0) -> StringSet:
+def mkqs(sset: StringSet) -> StringSet:
     """Plain multikey quicksort (character splitter, ternary partition)."""
     work = sset.handles.copy()
-    mkqs_range(sset, work, 0, len(work), depth)
+    mkqs_range(sset, work, 0, len(work), 0)
     return sset.with_handles(work)
 
 
@@ -159,18 +159,14 @@ def mkqs_cached_items(
     leaves.flush()
 
 
-def mkqs_cached(
-    sset: StringSet,
-    depth: int = 0,
-    stats: SortStats | None = None,
-) -> SortedWithLcp:
+def mkqs_cached(sset: StringSet, stats: SortStats | None = None) -> SortedWithLcp:
     """Caching multikey quicksort of a whole set, with LCP output."""
     stats = stats if stats is not None else SortStats()
     n = len(sset)
     work_h = sset.handles.copy()
-    work_c = extract_keys(sset, work_h, depth)
+    work_c = extract_keys(sset, work_h, 0)
     stats.word_fetches += n
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64)
-    mkqs_cached_range(sset, work_h, work_c, 0, n, depth, lcps, stats)
+    mkqs_cached_range(sset, work_h, work_c, 0, n, 0, lcps, stats)
     out = sset.with_handles(work_h)
     return SortedWithLcp(out, lcps, stats)

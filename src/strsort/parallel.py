@@ -17,7 +17,8 @@ bucket function (classified word keys, radix digits, or the word's side of
 a pivot word), stores it in a shared uint16 oracle and its bucket counts in
 a shared (p, buckets) table, and replies.  The coordinator takes one
 interleaved, bucket-major prefix sum over the shard counts, then each shard
-job stably scatters its strings into dst.  The coordinator runs such steps
+job stably scatters its strings into dst; when one bucket holds them all,
+the coordinator copies the range instead.  The coordinator runs such steps
 on every subproblem of at least n/p strings and feeds the smaller ones to
 the pool as batch jobs, which sort sequentially and share when workers
 idle.  Steps and batch sorts are all stable, so equal strings keep their
@@ -47,7 +48,7 @@ from .basecase import LEAF_THRESHOLD, SortedWithLcp
 from .counters import SortStats
 from .lcpmerge import LcpStream, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
-from .radix import RADIX16_THRESHOLD, _digits8, _digits16, bucket_spans, radix8_items, skip_shared
+from .radix import RADIX16_THRESHOLD, bucket_spans, radix8_items, skip_shared, step_digits
 from .ssss import (
     DEFAULT_V,
     S5Context,
@@ -275,11 +276,12 @@ def pool_run(p: int, root_jobs: list, executor, ctx) -> SortStats:
     return pool.stats
 
 
-def make_share_hook(env: _Env, job_of_entry=lambda entries: ("batch", entries)):
+def make_share_hook(env: _Env):
     """Donate the largest pending stack entries when workers sit idle.
 
-    `job_of_entry` wraps a list of stack entries into a queue job.  One
-    donation per trigger counts as one share event.
+    The donated entries go to the queue as one ("batch", entries) job, so
+    a sorter's batch function takes its own stack entries.  One donation
+    per trigger counts as one share event.
     """
 
     def share(stack: list) -> None:
@@ -293,7 +295,7 @@ def make_share_hook(env: _Env, job_of_entry=lambda entries: ("batch", entries)):
         donated = [stack[i] for i in largest]
         for i in sorted(largest, reverse=True):
             del stack[i]
-        env.enqueue(job_of_entry(donated))
+        env.enqueue(("batch", donated))
         env.record_share()
 
     return share
@@ -326,6 +328,10 @@ class _Phased:
     # pmkqs: each position's word at its range's depth, paired with cur and with other
     cache: np.ndarray | None = None
     other_cache: np.ndarray | None = None
+
+    def handles(self, in_cur: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The (src, dst) handle arrays of a step whose data starts in cur when in_cur."""
+        return (self.cur, self.other) if in_cur else (self.other, self.cur)
 
     def words(self, in_cur: bool) -> tuple[np.ndarray, np.ndarray]:
         """The (src, dst) word arrays of a step whose data starts in cur when in_cur."""
@@ -371,7 +377,7 @@ def _phased_executor(sh: _Phased, job, env: _Env) -> None:
         sh.batch(sh, job[1], env)
         return
     _, lo, hi, in_cur = job[:4]
-    src, dst = (sh.cur, sh.other) if in_cur else (sh.other, sh.cur)
+    src, dst = sh.handles(in_cur)
     if kind == "count":
         row, k, arg = job[4:]
         buckets, summary = sh.buckets(sh, src, lo, hi, arg)
@@ -394,6 +400,9 @@ def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, in_cur: bool, k: 
     `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
     b occupies [lo + bounds[b], lo + bounds[b + 1]) of dst, and summaries
     holds the bucket function's second result per shard, in shard order.
+    When the counts leave one bucket nonempty, the stable scatter is a
+    copy, so the coordinator copies src[lo:hi] to dst, and the words with
+    them when the sorter caches words, instead of running a scatter phase.
     """
     cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
     shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
@@ -402,9 +411,16 @@ def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, in_cur: bool, k: 
     parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
     counts = sh.counts[: len(shards), :k]
     offsets, bounds = prefix_offsets(counts, lo)
-    for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
-        pool.submit(("scatter", slo, shi, in_cur, shard_offsets[shard_counts > 0]))
-    pool.wait_phase(len(shards))
+    if np.count_nonzero(np.diff(bounds)) == 1:
+        src, dst = sh.handles(in_cur)
+        dst[lo:hi] = src[lo:hi]
+        if sh.cache is not None:
+            src_words, dst_words = sh.words(in_cur)
+            dst_words[lo:hi] = src_words[lo:hi]
+    else:
+        for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
+            pool.submit(("scatter", slo, shi, in_cur, shard_offsets[shard_counts > 0]))
+        pool.wait_phase(len(shards))
     return bounds, [part[1] for part in parts]
 
 
@@ -505,17 +521,22 @@ def parallel_s5(
 
 def _radix_buckets(sh: _Phased, src, lo: int, hi: int, arg):
     depth, width = arg
-    if width == 16:
-        return _digits16(sh.sset, src[lo:hi], depth), None
-    return _digits8(sh.sset, src, lo, hi, depth), None
+    return step_digits(sh.sset, src, lo, hi, depth, width), None
 
 
 def _radix_batch(sh: _Phased, entries, env: _Env) -> None:
-    for lo, hi, _, in_cur in entries:
-        if not in_cur:
+    """radix16_adaptive's loop over the entries.
+
+    Entries from the coordinator are (lo, hi, depth, in_cur); ranges a
+    worker donated are radix8_items stack items (lo, hi, depth), already
+    in cur.
+    """
+    for entry in entries:
+        lo, hi = entry[:2]
+        if len(entry) == 4 and not entry[3]:
             sh.cur[lo:hi] = sh.other[lo:hi]
-    share = make_share_hook(env, lambda d: ("batch", [(a, b, c, True) for a, b, c in d]))
-    radix8_items(sh.sset, sh.cur, [entry[:3] for entry in entries], share)
+    items = [entry[:3] for entry in entries]
+    radix8_items(sh.sset, sh.cur, items, make_share_hook(env), wide=RADIX16_THRESHOLD)
 
 
 def parallel_radix(
@@ -526,11 +547,12 @@ def parallel_radix(
     """MSD radix sort with fully parallel counting/redistribution steps.
 
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
-    ones flow into the queue as batch jobs of the in-place radix8_items
-    with voluntary sharing.  bucket_spans decides which buckets recurse.
-    Every step is stable, so the handles equal radix16_adaptive's.  After a
-    step into one bucket, cur and other hold the range in the same order, and
-    skip_shared moves it past its shared prefix or finishes equal strings.
+    ones flow into the queue as batch jobs of radix16_adaptive's in-place
+    loop, radix8_items with the same `wide`, with voluntary sharing.
+    bucket_spans decides which buckets recurse.  Every step is stable, so
+    the handles equal radix16_adaptive's.  After a step into one bucket,
+    cur and other hold the range in the same order, and skip_shared moves
+    it past its shared prefix or finishes equal strings.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:

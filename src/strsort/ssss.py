@@ -326,7 +326,6 @@ def s5_sort_items(
 
 def s5_sort(
     sset: StringSet,
-    depth: int = 0,
     want_lcps: bool = False,
     variant: str = "unroll",
     seed: int = 1,
@@ -342,7 +341,7 @@ def s5_sort(
     stats.scratch_words += n
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
     ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, t_medium)
-    s5_sort_items(ctx, [(0, n, depth, True)])
+    s5_sort_items(ctx, [(0, n, 0, True)])
     out = sset.with_handles(cur)
     if not want_lcps:
         return out

@@ -32,6 +32,8 @@ from strsort.parallel import (
     _mkqs_buckets,
     _Phased,
     _phased_executor,
+    _radix_batch,
+    _radix_buckets,
     parallel_mkqs,
     parallel_radix,
     parallel_s5,
@@ -372,6 +374,82 @@ class TestParallelRadix:
         assert found and found[0] >= 23
         assert np.array_equal(out.handles, radix16_adaptive(s).handles)
         assert ref_strings(out) == sorted(items)
+
+
+    def test_donated_ranges_run_radix16s_loop(self, monkeypatch):
+        # a batch that always sees an idle worker donates its stack items,
+        # (lo, hi, depth) 3-tuples, at every pop; with 16-bit steps on large
+        # ranges, draining the queue sorts as radix16_adaptive does
+        monkeypatch.setattr(parallel, "RADIX16_THRESHOLD", 2048)
+        monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)
+        # two-character heads put 3600, 3600, 1800, 1800 and 1200 strings in
+        # the root's buckets: they take 16- and 8-bit steps
+        rng = np.random.default_rng(16)
+        heads = np.repeat([b"ax", b"ay", b"bx", b"by", b"cx"], [3600, 3600, 1800, 1800, 1200])
+        rng.shuffle(heads)
+        s = from_strings([h + bytes(rng.integers(97, 123, size=5, dtype=np.uint8)) for h in heads])
+        sh = _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
+        env = _IdleEnv()
+        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        assert env.stats.share_events > 0
+        donated = [entry for job in env.queue for entry in job[1]]
+        assert donated and all(len(entry) == 3 for entry in donated)
+        wide = []
+        digits16 = radix_mod._digits16
+        monkeypatch.setattr(radix_mod, "_digits16", lambda *a: wide.append(len(a[1])) or digits16(*a))
+        while env.queue:
+            _phased_executor(sh, env.queue.pop(), env)
+        assert wide and min(wide) >= 2048  # the donated 3600-string ranges
+        assert np.array_equal(sh.cur, radix16_adaptive(s).handles)
+
+
+class TestOneBucketSteps:
+    """A phased step whose strings all land in one bucket is a copy."""
+
+    @staticmethod
+    def _steps(monkeypatch):
+        """Record, per phased step, whether its counts left one bucket
+        nonempty and whether it submitted scatter jobs."""
+        steps = []
+        offsets, submit = parallel.prefix_offsets, WorkPool.submit
+
+        def recording_offsets(counts, lo=0):
+            steps.append([np.count_nonzero(counts.sum(axis=0)) == 1, False])
+            return offsets(counts, lo)
+
+        def recording_submit(pool, job):
+            if job[0] == "scatter":
+                steps[-1][1] = True
+            submit(pool, job)
+
+        monkeypatch.setattr(parallel, "prefix_offsets", recording_offsets)
+        monkeypatch.setattr(WorkPool, "submit", recording_submit)
+        return steps
+
+    @staticmethod
+    def _corpus():
+        rng = np.random.default_rng(24)
+        items = [b"http://www.example.com/%d" % int(x) for x in rng.integers(0, 9000, size=6000)]
+        return from_strings(items)
+
+    def test_pradix(self, monkeypatch):
+        s = self._corpus()
+        steps = self._steps(monkeypatch)
+        out = parallel_radix(s, p=2)
+        assert [one for one, _ in steps].count(True) >= 1
+        assert all(scattered != one for one, scattered in steps)
+        assert np.array_equal(out.handles, radix16_adaptive(s).handles)
+
+    def test_pmkqs(self, monkeypatch):
+        s = self._corpus()
+        steps = self._steps(monkeypatch)
+        stats = SortStats()
+        out = parallel_mkqs(s, p=2, stats=stats)
+        assert [one for one, _ in steps].count(True) >= 2  # "http://w" and "ww.examp"
+        assert all(scattered != one for one, scattered in steps)
+        seq = mkqs_cached(s)
+        assert np.array_equal(out.handles, seq.set.handles)
+        assert stats.word_fetches == seq.stats.word_fetches
 
 
 class TestParallelMkqs:

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import all_equal_set, random_set, ref_strings
 from strsort import radix as radix_mod
+from strsort.bench import ALGORITHMS
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs
 from strsort.radix import radix8_inplace, radix16_adaptive
@@ -35,12 +37,16 @@ class TestRadix8:
         s = from_strings(items)
         assert ref_strings(radix8_inplace(s)) == ref_strings(mkqs(s))
 
-    def test_no_handle_scratch(self):
-        s = random_set(500, seed=1)
+    @pytest.mark.parametrize("algo", ["radix8", "radix16"])
+    def test_no_handle_scratch(self, monkeypatch, algo):
+        # both sorts run in place on their one handle copy; with 16-bit
+        # steps taken, radix16 still charges no swap array
+        monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)
+        s = random_set(5000, seed=1)
         stats = SortStats()
-        # the in-place variant has no swap array to account for
-        radix8_inplace(s)
-        assert stats.scratch_words == 0
+        out = ALGORITHMS[algo](s, 1, 1, stats)
+        assert verify(s, out).ok
+        assert stats == SortStats()
 
 
 class TestRadix16:
@@ -52,30 +58,19 @@ class TestRadix16:
 
     def test_small_delegates_to_radix8(self):
         s = random_set(200, seed=2)
-        stats = SortStats()
-        out = radix16_adaptive(s, stats=stats)
-        assert stats.scratch_words == 0  # no swap allocated below the threshold
+        out = radix16_adaptive(s)
         assert verify(s, out).ok
+        assert np.array_equal(out.handles, radix8_inplace(s).handles)
 
     def test_mixed_lengths(self):
         s = random_set(3_000, seed=8, max_len=6)
         assert verify(s, radix16_adaptive(s)).ok
 
-    def test_large_uses_swap(self):
+    def test_large_takes_16bit_steps(self):
         s = random_set(70_000, seed=3, max_len=5)
-        stats = SortStats()
-        out = radix16_adaptive(s, stats=stats)
-        assert stats.scratch_words == len(s)
+        out = radix16_adaptive(s)
         assert verify(s, out).ok
         assert ref_strings(out) == sorted(ref_strings(s))
-
-    def test_caller_swap_reused(self):
-        s = random_set(70_000, seed=4, max_len=5)
-        swap = np.empty(len(s), dtype=np.int64)
-        stats = SortStats()
-        out = radix16_adaptive(s, swap=swap, stats=stats)
-        assert stats.scratch_words == 0
-        assert verify(s, out).ok
 
     @given(st.lists(text_bytes, max_size=40))
     @settings(max_examples=40)
@@ -83,9 +78,9 @@ class TestRadix16:
         s = from_strings(items)
         assert ref_strings(radix16_adaptive(s)) == ref_strings(mkqs(s))
 
-    def test_equal_range_in_swap_is_copied_back(self, monkeypatch):
-        # the root step moves 3000 copies of one string into swap; their
-        # digits are all equal, so they are finished and copied to primary
+    def test_equal_range_after_a_16bit_step_is_finished(self, monkeypatch):
+        # the root's 16-bit step gathers 3000 copies of one string in one
+        # bucket; their next step finds all digits equal and finishes them
         rng = np.random.default_rng(9)
         others = [bytes(rng.integers(97, 120, size=5, dtype=np.uint8)) for _ in range(2000)]
         items = [b"y" * 30] * 3000 + others
@@ -206,8 +201,8 @@ def test_no_step_distributes_into_one_bucket(monkeypatch):
     widths = []
     orig = radix_mod._distribute
 
-    def spy(seg, digs, width, out):
-        bounds = orig(seg, digs, width, out)
+    def spy(seg, digs, width):
+        bounds = orig(seg, digs, width)
         widths.append((width, int(np.count_nonzero(np.diff(bounds)))))
         return bounds
 
@@ -247,3 +242,34 @@ def test_strings_ending_in_a_skipped_prefix_are_not_read_again(monkeypatch):
         for h in handles:
             last_touch[h] = max(last_touch.get(h, 0), depth)
     assert all(last_touch[h] == 10 for h in short)
+
+
+def test_width_follows_range_size(monkeypatch):
+    # radix16 takes 16-bit steps exactly on the ranges of at least
+    # RADIX16_THRESHOLD strings; radix8 takes 8-bit steps everywhere.  The
+    # 6000 strings share a prefix, then split four ways on two characters
+    # into ranges of about 1500 strings, between LEAF_THRESHOLD and 2048
+    rng = np.random.default_rng(23)
+    heads = rng.choice([b"ax", b"ay", b"bx", b"by"], size=6000)
+    items = [b"http://x/" + h + bytes(rng.integers(97, 123, size=6, dtype=np.uint8)) for h in heads]
+    s = from_strings(items)
+    sizes = {8: [], 16: []}
+    digits8, digits16 = radix_mod._digits8, radix_mod._digits16
+
+    def spy8(sset, work, lo, hi, depth):
+        sizes[8].append(hi - lo)
+        return digits8(sset, work, lo, hi, depth)
+
+    def spy16(sset, seg, depth):
+        sizes[16].append(len(seg))
+        return digits16(sset, seg, depth)
+
+    monkeypatch.setattr(radix_mod, "_digits8", spy8)
+    monkeypatch.setattr(radix_mod, "_digits16", spy16)
+    assert ref_strings(radix8_inplace(s)) == sorted(items)
+    assert sizes[8] and not sizes[16]
+    sizes[8].clear()
+    monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)
+    assert ref_strings(radix16_adaptive(s)) == sorted(items)
+    assert sizes[16] and min(sizes[16]) >= 2048
+    assert sizes[8] and max(sizes[8]) < 2048
