@@ -550,9 +550,10 @@ def parallel_radix(
     ones flow into the queue as batch jobs of radix16_adaptive's in-place
     loop, radix8_items with the same `wide`, with voluntary sharing.
     bucket_spans decides which buckets recurse.  Every step is stable, so
-    the handles equal radix16_adaptive's.  After a step into one bucket,
-    cur and other hold the range in the same order, and skip_shared moves
-    it past its shared prefix or finishes equal strings.
+    the handles equal radix16_adaptive's.  A range whose first and last
+    strings share the step's digit first lets skip_shared move it past the
+    prefix all its strings share, or finish equal strings, before counting:
+    the step then has at least two buckets.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:
@@ -561,12 +562,14 @@ def parallel_radix(
 
     def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
+        src = sh.handles(in_cur)[0]
+        first, last = step_digits(sset, src[[lo, hi - 1]], 0, 2, depth, width)
+        if first == last and (depth := skip_shared(sset, src[lo:hi], depth)) is None:
+            sh.cur[lo:hi] = src[lo:hi]  # equal strings, in input order
+            return []
         bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
         starts, ends, recurse = bucket_spans(bounds, lo)
         d = depth + width // 8
-        if len(starts) == 1 and recurse[0]:  # one bucket: cur and other agree
-            d = skip_shared(sset, sh.cur[lo:hi], d)
-            return [] if d is None else [(lo, hi, d, not in_cur)]
         if in_cur:  # the finished buckets are settled in cur
             np.copyto(sh.cur[lo:hi], sh.other[lo:hi], where=np.repeat(~recurse, ends - starts))
         return list(zip(

@@ -44,7 +44,7 @@ from strsort.parallel import (
     shared_array,
 )
 from strsort.radix import radix16_adaptive
-from strsort.ssss import s5_sort
+from strsort.ssss import DEFAULT_V, s5_sort, tree_capacity
 from strsort.strset import (
     LCP_UNDEF,
     WORD_CHARS,
@@ -288,6 +288,15 @@ class TestParallelS5:
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
 
+    def test_full_root_tree_matches_sequential(self):
+        # 5,000 strings give the root step a full tree of DEFAULT_V splitters;
+        # every step and leaf is stable, so p = 2 returns s5_sort's handles
+        s = random_set(5000, seed=9)
+        assert tree_capacity(len(s)) == DEFAULT_V
+        res = parallel_s5(s, p=2, want_lcps=True, t_medium=512)
+        assert np.array_equal(res.set.handles, s5_sort(s, t_medium=512).handles)
+        assert list(res.lcps) == ref_lcps(sorted(ref_strings(s)))
+
     def test_p1_handle_identical_to_sequential(self):
         s = random_set(3000, seed=2)
         seq = s5_sort(s, t_medium=512)
@@ -348,8 +357,8 @@ class TestParallelRadix:
     def test_equal_range_in_other_is_finished(self, monkeypatch):
         # 3000 copies of one long string among 2000 others that share only
         # its first character: the root skips to depth 1, the depth-1 step
-        # puts the copies in cur, and their step leaves equal strings in
-        # other, in the order cur still holds
+        # puts the copies in other, and their skip finds them equal there
+        # and copies them to cur in that order
         rng = np.random.default_rng(21)
         others = [b"x" + bytes(rng.integers(97, 120, size=6, dtype=np.uint8)) for _ in range(2000)]
         items = [b"x" * 40] * 3000 + others
@@ -433,11 +442,23 @@ class TestOneBucketSteps:
         return from_strings(items)
 
     def test_pradix(self, monkeypatch):
+        # every string starts with "http://www.example.com/": the root's first
+        # and last strings share its digit, so it skips that prefix before
+        # it counts, and no step, the root included, has one bucket
         s = self._corpus()
         steps = self._steps(monkeypatch)
+        depths = []  # of the count jobs
+        submit = WorkPool.submit
+
+        def recording_submit(pool, job):
+            if job[0] == "count":
+                depths.append(job[6][0])
+            submit(pool, job)
+
+        monkeypatch.setattr(WorkPool, "submit", recording_submit)
         out = parallel_radix(s, p=2)
-        assert [one for one, _ in steps].count(True) >= 1
-        assert all(scattered != one for one, scattered in steps)
+        assert steps and all(scattered and not one for one, scattered in steps)
+        assert min(depths) == len(b"http://www.example.com/")
         assert np.array_equal(out.handles, radix16_adaptive(s).handles)
 
     def test_pmkqs(self, monkeypatch):

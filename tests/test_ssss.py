@@ -241,9 +241,9 @@ class TestClassify:
         sample = np.array(sorted(word(b) for b in picks), dtype=np.uint64)
         assert_same_tree(select_splitters(sample, v), recursive_splitters(sample, v))
 
+    @pytest.mark.parametrize("v", [ssss.DEFAULT_V, 8191])  # and the paper's tree size
     @pytest.mark.parametrize("distinct", [40, 20_000])
-    def test_matches_recursive_reference_full_tree(self, distinct):
-        v = ssss.DEFAULT_V
+    def test_matches_recursive_reference_full_tree(self, distinct, v):
         s = random_set(distinct, seed=3, max_len=12, lo=97, hi=100)
         sample = draw_sample(s, s.handles, 0, v, np.random.default_rng(5))
         assert_same_tree(select_splitters(sample, v), recursive_splitters(sample, v))
@@ -416,7 +416,7 @@ class TestS5Sort:
         for seg, moved, depth, tree in steps:
             oracle = classify_keys(extract_keys(s, seg, depth), tree, variant)
             assert np.array_equal(moved, seg[np.argsort(oracle, kind="stable")])
-        assert classify_keys(extract_keys(s, steps[0][0], 0), steps[0][3], variant).max() > 1 << 13
+        assert classify_keys(extract_keys(s, steps[0][0], 0), steps[0][3], variant).max() > ssss.DEFAULT_V
         strings = ref_strings(s)
         order = sorted(range(len(s)), key=strings.__getitem__)
         assert np.array_equal(res.set.handles, s.handles[order])
