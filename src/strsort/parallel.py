@@ -551,9 +551,8 @@ def parallel_radix(
     loop, radix8_items with the same `wide`, with voluntary sharing.
     bucket_spans decides which buckets recurse.  Every step is stable, so
     the handles equal radix16_adaptive's.  A range whose first and last
-    strings share the step's digit first lets skip_shared move it past the
-    prefix all its strings share, or finish equal strings, before counting:
-    the step then has at least two buckets.
+    strings share the step's digit first lets skip_shared move it past its
+    shared prefix or finish equal strings, so no step has one bucket.
     """
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:

@@ -12,9 +12,8 @@ advance by the LCP of their bounding splitters.  Classification is
 branch-free: all descents proceed in lockstep over the whole batch, one
 tree level per pass.  Subproblems below the medium threshold are sorted by
 caching multikey quicksort, whose small ranges end in basecase.word_leaves.
-DEFAULT_V is 255, not the paper's 8191 sized for a core's L2 cache: here
-each tree level is a numpy pass over the keys and each bucket a Python-level
-subproblem, so 8 levels and 511 buckets a step beat 13 levels and 16,383.
+DEFAULT_V is 255, not the paper's 8191 sized for a core's L2 cache: here a
+tree level is a numpy pass over the keys, a bucket a Python-level subproblem.
 """
 
 from __future__ import annotations
