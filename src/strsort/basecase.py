@@ -120,6 +120,11 @@ def range_positions(lo, hi, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
 
 
+def range_rows(lo, hi, depth) -> np.ndarray:
+    """The (m, 3) int64 rows (lo[i], hi[i], depth[i]); depth is one int or one per row."""
+    return np.column_stack(np.broadcast_arrays(lo, hi, depth)).astype(np.int64, copy=False)
+
+
 def stable_word_order(words: np.ndarray, group: np.ndarray) -> np.ndarray:
     """np.lexsort((words, group)): the stable order of the entries by (group, word).
 
@@ -251,7 +256,7 @@ class LeafCollector:
         """Keep the ranges (lo[i], hi[i], depth[i]), each of 2 to
         LEAF_THRESHOLD - 1 strings, flushing where take() would.  depth is
         one int or one depth per range."""
-        rows = np.column_stack(np.broadcast_arrays(lo, hi, depth)).astype(np.int64, copy=False)
+        rows = range_rows(lo, hi, depth)
         filled = self.pending + np.cumsum(hi - lo)  # pending strings after each range
         while len(rows):
             k = int(np.searchsorted(filled, LEAF_FLUSH))  # the range that fills a flush

@@ -171,7 +171,7 @@ class RunResult:
 
     CSV_COLUMNS = [
         "algo", "n", "N", "threads", "seed", "rep", "seconds", "verify",
-        "char_cmps", "word_fetches", "merge_buffer_cmps", "scratch_words",
+        "char_cmps", "word_fetches", "merge_buffer_cmps",
         "jobs_enqueued", "jobs_executed", "share_events", "D", "L",
     ]
 
@@ -186,7 +186,7 @@ class RunResult:
             "seconds": f"{seconds:.6f}",
             "verify": {True: "pass", False: "fail", None: ""}[self.verify_ok],
             **{k: self.counters.get(k, 0) for k in (
-                "char_cmps", "word_fetches", "merge_buffer_cmps", "scratch_words",
+                "char_cmps", "word_fetches", "merge_buffer_cmps",
                 "jobs_enqueued", "jobs_executed", "share_events",
             )},
             "D": "" if self.D is None else self.D,

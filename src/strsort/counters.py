@@ -33,11 +33,6 @@ class SortStats:
     merge_buffer_cmps
         Character comparisons that lcpmerge.binary_lcp_merge reads from the
         buffer.  The K-way merge compares no characters.
-    scratch_words
-        Words of handle-sized scratch allocated by a sequential sorter:
-        s5_sort's `other` array.  The radix sorts run in place on their
-        one handle copy and the parallel sorters' shared arrays are not
-        charged.
     jobs_enqueued / jobs_executed
         Scheduler job accounting.
     share_events
@@ -47,7 +42,6 @@ class SortStats:
     char_cmps: int = 0
     word_fetches: int = 0
     merge_buffer_cmps: int = 0
-    scratch_words: int = 0
     jobs_enqueued: int = 0
     jobs_executed: int = 0
     share_events: int = 0

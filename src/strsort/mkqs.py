@@ -100,19 +100,20 @@ def mkqs_cached_items(
     sset: StringSet,
     work_h: np.ndarray,
     work_c: np.ndarray,
-    items: list[tuple[int, int, int]],
+    items,
     lcps: np.ndarray | None,
     stats: SortStats,
     share=None,
 ) -> None:
-    """mkqs_cached_range seeded with several independent (lo, hi, depth) ranges.
+    """mkqs_cached_range seeded with several independent (lo, hi, depth)
+    ranges, an (m, 3) array or a list of 3-tuples.
 
     Ranges below LEAF_THRESHOLD are collected and sorted with word_leaves
     when the loop ends, also when the share hook empties the stack: donated
     ranges never overlap the collected leaves.
     """
     leaves = LeafCollector(sset, work_h, work_c, lcps, stats, word_leaves)
-    stack = list(items)
+    stack = np.asarray(items, dtype=np.int64).reshape(-1, 3).tolist()
     while stack:
         if share is not None:
             share(stack)

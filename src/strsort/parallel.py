@@ -15,14 +15,17 @@ phased distribution engine.  A step over src[lo:hi] cuts the range into p
 shards; each shard job computes one bucket per string with the sorter's
 bucket function (classified word keys, radix digits, or the word's side of
 a pivot word), stores it in a shared uint16 oracle and its bucket counts in
-a shared (p, buckets) table, and replies.  The coordinator takes one
-interleaved, bucket-major prefix sum over the shard counts, then each shard
-job stably scatters its strings into dst; when one bucket holds them all,
-the coordinator copies the range instead.  The coordinator runs such steps
-on every subproblem of at least n/p strings and feeds the smaller ones to
-the pool as batch jobs, which sort sequentially and share when workers
-idle.  Steps and batch sorts are all stable, so equal strings keep their
-input order.
+a shared (p, buckets) table, copies its shard of cur to other, and
+replies.  The coordinator takes one interleaved, bucket-major prefix sum
+over the shard counts, then each shard job stably scatters its strings
+from other back into cur; when one bucket holds them all, the range is
+already in order and no scatter runs.  So every step ends with its range
+in cur, and its subproblems go on as one (m, 3) int64 array of
+(lo, hi, depth) rows.  The coordinator runs such steps on every
+subproblem of at least n/p strings and feeds the smaller ones to the pool
+as batch jobs, which sort sequentially and share when workers idle.
+Steps and batch sorts are all stable, so equal strings keep their input
+order.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import LEAF_THRESHOLD, SortedWithLcp
+from .basecase import LEAF_THRESHOLD, SortedWithLcp, range_rows
 from .counters import SortStats
 from .lcpmerge import LcpStream, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
@@ -301,11 +303,11 @@ def make_share_hook(env: _Env):
     return share
 
 
-def feed_batches(pool: WorkPool, entries: list) -> None:
-    """Submit entries as at most 2p batch jobs, then wait until the pool idles."""
-    if entries:
-        for chunk in np.array_split(np.arange(len(entries)), min(len(entries), 2 * pool.p)):
-            pool.submit(("batch", [entries[i] for i in chunk]))
+def feed_batches(pool: WorkPool, rows: np.ndarray) -> None:
+    """Submit the (m, 3) rows as at most 2p batch jobs, then wait until the pool idles."""
+    if len(rows):
+        for chunk in np.array_split(rows, min(len(rows), 2 * pool.p)):
+            pool.submit(("batch", chunk))
     pool.wait_idle()
 
 
@@ -318,24 +320,16 @@ class _Phased:
     """State of one phased sorter, shared with its forked workers."""
 
     sset: StringSet
-    cur: np.ndarray  # handles; every finished range ends up here
-    other: np.ndarray  # target of the steps that start in cur
+    cur: np.ndarray  # handles; every step and batch leaves its range here
+    other: np.ndarray  # the count jobs' copies of their shards, which the scatter reads
     oracle: np.ndarray  # uint16 bucket of every position, from count to scatter
     counts: np.ndarray  # (p, max buckets): the bucket counts of each shard's count job
-    buckets: object  # (shared, src, lo, hi, arg) -> (bucket per string, summary)
-    batch: object  # (shared, entries, env): sort (lo, hi, depth, in_cur) entries
+    buckets: object  # (shared, lo, hi, arg) -> (bucket per string of cur[lo:hi], summary)
+    batch: object  # (shared, rows, env): sort (lo, hi, depth) rows of cur
     s5: S5Context | None = None
-    # pmkqs: each position's word at its range's depth, paired with cur and with other
+    # pmkqs: each position's word at its range's depth, with cur and with other
     cache: np.ndarray | None = None
     other_cache: np.ndarray | None = None
-
-    def handles(self, in_cur: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The (src, dst) handle arrays of a step whose data starts in cur when in_cur."""
-        return (self.cur, self.other) if in_cur else (self.other, self.cur)
-
-    def words(self, in_cur: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The (src, dst) word arrays of a step whose data starts in cur when in_cur."""
-        return (self.cache, self.other_cache) if in_cur else (self.other_cache, self.cache)
 
     @classmethod
     def create(cls, sset: StringSet, p: int, max_k: int, buckets, batch) -> "_Phased":
@@ -350,14 +344,20 @@ class _Phased:
 def prefix_offsets(counts: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved prefix sum over (shards, buckets) counts.
 
-    Bucket-major, shard-minor: bucket b of shard s starts at offsets[s, b],
-    after every smaller bucket and after bucket b of the earlier shards.
     Bucket b of the whole step occupies [lo + bounds[b], lo + bounds[b + 1]).
+    offsets covers only the filled buckets, those some shard fills, in
+    bucket order: in the j-th of them, shard s starts at offsets[s, j],
+    after the earlier shards' strings of that bucket.
     """
-    flat = counts.T.reshape(-1)
-    offsets = (lo + np.cumsum(flat) - flat).reshape(counts.shape[1], counts.shape[0]).T
-    bounds = np.zeros(counts.shape[1] + 1, dtype=np.int64)
-    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    totals = counts.sum(axis=0)
+    bounds = np.zeros(len(totals) + 1, dtype=np.int64)
+    np.cumsum(totals, out=bounds[1:])
+    filled = np.flatnonzero(totals)
+    offsets = np.empty((len(counts), len(filled)), dtype=np.int64)
+    start = lo + bounds[filled]
+    for row, shard_counts in zip(offsets, counts):
+        row[:] = start
+        start = start + shard_counts[filled]
     return offsets, bounds
 
 
@@ -376,91 +376,84 @@ def _phased_executor(sh: _Phased, job, env: _Env) -> None:
     if kind == "batch":
         sh.batch(sh, job[1], env)
         return
-    _, lo, hi, in_cur = job[:4]
-    src, dst = sh.handles(in_cur)
+    _, lo, hi = job[:3]
     if kind == "count":
-        row, k, arg = job[4:]
-        buckets, summary = sh.buckets(sh, src, lo, hi, arg)
+        row, k, arg = job[3:]
+        buckets, summary = sh.buckets(sh, lo, hi, arg)
         sh.oracle[lo:hi] = buckets
         sh.counts[row, :k] = np.bincount(buckets, minlength=k)
+        # every count job replies before any scatter job starts to write cur
+        sh.other[lo:hi] = sh.cur[lo:hi]
+        if sh.cache is not None:  # pmkqs: the words move with their handles
+            sh.other_cache[lo:hi] = sh.cache[lo:hi]
         env.replies.put(("phase", (lo, summary)))
     elif kind == "scatter":
-        scatter(src[lo:hi], sh.oracle[lo:hi], job[4], dst)
-        if sh.cache is not None:  # pmkqs: the words move with their handles
-            src_words, dst_words = sh.words(in_cur)
-            scatter(src_words[lo:hi], sh.oracle[lo:hi], job[4], dst_words)
+        scatter(sh.other[lo:hi], sh.oracle[lo:hi], job[3], sh.cur)
+        if sh.cache is not None:
+            scatter(sh.other_cache[lo:hi], sh.oracle[lo:hi], job[3], sh.cache)
         env.replies.put(("phase", None))
     else:
         raise ValueError(f"unknown phased job kind: {kind}")
 
 
-def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, in_cur: bool, k: int, arg):
-    """Distribute src[lo:hi] into k buckets of dst on the pool's p shards.
+def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, k: int, arg):
+    """Stably distribute cur[lo:hi] into k buckets on the pool's p shards.
 
     `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
-    b occupies [lo + bounds[b], lo + bounds[b + 1]) of dst, and summaries
+    b then occupies cur[lo + bounds[b]:lo + bounds[b + 1]], and summaries
     holds the bucket function's second result per shard, in shard order.
-    When the counts leave one bucket nonempty, the stable scatter is a
-    copy, so the coordinator copies src[lo:hi] to dst, and the words with
-    them when the sorter caches words, instead of running a scatter phase.
+    When the counts leave one bucket nonempty, cur[lo:hi] is already in
+    bucket order and no scatter job runs.
     """
     cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
     shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
     for row, (slo, shi) in enumerate(shards):
-        pool.submit(("count", slo, shi, in_cur, row, k, arg))
+        pool.submit(("count", slo, shi, row, k, arg))
     parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
     counts = sh.counts[: len(shards), :k]
     offsets, bounds = prefix_offsets(counts, lo)
-    if np.count_nonzero(np.diff(bounds)) == 1:
-        src, dst = sh.handles(in_cur)
-        dst[lo:hi] = src[lo:hi]
-        if sh.cache is not None:
-            src_words, dst_words = sh.words(in_cur)
-            dst_words[lo:hi] = src_words[lo:hi]
-    else:
+    if offsets.shape[1] > 1:
+        filled = np.flatnonzero(np.diff(bounds))
         for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
-            pool.submit(("scatter", slo, shi, in_cur, shard_offsets[shard_counts > 0]))
+            pool.submit(("scatter", slo, shi, shard_offsets[shard_counts[filled] > 0]))
         pool.wait_phase(len(shards))
     return bounds, [part[1] for part in parts]
 
 
-def phased_sort(pool: WorkPool, roots: list, step) -> None:
-    """Sort the (lo, hi, depth, in_cur) roots: phased steps on subproblems
+def phased_sort(pool: WorkPool, roots, step) -> None:
+    """Sort the (lo, hi, depth) roots of cur: phased steps on subproblems
     of at least total/p strings, then the smaller ones as batch jobs.
 
-    step(lo, hi, depth, in_cur) runs one phased step, settles finished
-    buckets in cur and returns the others as (lo, hi, depth, in_cur).
+    step(lo, hi, depth) runs one phased step, settles its finished buckets
+    and returns the others as (m, 3) rows.
     """
-    total = sum(hi - lo for lo, hi, _, _ in roots)
-    threshold = max(-(-total // pool.p), LEAF_THRESHOLD)
-    pending = list(roots)
-    small: list[tuple[int, int, int, bool]] = []
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1, 3)
+    threshold = max(-(-int((roots[:, 1] - roots[:, 0]).sum()) // pool.p), LEAF_THRESHOLD)
+    pending, small = [roots], []
     while pending:
-        item = pending.pop()
-        if item[1] - item[0] < threshold:
-            small.append(item)
-            continue
-        for child in step(*item):
-            (pending if child[1] - child[0] >= threshold else small).append(child)
-    feed_batches(pool, small)
+        rows = pending.pop()
+        big = rows[:, 1] - rows[:, 0] >= threshold
+        small.append(rows[~big])
+        pending += [step(*row) for row in rows[big].tolist()]
+    feed_batches(pool, np.concatenate(small))
 
 
 # ---------------------------------------------------------------------------
 # parallel super scalar string sample sort
 
 
-def _s5_buckets(sh: _Phased, src, lo: int, hi: int, arg):
+def _s5_buckets(sh: _Phased, lo: int, hi: int, arg):
     depth, tree = arg
-    keys = extract_keys(sh.sset, src[lo:hi], depth)
+    keys = extract_keys(sh.sset, sh.cur[lo:hi], depth)
     oracle = classify_keys(keys, tree)
     if sh.s5.lcps is None:
         return oracle, None
     return oracle, bucket_word_range(oracle, keys, tree.num_buckets)
 
 
-def _s5_batch(sh: _Phased, entries, env: _Env) -> None:
+def _s5_batch(sh: _Phased, rows, env: _Env) -> None:
     ctx = dataclasses.replace(sh.s5, stats=env.stats)
-    s5_sort_items(ctx, entries, share=make_share_hook(env))
+    s5_sort_items(ctx, rows, share=make_share_hook(env))
 
 
 def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: int) -> _Phased:
@@ -471,27 +464,25 @@ def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: in
         lcps = shared_array(n, np.int64)
         lcps.fill(LCP_UNDEF)
     sh.s5 = S5Context(
-        sset, sh.cur, sh.other, shared_array(n, np.uint64), lcps, SortStats(),
-        seed, "unroll", t_medium,
+        sset, sh.cur, shared_array(n, np.uint64), lcps, SortStats(), seed, "unroll", t_medium
     )
     return sh
 
 
-def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int, in_cur: bool) -> list:
-    """One phased sample-sort step; returns the buckets left to sort."""
+def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int) -> np.ndarray:
+    """One phased sample-sort step; returns the buckets left to sort as (m, 3) rows."""
     ctx = sh.s5
-    src = ctx.cur if in_cur else ctx.other
-    tree = step_tree(ctx, src, lo, hi, depth, pool.stats)  # charges the count jobs' keys too
+    tree = step_tree(ctx, lo, hi, depth, pool.stats)  # charges the count jobs' keys too
     # count jobs pickle only what classify_keys(..., "unroll") reads
     search = dataclasses.replace(
         tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None
     )
-    bounds, ranges = phased_step(pool, sh, lo, hi, in_cur, tree.num_buckets, (depth, search))
+    bounds, ranges = phased_step(pool, sh, lo, hi, tree.num_buckets, (depth, search))
     if ctx.lcps is not None:
         mins = np.min([r[0] for r in ranges], axis=0)
         maxs = np.max([r[1] for r in ranges], axis=0)
         write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
-    return finish_buckets(ctx, tree, bounds, lo, depth, in_cur)
+    return finish_buckets(ctx, tree, bounds, lo, depth)
 
 
 def parallel_s5(
@@ -506,7 +497,7 @@ def parallel_s5(
     p = default_workers() if p is None else max(1, p)
     sh = _s5_shared(sset, p, want_lcps, seed, t_medium)
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, [(0, len(sset), 0, True)], lambda *item: _s5_step(pool, sh, *item))
+        phased_sort(pool, [(0, len(sset), 0)], lambda *item: _s5_step(pool, sh, *item))
     if stats is not None:
         stats.add(pool.stats)
     out = sset.with_handles(sh.cur.copy())
@@ -519,24 +510,15 @@ def parallel_s5(
 # parallel radix sort
 
 
-def _radix_buckets(sh: _Phased, src, lo: int, hi: int, arg):
+def _radix_buckets(sh: _Phased, lo: int, hi: int, arg):
     depth, width = arg
-    return step_digits(sh.sset, src, lo, hi, depth, width), None
+    return step_digits(sh.sset, sh.cur, lo, hi, depth, width), None
 
 
-def _radix_batch(sh: _Phased, entries, env: _Env) -> None:
-    """radix16_adaptive's loop over the entries.
-
-    Entries from the coordinator are (lo, hi, depth, in_cur); ranges a
-    worker donated are radix8_items stack items (lo, hi, depth), already
-    in cur.
-    """
-    for entry in entries:
-        lo, hi = entry[:2]
-        if len(entry) == 4 and not entry[3]:
-            sh.cur[lo:hi] = sh.other[lo:hi]
-    items = [entry[:3] for entry in entries]
-    radix8_items(sh.sset, sh.cur, items, make_share_hook(env), wide=RADIX16_THRESHOLD)
+def _radix_batch(sh: _Phased, rows, env: _Env) -> None:
+    """radix16_adaptive's loop over the (lo, hi, depth) rows: an (m, 3)
+    array from the coordinator or the stack items a worker donated."""
+    radix8_items(sh.sset, sh.cur, rows, make_share_hook(env), wide=RADIX16_THRESHOLD)
 
 
 def parallel_radix(
@@ -559,24 +541,17 @@ def parallel_radix(
         return sset.with_handles(sset.handles.copy())
     sh = _Phased.create(sset, p, 1 << 16, _radix_buckets, _radix_batch)
 
-    def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
+    def step(lo: int, hi: int, depth: int) -> np.ndarray:
         width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
-        src = sh.handles(in_cur)[0]
-        first, last = step_digits(sset, src[[lo, hi - 1]], 0, 2, depth, width)
-        if first == last and (depth := skip_shared(sset, src[lo:hi], depth)) is None:
-            sh.cur[lo:hi] = src[lo:hi]  # equal strings, in input order
-            return []
-        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 1 << width, (depth, width))
+        first, last = step_digits(sset, sh.cur[[lo, hi - 1]], 0, 2, depth, width)
+        if first == last and (depth := skip_shared(sset, sh.cur[lo:hi], depth)) is None:
+            return np.empty((0, 3), dtype=np.int64)  # equal strings, in input order
+        bounds, _ = phased_step(pool, sh, lo, hi, 1 << width, (depth, width))
         starts, ends, recurse = bucket_spans(bounds, lo)
-        d = depth + width // 8
-        if in_cur:  # the finished buckets are settled in cur
-            np.copyto(sh.cur[lo:hi], sh.other[lo:hi], where=np.repeat(~recurse, ends - starts))
-        return list(zip(
-            starts[recurse].tolist(), ends[recurse].tolist(), itertools.repeat(d), itertools.repeat(not in_cur)
-        ))
+        return range_rows(starts[recurse], ends[recurse], depth + width // 8)
 
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, [(0, len(sset), 0, True)], step)
+        phased_sort(pool, [(0, len(sset), 0)], step)
     if stats is not None:
         stats.add(pool.stats)
     return sset.with_handles(sh.cur.copy())
@@ -586,29 +561,17 @@ def parallel_radix(
 # parallel caching multikey quicksort
 
 
-def _mkqs_buckets(sh: _Phased, src, lo: int, hi: int, arg):
-    keys = sh.words(src is sh.cur)[0][lo:hi]
+def _mkqs_buckets(sh: _Phased, lo: int, hi: int, arg):
+    keys = sh.cache[lo:hi]
     pv = np.uint64(arg)
     return (keys >= pv).astype(np.uint16) + (keys > pv), None  # 0 less, 1 equal, 2 greater
 
 
-def _mkqs_batch(sh: _Phased, entries, env: _Env) -> None:
-    """Caching mkqs of the entries, whose words the steps left in the caches.
-
-    Entries from the coordinator are (lo, hi, depth, in_cur); ranges a
-    worker donated are mkqs stack items (lo, hi, depth), already in cur.
-    """
-    items = []
-    for entry in entries:
-        lo, hi, depth = entry[:3]
-        if len(entry) == 4:
-            if not entry[3]:
-                sh.cur[lo:hi] = sh.other[lo:hi]
-                sh.cache[lo:hi] = sh.other_cache[lo:hi]
-            if hi - lo < 2:
-                continue
-        items.append((lo, hi, depth))
-    mkqs_cached_items(sh.sset, sh.cur, sh.cache, items, None, env.stats, make_share_hook(env))
+def _mkqs_batch(sh: _Phased, rows, env: _Env) -> None:
+    """Caching mkqs of the (lo, hi, depth) rows, whose words the steps left
+    in the cache: an (m, 3) array from the coordinator or the stack items a
+    worker donated."""
+    mkqs_cached_items(sh.sset, sh.cur, sh.cache, rows, None, env.stats, make_share_hook(env))
 
 
 def parallel_mkqs(
@@ -634,12 +597,11 @@ def parallel_mkqs(
     sh.other_cache = shared_array(n, np.uint64)
     sh.cache[:] = extract_keys(sset, sset.handles, 0)
 
-    def step(lo: int, hi: int, depth: int, in_cur: bool) -> list:
-        src_words, dst_words = sh.words(in_cur)
-        pivot = _median3(src_words[lo], src_words[lo + (hi - lo) // 2], src_words[hi - 1])
-        bounds, _ = phased_step(pool, sh, lo, hi, in_cur, 3, pivot)
+    def step(lo: int, hi: int, depth: int) -> np.ndarray:
+        words = sh.cache
+        pivot = _median3(words[lo], words[lo + (hi - lo) // 2], words[hi - 1])
+        bounds, _ = phased_step(pool, sh, lo, hi, 3, pivot)
         equal_done = first_zero_byte(np.uint64(pivot)) < WORD_CHARS  # equal strings end within the word
-        dst = sh.other if in_cur else sh.cur
         children = []
         for b in np.flatnonzero(np.diff(bounds)):
             clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
@@ -647,16 +609,14 @@ def parallel_mkqs(
                 child_depth = depth
                 if b == 1:
                     child_depth += WORD_CHARS
-                    dst_words[clo:chi] = extract_keys(sset, dst[clo:chi], child_depth)
+                    words[clo:chi] = extract_keys(sset, sh.cur[clo:chi], child_depth)
                     pool.stats.word_fetches += chi - clo
-                children.append((clo, chi, child_depth, not in_cur))
-            elif in_cur:
-                sh.cur[clo:chi] = sh.other[clo:chi]
-        return children
+                children.append((clo, chi, child_depth))
+        return np.array(children, dtype=np.int64).reshape(-1, 3)
 
     with WorkPool(p, _phased_executor, sh) as pool:
         pool.stats.word_fetches += n
-        phased_sort(pool, [(0, n, 0, True)], step)
+        phased_sort(pool, [(0, n, 0)], step)
     if stats is not None:
         stats.add(pool.stats)
     return sset.with_handles(sh.cur.copy())
@@ -745,7 +705,7 @@ def partitioned_merge_sort(
     streams = [LcpStream(sset, sh.cur[lo:hi], sh.s5.lcps[lo:hi]) for lo, hi in parts]
     merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
-        roots = [(lo, hi, 0, True) for lo, hi in parts]
+        roots = [(lo, hi, 0) for lo, hi in parts]
         phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
         offset = 0
         for job in split_merge_jobs(streams, 8 * p, stats=pool.stats):

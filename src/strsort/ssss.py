@@ -3,8 +3,8 @@
 One step draws a seeded sample of word keys at the current depth, selects
 v = 2^d - 1 splitters into a perfect binary search tree, classifies every
 string into 2v+1 buckets (even buckets hold ranges between splitters, odd
-bucket 2i+1 holds exact word matches with in-order splitter i), and
-redistributes handles out of place.  The tree is implicit: node 2^l + j
+bucket 2i+1 holds exact word matches with in-order splitter i), and stably
+redistributes the handles in place.  The tree is implicit: node 2^l + j
 (level l, 0 <= j < 2^l) holds in-order splitter (2j+1)*2^(d-l-1) - 1, so
 the tree is built and its buckets are settled in numpy passes.  Equality
 buckets recurse with the depth advanced by a full word; range buckets
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, range_positions
+from .basecase import SortedWithLcp, range_positions, range_rows
 from .counters import SortStats
 from .mkqs import mkqs_cached_items
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
@@ -172,8 +172,7 @@ def bucket_word_range(oracle: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.
 @dataclass
 class S5Context:
     sset: StringSet
-    cur: np.ndarray
-    other: np.ndarray
+    cur: np.ndarray  # handles; every step and leaf sorts its range here in place
     cache: np.ndarray  # word cache shared by the mkqs leaves
     lcps: np.ndarray | None
     stats: SortStats
@@ -203,17 +202,16 @@ def write_boundary_lcps(
 
 
 def finish_buckets(
-    ctx: S5Context, tree: SplitterTree, bounds: np.ndarray, lo: int, depth: int, in_cur: bool
-) -> list[tuple[int, int, int, bool]]:
-    """Settle the buckets of one step that moved src -> dst; return the rest.
+    ctx: S5Context, tree: SplitterTree, bounds: np.ndarray, lo: int, depth: int
+) -> np.ndarray:
+    """Settle the buckets of one step over ctx.cur; return the rest.
 
-    Bucket i occupies [lo + bounds[i], lo + bounds[i + 1]) of dst; odd bucket
-    2k+1 holds the words equal to in-order splitter k, which sits at node
-    2^l + j with k = (2j+1)*2^(d-l-1) - 1.  Equality buckets whose splitter
-    covers the terminator hold equal strings (LCP = child depth) and
-    single-string buckets are sorted: both are copied into ctx.cur with one
-    gather.  The other buckets come back as (lo, hi, depth, data_in_cur)
-    subproblems.
+    Bucket i occupies [lo + bounds[i], lo + bounds[i + 1]) of ctx.cur; odd
+    bucket 2k+1 holds the words equal to in-order splitter k, which sits at
+    node 2^l + j with k = (2j+1)*2^(d-l-1) - 1.  Equality buckets whose
+    splitter covers the terminator hold equal strings (LCP = child depth),
+    written to ctx.lcps when it is set, and single-string buckets are
+    sorted.  The other buckets come back as (m, 3) rows (lo, hi, depth).
     """
     nonempty = np.flatnonzero(np.diff(bounds))
     starts = lo + bounds[nonempty]
@@ -222,18 +220,11 @@ def finish_buckets(
     final = np.zeros(tree.num_buckets, dtype=bool)
     final[1::2] = tree.eq_final
     equal = final[nonempty]
-    recurse = ~equal & (ends - starts > 1)
-    if in_cur:
-        pos, _, _ = range_positions(starts[~recurse], ends[~recurse], depths[~recurse])
-        ctx.cur[pos] = ctx.other[pos]
     if ctx.lcps is not None:
         pos, lcp, _ = range_positions(starts[equal] + 1, ends[equal], depths[equal])
         ctx.lcps[pos] = lcp
-    out_cur = not in_cur
-    return [
-        (a, b, d, out_cur)
-        for a, b, d in zip(starts[recurse].tolist(), ends[recurse].tolist(), depths[recurse].tolist())
-    ]
+    recurse = ~equal & (ends - starts > 1)
+    return range_rows(starts[recurse], ends[recurse], depths[recurse])
 
 
 def _mkqs_leaves(ctx: S5Context, items: list[tuple[int, int, int]]) -> None:
@@ -246,36 +237,34 @@ def _mkqs_leaves(ctx: S5Context, items: list[tuple[int, int, int]]) -> None:
     mkqs_cached_items(ctx.sset, ctx.cur, ctx.cache, items, ctx.lcps, ctx.stats)
 
 
-def step_tree(
-    ctx: S5Context, src: np.ndarray, lo: int, hi: int, depth: int, stats: SortStats
-) -> SplitterTree:
-    """The splitter tree of a step over src[lo:hi] from its seeded sample.
+def step_tree(ctx: S5Context, lo: int, hi: int, depth: int, stats: SortStats) -> SplitterTree:
+    """The splitter tree of a step over ctx.cur[lo:hi] from its seeded sample.
 
     Charges stats the sample's word fetches and the step's hi - lo.
     """
     v = tree_capacity(hi - lo)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
-    sample = draw_sample(ctx.sset, src[lo:hi], depth, v, rng)
+    sample = draw_sample(ctx.sset, ctx.cur[lo:hi], depth, v, rng)
     stats.word_fetches += len(sample) + hi - lo
     return select_splitters(sample, v)
 
 
-def s5_step(
-    ctx: S5Context, src: np.ndarray, dst: np.ndarray, lo: int, hi: int, depth: int
-) -> tuple[np.ndarray, SplitterTree]:
-    """One classification/distribution step; returns (bounds, tree).
+def s5_step(ctx: S5Context, lo: int, hi: int, depth: int) -> tuple[np.ndarray, SplitterTree]:
+    """One classification step that stably sorts ctx.cur[lo:hi] in place by
+    bucket; returns (bounds, tree).
 
     With ctx.lcps set, the LCPs at the bucket boundaries are written too.
     """
-    tree = step_tree(ctx, src, lo, hi, depth, ctx.stats)
-    keys = extract_keys(ctx.sset, src[lo:hi], depth)
+    tree = step_tree(ctx, lo, hi, depth, ctx.stats)
+    seg = ctx.cur[lo:hi]
+    keys = extract_keys(ctx.sset, seg, depth)
     oracle = classify_keys(keys, tree, ctx.variant)
     counts = np.bincount(oracle, minlength=tree.num_buckets)
     bounds = np.zeros(tree.num_buckets + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     # at most 2 * DEFAULT_V + 1 = 511 buckets: numpy's stable sort of 16-bit keys is a radix sort
     order = np.argsort(oracle.astype(np.uint16), kind="stable")
-    dst[lo:hi] = src[lo:hi][order]
+    seg[:] = seg[order]
     if ctx.lcps is not None:
         mins, maxs = bucket_word_range(oracle, keys, tree.num_buckets)
         write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
@@ -292,37 +281,28 @@ def child_depths(tree: SplitterTree, depth: int) -> np.ndarray:
     return depths
 
 
-def s5_sort_items(
-    ctx: S5Context,
-    items: list[tuple[int, int, int, bool]],
-    share=None,
-) -> None:
-    """Recursive sample-sort driver over independent (lo, hi, depth, data_in_cur)
-    subproblems; results land in ctx.cur.
+def s5_sort_items(ctx: S5Context, items, share=None) -> None:
+    """Recursive sample-sort driver over independent (lo, hi, depth)
+    subproblems of ctx.cur, an (m, 3) array or a list of 3-tuples.
 
     Subproblems below ctx.t_medium are collected and sorted together by
     caching mkqs when the loop ends, also when the share hook empties the
     stack.
     """
-    stack = list(items)
+    stack = np.asarray(items, dtype=np.int64).reshape(-1, 3).tolist()
     medium = []
     while stack:
         if share is not None:
             share(stack)
             if not stack:
                 break
-        lo, hi, d, in_cur = stack.pop()
-        n = hi - lo
-        src = ctx.cur if in_cur else ctx.other
-        if n < ctx.t_medium:
-            if not in_cur:
-                ctx.cur[lo:hi] = src[lo:hi]
-            if n > 1:
+        lo, hi, d = stack.pop()
+        if hi - lo < ctx.t_medium:
+            if hi - lo > 1:
                 medium.append((lo, hi, d))
             continue
-        dst = ctx.other if in_cur else ctx.cur
-        bounds, tree = s5_step(ctx, src, dst, lo, hi, d)
-        stack.extend(finish_buckets(ctx, tree, bounds, lo, d, in_cur))
+        bounds, tree = s5_step(ctx, lo, hi, d)
+        stack += finish_buckets(ctx, tree, bounds, lo, d).tolist()
     _mkqs_leaves(ctx, medium)
 
 
@@ -338,12 +318,10 @@ def s5_sort(
     stats = stats if stats is not None else SortStats()
     n = len(sset)
     cur = sset.handles.copy()
-    other = np.empty(n, dtype=np.int64)
     cache = np.zeros(n, dtype=np.uint64)
-    stats.scratch_words += n
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
-    ctx = S5Context(sset, cur, other, cache, lcps, stats, seed, variant, t_medium)
-    s5_sort_items(ctx, [(0, n, 0, True)])
+    ctx = S5Context(sset, cur, cache, lcps, stats, seed, variant, t_medium)
+    s5_sort_items(ctx, [(0, n, 0)])
     out = sset.with_handles(cur)
     if not want_lcps:
         return out

@@ -20,7 +20,7 @@ from corpus import (
 from strsort import mkqs, parallel
 from strsort import radix as radix_mod
 from strsort.counters import SortStats
-from strsort.basecase import LEAF_FLUSH
+from strsort.basecase import LEAF_FLUSH, range_rows
 from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, run_merge_job, split_merge_jobs
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
@@ -34,10 +34,13 @@ from strsort.parallel import (
     _phased_executor,
     _radix_batch,
     _radix_buckets,
+    _s5_shared,
+    feed_batches,
     parallel_mkqs,
     parallel_radix,
     parallel_s5,
     partitioned_merge_sort,
+    phased_step,
     pool_run,
     prefix_offsets,
     scatter,
@@ -84,12 +87,13 @@ def _touch_executor(shared, job, env):
 class _IdleEnv:
     """A scheduler stand-in that always reports one idle worker."""
 
-    def __init__(self):
+    def __init__(self, idle=1):
         self.queue = []
         self.stats = SortStats()
+        self.idle = idle
 
     def idle_workers(self):
-        return 1
+        return self.idle
 
     def enqueue(self, job):
         self.queue.append(job)
@@ -233,6 +237,131 @@ def test_phased_engine_interleaves_shards():
     assert (out[:10] == -1).all()
 
 
+def test_phased_engine_skips_empty_buckets():
+    # buckets 1, 3 and 5 are empty and shard 0 leaves bucket 2 empty: offsets
+    # cover the three filled buckets only, bounds every bucket
+    handles = np.arange(7, dtype=np.int64)
+    oracle = np.array([4, 0, 4, 2, 0, 4, 2], dtype=np.uint16)
+    shards = ((0, 3), (3, 7))
+    counts = np.stack([np.bincount(oracle[lo:hi], minlength=6) for lo, hi in shards])
+    offsets, bounds = prefix_offsets(counts, 10)
+    assert offsets.shape == (2, 3)
+    assert list(bounds) == [0, 2, 2, 4, 4, 7, 7]
+    filled = counts[:, np.diff(bounds) > 0]
+    out = np.full(17, -1, dtype=np.int64)
+    for s, (lo, hi) in enumerate(shards):
+        scatter(handles[lo:hi], oracle[lo:hi], offsets[s][filled[s] > 0], out)
+    assert list(out[10:]) == list(np.argsort(oracle, kind="stable"))
+    assert (out[:10] == -1).all()
+
+
+class TestPhasedStep:
+    """A phased step leaves [lo, hi) of cur in stable bucket order."""
+
+    @staticmethod
+    def _submitted(monkeypatch):
+        kinds = []
+        submit = WorkPool.submit
+        monkeypatch.setattr(WorkPool, "submit", lambda pool, job: kinds.append(job[0]) or submit(pool, job))
+        return kinds
+
+    def test_radix_step_orders_an_interior_range(self, monkeypatch):
+        s = random_set(3000, seed=31, lo=97, hi=105)  # first characters a to h, or none
+        sh = _Phased.create(s, 2, 1 << 16, _radix_buckets, _radix_batch)
+        before = sh.cur.copy()
+        lo, hi = 400, 2700
+        buckets = np.array([x[0] if x else 0 for x in ref_strings(s.with_handles(before[lo:hi]))])
+        kinds = self._submitted(monkeypatch)
+        with WorkPool(2, _phased_executor, sh) as pool:
+            bounds, _ = phased_step(pool, sh, lo, hi, 256, (0, 8))
+        assert kinds.count("scatter") == 2 and np.count_nonzero(np.diff(bounds)) > 2
+        assert np.array_equal(sh.cur[lo:hi], before[lo:hi][np.argsort(buckets, kind="stable")])
+        assert np.array_equal(np.diff(bounds), np.bincount(buckets, minlength=256))
+        assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
+
+    def test_mkqs_step_moves_the_words(self):
+        s = random_set(3000, seed=32)
+        sh = _Phased.create(s, 2, 3, _mkqs_buckets, _mkqs_batch)
+        sh.cache = shared_array(len(s), np.uint64)
+        sh.other_cache = shared_array(len(s), np.uint64)
+        sh.cache[:] = extract_keys(s, s.handles, 0)
+        before, words = sh.cur.copy(), sh.cache.copy()
+        lo, hi = 250, 2900
+        pivot = np.uint64(np.median(words[lo:hi]))
+        buckets = (words[lo:hi] >= pivot).astype(int) + (words[lo:hi] > pivot)
+        with WorkPool(2, _phased_executor, sh) as pool:
+            phased_step(pool, sh, lo, hi, 3, pivot)
+        order = np.argsort(buckets, kind="stable")
+        assert np.array_equal(sh.cur[lo:hi], before[lo:hi][order])
+        assert np.array_equal(sh.cache[lo:hi], words[lo:hi][order])
+        assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
+        assert np.array_equal(sh.cache[:lo], words[:lo]) and np.array_equal(sh.cache[hi:], words[hi:])
+
+    def test_one_bucket_submits_no_scatter(self, monkeypatch):
+        s = from_strings([b"q%d" % i for i in range(2000)])
+        sh = _Phased.create(s, 2, 1 << 16, _radix_buckets, _radix_batch)
+        before = sh.cur.copy()
+        kinds = self._submitted(monkeypatch)
+        with WorkPool(2, _phased_executor, sh) as pool:
+            bounds, _ = phased_step(pool, sh, 100, 1900, 256, (0, 8))
+        assert kinds == ["count", "count"]
+        assert np.count_nonzero(np.diff(bounds)) == 1
+        assert np.array_equal(sh.cur, before)
+
+
+class TestBatchRows:
+    """Batch jobs take (lo, hi, depth) rows as the coordinator sends them,
+    an (m, 3) int64 array, or as a share hook donates them, 3-tuples."""
+
+    RANGES = [(0, 1500, 0), (1500, 1501, 0), (1600, 4000, 0), (4000, 4000, 0), (4100, 6000, 0)]
+
+    @staticmethod
+    def _shared(kind, s):
+        if kind == "s5":
+            return _s5_shared(s, 1, want_lcps=False, seed=1, t_medium=256)
+        if kind == "radix":
+            return _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
+        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
+        sh.cache = extract_keys(s, s.handles, 0)
+        return sh
+
+    @pytest.mark.parametrize("kind", ["radix", "mkqs", "s5"])
+    def test_array_and_tuples_agree(self, kind):
+        s = random_set(6000, seed=33)
+        outs = []
+        for rows in (np.array(self.RANGES, dtype=np.int64), list(self.RANGES)):
+            sh = self._shared(kind, s)
+            _phased_executor(sh, ("batch", rows), _IdleEnv(idle=0))
+            outs.append(sh.cur.copy())
+        assert np.array_equal(outs[0], outs[1])
+        for lo, hi, _ in self.RANGES:
+            want = sorted(ref_strings(s.with_handles(s.handles[lo:hi])))
+            assert ref_strings(s.with_handles(outs[0][lo:hi])) == want
+        untouched = np.ones(len(s), dtype=bool)
+        for lo, hi, _ in self.RANGES:
+            untouched[lo:hi] = False
+        assert np.array_equal(outs[0][untouched], s.handles[untouched])
+
+    @pytest.mark.parametrize("m", [0, 3, 10])
+    def test_feed_batches_partitions_rows(self, m):
+        jobs = []
+
+        class Pool:
+            p = 2
+            submit = staticmethod(jobs.append)
+
+            def wait_idle(self):
+                jobs.append("idle")
+
+        rows = range_rows(np.arange(0, 5 * m, 5), np.arange(5, 5 * m + 5, 5), 3)
+        feed_batches(Pool(), rows)
+        assert jobs[-1] == "idle"
+        batches = jobs[:-1]
+        assert len(batches) == min(m, 4) and all(kind == "batch" for kind, _ in batches)
+        if m:
+            assert np.array_equal(np.concatenate([chunk for _, chunk in batches]), rows)
+
+
 CORPORA = {
     "random": lambda: random_set(4000, seed=3),
     "all_equal": lambda: all_equal_set(1500, b"equal-string"),
@@ -260,10 +389,10 @@ class TestParallelS5:
         assert list(res.lcps) == ref_lcps(want)
 
     def test_lcp_oracle_with_final_equality_buckets(self, monkeypatch):
-        # repeated short strings end in final equality buckets at the root
-        # (settled from other); the shared 8-character prefix holds over half
-        # the strings, so its bucket takes a second phased step at depth 8,
-        # whose repeated tails end in final equality buckets too
+        # repeated short strings end in final equality buckets at the root;
+        # the shared 8-character prefix holds over half the strings, so its
+        # bucket takes a second phased step at depth 8, whose repeated tails
+        # end in final equality buckets too
         rng = np.random.default_rng(21)
         items = [b"%d" % (i % 40) for i in range(1200)]
         items += [b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=400)]
@@ -274,16 +403,16 @@ class TestParallelS5:
         settled = []
         finish = parallel.finish_buckets
 
-        def recording(ctx, tree, bounds, lo, depth, in_cur):
+        def recording(ctx, tree, bounds, lo, depth):
             final = np.zeros(tree.num_buckets, dtype=bool)
             final[1::2] = tree.eq_final
             if (final & (np.diff(bounds) > 1)).any():
-                settled.append((depth, in_cur))
-            return finish(ctx, tree, bounds, lo, depth, in_cur)
+                settled.append(depth)
+            return finish(ctx, tree, bounds, lo, depth)
 
         monkeypatch.setattr(parallel, "finish_buckets", recording)
         res = parallel_s5(s, p=2, want_lcps=True, t_medium=256)
-        assert (0, True) in settled and (WORD_CHARS, False) in settled
+        assert 0 in settled and WORD_CHARS in settled
         want = sorted(ref_strings(s))
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
@@ -323,7 +452,7 @@ class TestParallelS5:
         calls = []
         leaves = mkqs.word_leaves
         monkeypatch.setattr(mkqs, "word_leaves", lambda *args: calls.append(1) or leaves(*args))
-        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         assert env.stats.share_events > 100
         assert 1 <= len(calls) <= 1 + len(s) // LEAF_FLUSH
         while env.queue:
@@ -354,11 +483,11 @@ class TestParallelRadix:
         )
         return found
 
-    def test_equal_range_in_other_is_finished(self, monkeypatch):
+    def test_equal_child_range_is_finished(self, monkeypatch):
         # 3000 copies of one long string among 2000 others that share only
         # its first character: the root skips to depth 1, the depth-1 step
-        # puts the copies in other, and their skip finds them equal there
-        # and copies them to cur in that order
+        # puts the copies in one bucket, and their skip finds them equal
+        # and leaves them in that order
         rng = np.random.default_rng(21)
         others = [b"x" + bytes(rng.integers(97, 120, size=6, dtype=np.uint8)) for _ in range(2000)]
         items = [b"x" * 40] * 3000 + others
@@ -399,7 +528,7 @@ class TestParallelRadix:
         s = from_strings([h + bytes(rng.integers(97, 123, size=5, dtype=np.uint8)) for h in heads])
         sh = _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
         env = _IdleEnv()
-        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         assert env.stats.share_events > 0
         donated = [entry for job in env.queue for entry in job[1]]
         assert donated and all(len(entry) == 3 for entry in donated)
@@ -452,7 +581,7 @@ class TestOneBucketSteps:
 
         def recording_submit(pool, job):
             if job[0] == "count":
-                depths.append(job[6][0])
+                depths.append(job[5][0])
             submit(pool, job)
 
         monkeypatch.setattr(WorkPool, "submit", recording_submit)
@@ -494,7 +623,7 @@ class TestParallelMkqs:
         sh.cache = extract_keys(s, s.handles, 0)
         env = _IdleEnv()
         env.stats.word_fetches = len(s)
-        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
         assert env.stats.share_events > 0
@@ -509,7 +638,7 @@ class TestParallelMkqs:
         calls = []
         leaves = mkqs.word_leaves
         monkeypatch.setattr(mkqs, "word_leaves", lambda *args: calls.append(1) or leaves(*args))
-        _phased_executor(sh, ("batch", [(0, len(s), 0, True)]), env)
+        _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         assert env.stats.share_events > 1
         assert 1 <= len(calls) <= 1 + len(s) // LEAF_FLUSH
         while env.queue:
@@ -617,7 +746,7 @@ def test_scheduler_share_event_with_single_root():
     from strsort.parallel import _s5_shared
 
     shared = _s5_shared(s, 4, want_lcps=False, seed=1, t_medium=2048)
-    stats = pool_run(4, [("batch", [(0, len(s), 0, True)])], _phased_executor, shared)
+    stats = pool_run(4, [("batch", [(0, len(s), 0)])], _phased_executor, shared)
     out = s.with_handles(shared.cur.copy())
     assert verify(s, out).ok
     assert stats.share_events >= 1

@@ -46,8 +46,8 @@ def record_steps(monkeypatch) -> list:
     records = []
     step = ssss.s5_step
 
-    def recording(ctx, src, dst, lo, hi, depth):
-        bounds, tree = step(ctx, src, dst, lo, hi, depth)
+    def recording(ctx, lo, hi, depth):
+        bounds, tree = step(ctx, lo, hi, depth)
         records.append((lo, depth, bounds, child_depths(tree, depth), tree))
         return bounds, tree
 
@@ -268,7 +268,7 @@ class TestClassify:
                     assert k < int(tree.inorder[j])
 
 
-def finish_per_bucket(ctx, tree, bounds, lo, depth, in_cur):
+def finish_per_bucket(ctx, tree, bounds, lo, depth):
     """Reference finish_buckets: one pass per nonempty bucket."""
     depths = child_depths(tree, depth)
     children = []
@@ -276,19 +276,16 @@ def finish_per_bucket(ctx, tree, bounds, lo, depth, in_cur):
         clo, chi = lo + int(bounds[i]), lo + int(bounds[i + 1])
         equal = i % 2 == 1 and tree.eq_final[i // 2]
         if not equal and chi - clo > 1:
-            children.append((clo, chi, int(depths[i]), not in_cur))
+            children.append((clo, chi, int(depths[i])))
             continue
-        if in_cur:
-            ctx.cur[clo:chi] = ctx.other[clo:chi]
         if equal and ctx.lcps is not None and chi - clo > 1:
             ctx.lcps[clo + 1 : chi] = depth + int(tree.term_pos[i // 2])
     return children
 
 
 class TestFinishBuckets:
-    @pytest.mark.parametrize("in_cur", [True, False])
     @pytest.mark.parametrize("want_lcps", [True, False])
-    def test_matches_per_bucket_loop(self, in_cur, want_lcps):
+    def test_matches_per_bucket_loop(self, want_lcps):
         # repeated short strings fill final equality buckets, distinct ones
         # singletons, and a shared 8-character prefix recursing children
         rng = np.random.default_rng(4)
@@ -302,22 +299,18 @@ class TestFinishBuckets:
         src[lo:hi] = s.handles[lo:hi]
 
         def context():
-            cur, other = src.copy(), np.full(n, -2, dtype=np.int64)
-            if not in_cur:
-                cur, other = other, cur
             lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
-            return S5Context(s, cur, other, np.zeros(n, np.uint64), lcps, SortStats(), 1, "unroll")
+            return S5Context(s, src.copy(), np.zeros(n, np.uint64), lcps, SortStats(), 1, "unroll")
 
         got, want = context(), context()
         results = []
         for ctx, finish in ((got, finish_buckets), (want, finish_per_bucket)):
-            step_src, dst = (ctx.cur, ctx.other) if in_cur else (ctx.other, ctx.cur)
-            bounds, tree = s5_step(ctx, step_src, dst, lo, hi, 0)
-            results.append(finish(ctx, tree, bounds, lo, 0, in_cur))
-        assert results[0] == results[1]
-        assert all(type(x) is int for child in results[0] for x in child[:3])
+            bounds, tree = s5_step(ctx, lo, hi, 0)
+            results.append(finish(ctx, tree, bounds, lo, 0))
+        assert results[0].dtype == np.int64 and results[0].shape == (len(results[1]), 3)
+        assert results[0].tolist() == [list(child) for child in results[1]]
         assert np.array_equal(got.cur, want.cur)
-        assert np.array_equal(got.other, want.other)
+        assert np.array_equal(got.cur[:lo], src[:lo]) and np.array_equal(got.cur[hi:], src[hi:])
         if want_lcps:
             assert np.array_equal(got.lcps, want.lcps)
         sizes = np.diff(bounds)
@@ -325,7 +318,7 @@ class TestFinishBuckets:
         final[1::2] = tree.eq_final
         assert (final & (sizes > 1)).any()  # settled runs of equal strings
         assert (~final & (sizes == 1)).any()  # settled singletons
-        assert results[0]  # and children left to sort
+        assert len(results[0])  # and children left to sort
 
 
 def distribute(handles, oracle, num_buckets):
@@ -334,7 +327,7 @@ def distribute(handles, oracle, num_buckets):
     counts = np.bincount(oracle, minlength=num_buckets)[None, :]
     offsets, bounds = prefix_offsets(counts)
     out = np.empty(len(handles), dtype=np.int64)
-    scatter(handles, oracle, offsets[0][counts[0] > 0], out)
+    scatter(handles, oracle, offsets[0], out)  # one shard fills every filled bucket
     return out, bounds
 
 
@@ -404,10 +397,10 @@ class TestS5Sort:
         steps = []
         step = ssss.s5_step
 
-        def recording(ctx, src, dst, lo, hi, depth):
-            seg = src[lo:hi].copy()
-            bounds, tree = step(ctx, src, dst, lo, hi, depth)
-            steps.append((seg, dst[lo:hi].copy(), depth, tree))
+        def recording(ctx, lo, hi, depth):
+            seg = ctx.cur[lo:hi].copy()
+            bounds, tree = step(ctx, lo, hi, depth)
+            steps.append((seg, ctx.cur[lo:hi].copy(), depth, tree))
             return bounds, tree
 
         monkeypatch.setattr(ssss, "s5_step", recording)
