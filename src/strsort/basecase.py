@@ -111,13 +111,27 @@ def lcp_insertion_core(
     return s, lcps
 
 
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions [starts[i], starts[i] + lens[i]), concatenated in order."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
 def range_positions(lo, hi, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions of the ranges [lo[i], hi[i]), concatenated in order,
     with each position's depth[i] and range index i."""
     lo, hi, depth = (np.asarray(col, dtype=np.int64) for col in (lo, hi, depth))
     sizes = hi - lo
-    pos = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-    return pos, np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
+    return concat_ranges(lo, sizes), np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
+
+
+def distribute(seg: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """Stably sort seg in place by its bucket keys, unsigned 8- or 16-bit
+    ints below k, for which numpy's stable sort is a radix sort; returns the
+    bucket bounds: bucket b occupies seg[bounds[b]:bounds[b + 1]]."""
+    seg[:] = seg[np.argsort(keys, kind="stable")]
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=k), out=bounds[1:])
+    return bounds
 
 
 def range_rows(lo, hi, depth) -> np.ndarray:
@@ -223,8 +237,8 @@ def word_leaves(
 class LeafCollector:
     """Collects a driver's leaves and sorts them with word_leaves.
 
-    take() keeps one range below LEAF_THRESHOLD strings and take_many() a
-    step's leaf ranges at once; the kept ranges are sorted together once
+    take() keeps one range below LEAF_THRESHOLD strings and take_many() the
+    leaf ranges of a step at once; the kept ranges are sorted together once
     LEAF_FLUSH strings are pending and by the final flush(), so the
     leaves' temporaries stay within LEAF_FLUSH + LEAF_THRESHOLD strings.
     `sort` is word_leaves as the driver's module binds it, so a wrapper
@@ -252,21 +266,26 @@ class LeafCollector:
                 self.flush()
         return True
 
-    def take_many(self, lo: np.ndarray, hi: np.ndarray, depth) -> None:
-        """Keep the ranges (lo[i], hi[i], depth[i]), each of 2 to
-        LEAF_THRESHOLD - 1 strings, flushing where take() would.  depth is
-        one int or one depth per range."""
+    def take_many(self, lo: np.ndarray, hi: np.ndarray, depth) -> np.ndarray:
+        """Keep the leaves among the ranges (lo[i], hi[i], depth[i]), flushing
+        where take() would; return the others, of at least LEAF_THRESHOLD
+        strings, as (m, 3) rows.  depth is one int or one depth per range."""
         rows = range_rows(lo, hi, depth)
-        filled = self.pending + np.cumsum(hi - lo)  # pending strings after each range
+        sizes = rows[:, 1] - rows[:, 0]
+        big = sizes >= LEAF_THRESHOLD
+        leaf = ~big & (sizes > 1)
+        rest, rows = rows[big], rows[leaf]
+        filled = self.pending + np.cumsum(sizes[leaf])  # pending strings after each range
         while len(rows):
             k = int(np.searchsorted(filled, LEAF_FLUSH))  # the range that fills a flush
             if k == len(rows):
                 self.chunks.append(rows)
                 self.pending = int(filled[-1])
-                return
+                break
             self.chunks.append(rows[: k + 1])
             self.flush()
             rows, filled = rows[k + 1 :], filled[k + 1 :] - filled[k]
+        return rest
 
     def flush(self) -> None:
         """Sort the pending leaves."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basecase import concat_ranges
 from .counters import SortStats
 from .strset import (
     LCP_UNDEF,
@@ -125,7 +126,6 @@ def lcp_compare(
 def binary_lcp_merge(
     a: LcpStream,
     b: LcpStream,
-    shared: int = 0,
     stats: SortStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted runs, maintaining LCPs relative to the last output."""
@@ -136,7 +136,7 @@ def binary_lcp_merge(
     out_h = np.empty(n, dtype=np.int64)
     out_l = np.empty(n, dtype=np.int64)
     ia = ib = 0
-    h1 = h2 = shared
+    h1 = h2 = 0
     j = 0
     ah, al = a.handles, a.lcps
     bh, bl = b.handles, b.lcps
@@ -172,7 +172,7 @@ def binary_lcp_mergesort(
         mid = n // 2
         left = rec(handles[:mid])
         right = rec(handles[mid:])
-        h, l = binary_lcp_merge(left, right, 0, stats)
+        h, l = binary_lcp_merge(left, right, stats)
         return LcpStream(sset, h, l)
 
     merged = rec(sset.handles.copy())
@@ -206,11 +206,6 @@ def kway_lcp_merge(
     if n:
         out_l[0] = LCP_UNDEF
     return out_h, out_l
-
-
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The index ranges [starts[i], starts[i] + lens[i]), concatenated."""
-    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
 def _index_type(sset: StringSet):
@@ -254,7 +249,7 @@ def _split_levels(streams, segs, parents, stats) -> np.ndarray:
         for k in np.flatnonzero(np.bincount(s_stream)).tolist():
             st_h, st_l = streams[k].handles, streams[k].lcps
             sel = np.flatnonzero(s_stream == k)
-            idx = _runs(s_lo[sel], lens[sel])
+            idx = concat_ranges(s_lo[sel], lens[sel])
             first = np.cumsum(lens[sel]) - lens[sel]
             # a string heads a block unless it shares the segment's word
             # with its predecessor or equals it
@@ -524,8 +519,8 @@ def _emit(streams, blocks, out_h, out_l) -> None:
     dst = blocks[:, OUT] + before - np.repeat(before[first], np.diff(first, append=len(blocks)))
     for k in np.flatnonzero(np.bincount(blocks[:, STREAM])).tolist():
         sel = blocks[:, STREAM] == k
-        at = _runs(dst[sel], blocks[sel, LEN])
-        src = _runs(blocks[sel, POS], blocks[sel, LEN])
+        at = concat_ranges(dst[sel], blocks[sel, LEN])
+        src = concat_ranges(blocks[sel, POS], blocks[sel, LEN])
         out_h[at] = streams[k].handles[src]
         out_l[at] = streams[k].lcps[src]
     out_l[dst] = blocks[:, LCP]

@@ -46,20 +46,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import LEAF_THRESHOLD, SortedWithLcp, range_rows
+from . import basecase
+from .basecase import SortedWithLcp, concat_ranges, range_rows
 from .counters import SortStats
 from .lcpmerge import LcpStream, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
-from .radix import RADIX16_THRESHOLD, bucket_spans, radix8_items, skip_shared, step_digits
+from .radix import bucket_spans, digit_width, radix8_items, skip_shared, step_digits
 from .ssss import (
-    DEFAULT_V,
     S5Context,
-    T_MEDIUM,
     bucket_word_range,
     classify_keys,
     finish_buckets,
     s5_sort_items,
     step_tree,
+    tree_capacity,
     write_boundary_lcps,
 )
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte
@@ -367,8 +367,7 @@ def scatter(items: np.ndarray, oracle: np.ndarray, offsets: np.ndarray, dst: np.
     order = np.argsort(oracle, kind="stable")
     sizes = np.bincount(oracle)
     sizes = sizes[sizes > 0]
-    pos = np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(oracle))
-    dst[pos] = items[order]
+    dst[concat_ranges(offsets, sizes)] = items[order]
 
 
 def _phased_executor(sh: _Phased, job, env: _Env) -> None:
@@ -428,7 +427,7 @@ def phased_sort(pool: WorkPool, roots, step) -> None:
     and returns the others as (m, 3) rows.
     """
     roots = np.asarray(roots, dtype=np.int64).reshape(-1, 3)
-    threshold = max(-(-int((roots[:, 1] - roots[:, 0]).sum()) // pool.p), LEAF_THRESHOLD)
+    threshold = max(-(-int((roots[:, 1] - roots[:, 0]).sum()) // pool.p), basecase.LEAF_THRESHOLD)
     pending, small = [roots], []
     while pending:
         rows = pending.pop()
@@ -456,16 +455,14 @@ def _s5_batch(sh: _Phased, rows, env: _Env) -> None:
     s5_sort_items(ctx, rows, share=make_share_hook(env))
 
 
-def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int, t_medium: int) -> _Phased:
-    sh = _Phased.create(sset, p, 2 * DEFAULT_V + 1, _s5_buckets, _s5_batch)
+def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int) -> _Phased:
     n = len(sset)
+    sh = _Phased.create(sset, p, 2 * tree_capacity(n) + 1, _s5_buckets, _s5_batch)
     lcps = None
     if want_lcps:
         lcps = shared_array(n, np.int64)
         lcps.fill(LCP_UNDEF)
-    sh.s5 = S5Context(
-        sset, sh.cur, shared_array(n, np.uint64), lcps, SortStats(), seed, "unroll", t_medium
-    )
+    sh.s5 = S5Context(sset, sh.cur, shared_array(n, np.uint64), lcps, SortStats(), seed, "unroll")
     return sh
 
 
@@ -491,11 +488,10 @@ def parallel_s5(
     want_lcps: bool = False,
     seed: int = 1,
     stats: SortStats | None = None,
-    t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sample sort on p workers; content order matches the sequential sorter."""
     p = default_workers() if p is None else max(1, p)
-    sh = _s5_shared(sset, p, want_lcps, seed, t_medium)
+    sh = _s5_shared(sset, p, want_lcps, seed)
     with WorkPool(p, _phased_executor, sh) as pool:
         phased_sort(pool, [(0, len(sset), 0)], lambda *item: _s5_step(pool, sh, *item))
     if stats is not None:
@@ -518,7 +514,7 @@ def _radix_buckets(sh: _Phased, lo: int, hi: int, arg):
 def _radix_batch(sh: _Phased, rows, env: _Env) -> None:
     """radix16_adaptive's loop over the (lo, hi, depth) rows: an (m, 3)
     array from the coordinator or the stack items a worker donated."""
-    radix8_items(sh.sset, sh.cur, rows, make_share_hook(env), wide=RADIX16_THRESHOLD)
+    radix8_items(sh.sset, sh.cur, rows, make_share_hook(env), wide=True)
 
 
 def parallel_radix(
@@ -530,7 +526,7 @@ def parallel_radix(
 
     Large subproblems run phased 16- or 8-bit steps on the pool; smaller
     ones flow into the queue as batch jobs of radix16_adaptive's in-place
-    loop, radix8_items with the same `wide`, with voluntary sharing.
+    loop, radix8_items with wide=True, with voluntary sharing.
     bucket_spans decides which buckets recurse.  Every step is stable, so
     the handles equal radix16_adaptive's.  A range whose first and last
     strings share the step's digit first lets skip_shared move it past its
@@ -542,7 +538,7 @@ def parallel_radix(
     sh = _Phased.create(sset, p, 1 << 16, _radix_buckets, _radix_batch)
 
     def step(lo: int, hi: int, depth: int) -> np.ndarray:
-        width = 16 if hi - lo >= RADIX16_THRESHOLD else 8
+        width = digit_width(hi - lo)
         first, last = step_digits(sset, sh.cur[[lo, hi - 1]], 0, 2, depth, width)
         if first == last and (depth := skip_shared(sset, sh.cur[lo:hi], depth)) is None:
             return np.empty((0, 3), dtype=np.int64)  # equal strings, in input order
@@ -670,7 +666,6 @@ def partitioned_merge_sort(
     want_lcps: bool = False,
     seed: int = 1,
     stats: SortStats | None = None,
-    t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sort K byte-balanced parts, then merge them with LCPs, on one pool.
 
@@ -689,8 +684,7 @@ def partitioned_merge_sort(
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
     if n == 0 or K <= 1:
-        return parallel_s5(sset, p, want_lcps=want_lcps, seed=seed, stats=stats,
-                           t_medium=t_medium)
+        return parallel_s5(sset, p, want_lcps=want_lcps, seed=seed, stats=stats)
     # split characters into K contiguous, byte-balanced parts (whole strings)
     lens = sset.ends() - sset.handles + 1
     cum = np.cumsum(lens)
@@ -701,7 +695,7 @@ def partitioned_merge_sort(
     cuts.append(n)
     parts = [(cuts[k], cuts[k + 1]) for k in range(K) if cuts[k] < cuts[k + 1]]
     # everything the merge jobs read is allocated before the pool forks
-    sh = _s5_shared(sset, p, True, seed, t_medium)
+    sh = _s5_shared(sset, p, True, seed)
     streams = [LcpStream(sset, sh.cur[lo:hi], sh.s5.lcps[lo:hi]) for lo, hi in parts]
     merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:

@@ -1,29 +1,32 @@
 """MSD radix sort: one in-place loop with 16-bit or 8-bit digits.
 
-Every step stably sorts its range in place on the handle array by one
-numpy argsort of the digits and takes the bucket bounds from one bincount,
+Every step stably sorts its range in place on the handle array with
+basecase.distribute, one numpy argsort of the digits and one bincount,
 so equal strings keep their input order.  A step whose digits are all
 equal either ends equal strings or first lets skip_shared move its depth
 a word at a time past the prefix the range shares.  radix8 takes 8-bit
-steps everywhere; radix16 takes 16-bit steps on ranges of at least
-RADIX16_THRESHOLD strings and 8-bit steps on smaller ones (Kärkkäinen and
-Rantala, SPIRE 2008).  bucket_spans decides which buckets recurse.
-Buckets below basecase.LEAF_THRESHOLD strings are leaves: each step
-selects them with numpy masks and hands them all to the sort's one
-LeafCollector at once, which sorts them together with basecase.word_leaves.
+steps everywhere; radix16 takes the digit_width of each range, 16-bit
+steps on ranges of at least RADIX16_THRESHOLD strings and 8-bit steps on
+smaller ones (Kärkkäinen and Rantala, SPIRE 2008).  bucket_spans decides
+which buckets recurse.  Each step hands them all to the sort's one
+LeafCollector at once, which keeps the leaves, sorts them together with
+basecase.word_leaves, and returns the larger buckets.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .basecase import LEAF_THRESHOLD, LeafCollector, word_leaves
+from .basecase import LeafCollector, distribute, word_leaves
 from .counters import SortStats
 from .strset import WORD_CHARS, StringSet, first_diff_byte, first_zero_byte
 
 RADIX16_THRESHOLD = 65536
+
+
+def digit_width(size: int) -> int:
+    """The digit bits of a 16/8-bit step over `size` strings."""
+    return 16 if size >= RADIX16_THRESHOLD else 8
 
 
 def _digits8(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> np.ndarray:
@@ -61,15 +64,6 @@ def skip_shared(sset: StringSet, seg: np.ndarray, depth: int) -> int | None:
         depth += WORD_CHARS
 
 
-def _distribute(seg: np.ndarray, digs: np.ndarray, width: int) -> np.ndarray:
-    """Stably sort seg in place by its `width`-bit digits; returns the bucket
-    bounds: bucket b occupies seg[bounds[b]:bounds[b + 1]]."""
-    seg[:] = seg[np.argsort(digs, kind="stable")]
-    bounds = np.zeros((1 << width) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(digs, minlength=1 << width), out=bounds[1:])
-    return bounds
-
-
 def bucket_spans(bounds: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonempty buckets of one radix step over [lo, ...): (starts, ends, recurse).
 
@@ -94,44 +88,34 @@ def radix8_items(
     work: np.ndarray,
     items: list[tuple[int, int, int]],
     share=None,
-    leaves: LeafCollector | None = None,
-    wide: int | None = None,
+    wide: bool = False,
 ) -> None:
     """In-place MSD radix sort of several independent (lo, hi, depth) ranges of work.
 
     A step stably sorts work[lo:hi] in place by its strings' digits at the
-    range's depth: two characters when the range holds at least `wide`
-    strings, else one.  Its children recurse one digit deeper.  The seeds
-    and children that are leaves go to `leaves`, a collector over work, in
-    one take_many each, so only larger ranges enter the stack and the share
-    hook; the collector is flushed at the end.  By default it is a new one.
+    range's depth: digit_width(hi - lo) bits when `wide`, else 8.  Its
+    children recurse one digit deeper.  The seeds and the children of a
+    step go to the sort's LeafCollector in one take_many each, so only
+    the larger ranges it returns enter the stack and the share hook; the
+    collector is flushed at the end.
     """
-    if leaves is None:
-        leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
-    rows = np.asarray(items, dtype=np.int64).reshape(-1, 3)
-    sizes = rows[:, 1] - rows[:, 0]
-    leaf = sizes < LEAF_THRESHOLD
-    leaves.take_many(*rows[leaf & (sizes > 1)].T)
-    stack = [tuple(row) for row in rows[~leaf].tolist()]
+    leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
+    stack = leaves.take_many(*np.asarray(items, dtype=np.int64).reshape(-1, 3).T).tolist()
     while stack:
         if share is not None:
             share(stack)
             if not stack:
                 break  # the collected leaves are still sorted
         lo, hi, d = stack.pop()
-        width = 16 if wide is not None and hi - lo >= wide else 8
+        width = digit_width(hi - lo) if wide else 8
         digs = step_digits(sset, work, lo, hi, d, width)
         if (digs == digs[0]).all():  # one bucket: equal strings, or a shared prefix to skip
             if not digs[0] & 0xFF or (d := skip_shared(sset, work[lo:hi], d + width // 8)) is None:
                 continue
             digs = step_digits(sset, work, lo, hi, d, width)
-        bounds = _distribute(work[lo:hi], digs, width)
+        bounds = distribute(work[lo:hi], digs, 1 << width)
         starts, ends, recurse = bucket_spans(bounds, lo)
-        leaf = recurse & (ends - starts < LEAF_THRESHOLD)
-        d += width // 8
-        leaves.take_many(starts[leaf], ends[leaf], d)
-        big = recurse & ~leaf
-        stack += zip(starts[big][::-1].tolist(), ends[big][::-1].tolist(), itertools.repeat(d))
+        stack += leaves.take_many(starts[recurse], ends[recurse], d + width // 8)[::-1].tolist()
     leaves.flush()
 
 
@@ -146,5 +130,5 @@ def radix16_adaptive(sset: StringSet) -> StringSet:
     """Adaptive 16/8-bit in-place MSD radix sort of a whole set: 16-bit
     steps on ranges of at least RADIX16_THRESHOLD strings."""
     work = sset.handles.copy()
-    radix8_items(sset, work, [(0, len(work), 0)], wide=RADIX16_THRESHOLD)
+    radix8_items(sset, work, [(0, len(work), 0)], wide=True)
     return sset.with_handles(work)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, range_positions, range_rows
+from .basecase import SortedWithLcp, distribute, range_positions, range_rows
 from .counters import SortStats
 from .mkqs import mkqs_cached_items
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
@@ -62,9 +62,9 @@ class SplitterTree:
         return 2 * self.v + 1
 
 
-def tree_capacity(n: int, v: int = DEFAULT_V) -> int:
-    """Largest 2^d - 1 <= min(v, max(1, n // 2)), v = 255 by default: the sample must not exceed n."""
-    limit = min(v, max(1, n // 2))
+def tree_capacity(n: int) -> int:
+    """Largest 2^d - 1 <= min(DEFAULT_V, max(1, n // 2)): the sample must not exceed n."""
+    limit = min(DEFAULT_V, max(1, n // 2))
     d = limit.bit_length()
     while (1 << d) - 1 > limit:
         d -= 1
@@ -178,7 +178,6 @@ class S5Context:
     stats: SortStats
     seed: int
     variant: str
-    t_medium: int = T_MEDIUM
 
 
 def write_boundary_lcps(
@@ -259,12 +258,8 @@ def s5_step(ctx: S5Context, lo: int, hi: int, depth: int) -> tuple[np.ndarray, S
     seg = ctx.cur[lo:hi]
     keys = extract_keys(ctx.sset, seg, depth)
     oracle = classify_keys(keys, tree, ctx.variant)
-    counts = np.bincount(oracle, minlength=tree.num_buckets)
-    bounds = np.zeros(tree.num_buckets + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    # at most 2 * DEFAULT_V + 1 = 511 buckets: numpy's stable sort of 16-bit keys is a radix sort
-    order = np.argsort(oracle.astype(np.uint16), kind="stable")
-    seg[:] = seg[order]
+    # at most 2 * DEFAULT_V + 1 = 511 buckets: 16-bit keys
+    bounds = distribute(seg, oracle.astype(np.uint16), tree.num_buckets)
     if ctx.lcps is not None:
         mins, maxs = bucket_word_range(oracle, keys, tree.num_buckets)
         write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
@@ -285,7 +280,7 @@ def s5_sort_items(ctx: S5Context, items, share=None) -> None:
     """Recursive sample-sort driver over independent (lo, hi, depth)
     subproblems of ctx.cur, an (m, 3) array or a list of 3-tuples.
 
-    Subproblems below ctx.t_medium are collected and sorted together by
+    Subproblems below T_MEDIUM strings are collected and sorted together by
     caching mkqs when the loop ends, also when the share hook empties the
     stack.
     """
@@ -297,7 +292,7 @@ def s5_sort_items(ctx: S5Context, items, share=None) -> None:
             if not stack:
                 break
         lo, hi, d = stack.pop()
-        if hi - lo < ctx.t_medium:
+        if hi - lo < T_MEDIUM:
             if hi - lo > 1:
                 medium.append((lo, hi, d))
             continue
@@ -312,7 +307,6 @@ def s5_sort(
     variant: str = "unroll",
     seed: int = 1,
     stats: SortStats | None = None,
-    t_medium: int = T_MEDIUM,
 ) -> StringSet | SortedWithLcp:
     """Sample sort a set; with want_lcps returns SortedWithLcp."""
     stats = stats if stats is not None else SortStats()
@@ -320,7 +314,7 @@ def s5_sort(
     cur = sset.handles.copy()
     cache = np.zeros(n, dtype=np.uint64)
     lcps = np.full(n, LCP_UNDEF, dtype=np.int64) if want_lcps else None
-    ctx = S5Context(sset, cur, cache, lcps, stats, seed, variant, t_medium)
+    ctx = S5Context(sset, cur, cache, lcps, stats, seed, variant)
     s5_sort_items(ctx, [(0, n, 0)])
     out = sset.with_handles(cur)
     if not want_lcps:

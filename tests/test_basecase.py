@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings
-from strsort import mkqs, radix
+from strsort import basecase, mkqs, radix
 from strsort.basecase import (
     LEAF_FLUSH,
     LeafCollector,
@@ -267,23 +267,30 @@ def test_plain_drivers_flush_their_leaves_once(monkeypatch, module, sort, n):
 
 def test_take_many_flushes_where_take_would():
     # the same ranges, one take() at a time and in take_many() batches,
-    # reach word_leaves in the same groups
+    # reach word_leaves in the same groups, and both give back the same
+    # ranges of at least LEAF_THRESHOLD strings
     rng = np.random.default_rng(4)
-    sizes = rng.integers(2, 1024, size=400)
+    sizes = rng.integers(0, 1200, size=400)
     hi = np.cumsum(sizes)
     lo, depth = hi - sizes, rng.integers(0, 3, size=400)
-    flushes = {}
+    flushes, rest = {}, {}
     for how in ("one", "many"):
         seen = []
         leaves = LeafCollector(None, None, None, None, None, lambda *args: seen.append(args[3].tolist()))
         if how == "one":
-            for row in zip(lo.tolist(), hi.tolist(), depth.tolist()):
-                assert leaves.take(*row)
+            rows = zip(lo.tolist(), hi.tolist(), depth.tolist())
+            rest[how] = [row for row in rows if not leaves.take(*row)]
         else:
-            for cut in np.split(np.arange(400), [1, 7, 150, 151, 320]):
-                leaves.take_many(lo[cut], hi[cut], depth[cut])
+            rest[how] = [
+                tuple(row)
+                for cut in np.split(np.arange(400), [1, 7, 150, 151, 320])
+                for row in leaves.take_many(lo[cut], hi[cut], depth[cut]).tolist()
+            ]
         leaves.flush()
         flushes[how] = [sorted(map(tuple, rows)) for rows in seen]
     assert flushes["one"] == flushes["many"]
-    assert len(flushes["one"]) == 1 + int(sizes.sum()) // LEAF_FLUSH
+    assert rest["one"] == rest["many"]
+    big = sizes >= basecase.LEAF_THRESHOLD
+    assert 0 < len(rest["one"]) == big.sum() < 400
+    assert len(flushes["one"]) == 1 + int(sizes[~big & (sizes > 1)].sum()) // LEAF_FLUSH
     assert all(sum(b - a for a, b, _ in rows) < LEAF_FLUSH + 1024 for rows in flushes["one"])

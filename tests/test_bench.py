@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from corpus import all_empty_set, all_equal_set, random_set, ref_strings, url_like_set
+from corpus import (
+    all_empty_set,
+    all_equal_set,
+    random_set,
+    ref_strings,
+    shared_prefix_clusters,
+    suffix_set,
+    url_like_set,
+)
 from strsort import basecase, bench
 from strsort.bench import (
     ALGORITHMS,
@@ -17,7 +25,10 @@ from strsort.bench import (
 )
 from strsort.cli import main
 from strsort.counters import SortStats
-from strsort.strset import dist_stats, extract_keys, from_strings, verify
+from strsort.mkqs import mkqs_cached
+from strsort.parallel import parallel_s5, partitioned_merge_sort
+from strsort.ssss import s5_sort
+from strsort.strset import dist_stats, extract_keys, from_strings, lcp_array_oracle, verify
 
 
 def read_csv(text: str) -> list[dict]:
@@ -108,6 +119,60 @@ def test_no_sorter_fetches_a_word_past_a_terminator(name, corpus, threads, monke
     s = {**ADVERSARIAL, **DUPLICATES}[corpus]()
     out = ALGORITHMS[name](s, threads, 2, SortStats())
     assert ref_strings(out) == sorted(ref_strings(s))
+
+
+SMALL = {
+    "random": lambda: random_set(400, seed=11),
+    "bytes_1_255": lambda: from_strings(
+        [bytes(range(1, 256)), b"\xff" * 9, b"\x01\xff"]
+        + ref_strings(random_set(300, seed=12, lo=1, hi=256))
+    ),
+    "urls": lambda: url_like_set(400, seed=13),
+    "suffixes": lambda: suffix_set(400, seed=14),
+    "clusters": lambda: shared_prefix_clusters(400, seed=15),
+    "all_equal": lambda: all_equal_set(200, b"one-string-longer-than-a-word"),
+    "empty_set": lambda: from_strings([]),
+}
+
+
+def small_corpus(corpus):
+    """A SMALL corpus with its handles in a seeded random order."""
+    s = SMALL[corpus]()
+    return s.with_handles(s.handles[np.random.default_rng(5).permutation(len(s))])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("corpus", sorted(SMALL))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_id_sorts_at_small_thresholds(name, corpus, threads, small_knobs):
+    # a differential test: with the knobs this small, a few hundred strings
+    # take phased steps, 16-bit and sample-sort steps, leaf flushes and merge polls
+    s = small_corpus(corpus)
+    strings = ref_strings(s)
+    out = ALGORITHMS[name](s, threads, 2, SortStats())
+    if name in STABLE:
+        stable = s.handles[sorted(range(len(s)), key=strings.__getitem__)]
+        assert np.array_equal(out.handles, stable)
+    else:
+        assert ref_strings(out) == sorted(strings)
+
+
+LCP_SORTERS = {
+    "s5": lambda s, p: s5_sort(s, want_lcps=True),
+    "mkqs_cached": lambda s, p: mkqs_cached(s),
+    "parallel_s5": lambda s, p: parallel_s5(s, p, want_lcps=True),
+    "partitioned_merge_sort": lambda s, p: partitioned_merge_sort(s, K=3, p=p, want_lcps=True),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("corpus", sorted(SMALL))
+@pytest.mark.parametrize("sorter", sorted(LCP_SORTERS))
+def test_lcps_at_small_thresholds(sorter, corpus, threads, small_knobs):
+    s = small_corpus(corpus)
+    res = LCP_SORTERS[sorter](s, threads)
+    assert ref_strings(res.set) == sorted(ref_strings(s))
+    assert np.array_equal(res.lcps, lcp_array_oracle(res.set))
 
 
 class TestGenRandom:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, url_like_set
-from strsort import lcpmerge
+from strsort import lcpmerge, ssss
 from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
 from strsort.lcpmerge import (
@@ -606,7 +606,8 @@ class TestRefine:
             return refined
 
         monkeypatch.setattr(lcpmerge, "_refine", spy)
-        res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True, t_medium=512)
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
+        res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True)
         want = ref_sorted_strings(s)
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)

@@ -17,7 +17,7 @@ from corpus import (
     shared_prefix_clusters,
     suffix_set,
 )
-from strsort import mkqs, parallel
+from strsort import mkqs, parallel, ssss
 from strsort import radix as radix_mod
 from strsort.counters import SortStats
 from strsort.basecase import LEAF_FLUSH, range_rows
@@ -318,7 +318,7 @@ class TestBatchRows:
     @staticmethod
     def _shared(kind, s):
         if kind == "s5":
-            return _s5_shared(s, 1, want_lcps=False, seed=1, t_medium=256)
+            return _s5_shared(s, 1, want_lcps=False, seed=1)
         if kind == "radix":
             return _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
         sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
@@ -326,7 +326,8 @@ class TestBatchRows:
         return sh
 
     @pytest.mark.parametrize("kind", ["radix", "mkqs", "s5"])
-    def test_array_and_tuples_agree(self, kind):
+    def test_array_and_tuples_agree(self, monkeypatch, kind):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(6000, seed=33)
         outs = []
         for rows in (np.array(self.RANGES, dtype=np.int64), list(self.RANGES)):
@@ -374,16 +375,18 @@ CORPORA = {
 class TestParallelS5:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_matches_sequential_content(self, corpus, p):
+    def test_matches_sequential_content(self, monkeypatch, corpus, p):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = CORPORA[corpus]()
-        seq = s5_sort(s, t_medium=512)
-        par = parallel_s5(s, p=p, t_medium=512)
+        seq = s5_sort(s)
+        par = parallel_s5(s, p=p)
         assert verify(s, par).ok
         assert ref_strings(par) == ref_strings(seq)
 
-    def test_lcp_oracle(self):
+    def test_lcp_oracle(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(5000, seed=8)
-        res = parallel_s5(s, p=2, want_lcps=True, t_medium=512)
+        res = parallel_s5(s, p=2, want_lcps=True)
         want = sorted(ref_strings(s))
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
@@ -411,43 +414,48 @@ class TestParallelS5:
             return finish(ctx, tree, bounds, lo, depth)
 
         monkeypatch.setattr(parallel, "finish_buckets", recording)
-        res = parallel_s5(s, p=2, want_lcps=True, t_medium=256)
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
+        res = parallel_s5(s, p=2, want_lcps=True)
         assert 0 in settled and WORD_CHARS in settled
         want = sorted(ref_strings(s))
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
 
-    def test_full_root_tree_matches_sequential(self):
+    def test_full_root_tree_matches_sequential(self, monkeypatch):
         # 5,000 strings give the root step a full tree of DEFAULT_V splitters;
         # every step and leaf is stable, so p = 2 returns s5_sort's handles
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(5000, seed=9)
         assert tree_capacity(len(s)) == DEFAULT_V
-        res = parallel_s5(s, p=2, want_lcps=True, t_medium=512)
-        assert np.array_equal(res.set.handles, s5_sort(s, t_medium=512).handles)
+        res = parallel_s5(s, p=2, want_lcps=True)
+        assert np.array_equal(res.set.handles, s5_sort(s).handles)
         assert list(res.lcps) == ref_lcps(sorted(ref_strings(s)))
 
-    def test_p1_handle_identical_to_sequential(self):
+    def test_p1_handle_identical_to_sequential(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(3000, seed=2)
-        seq = s5_sort(s, t_medium=512)
-        par = parallel_s5(s, p=1, t_medium=512)
+        seq = s5_sort(s)
+        par = parallel_s5(s, p=1)
         assert np.array_equal(par.handles, seq.handles)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_counters_match_sequential(self, corpus, p):
-        # t_medium is below n/p, so both sorters take the same steps
+    def test_counters_match_sequential(self, monkeypatch, corpus, p):
+        # T_MEDIUM is below n/p, so both sorters take the same steps
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = CORPORA[corpus]()
         seq, par = SortStats(), SortStats()
-        s5_sort(s, seed=3, stats=seq, t_medium=256)
-        parallel_s5(s, p=p, seed=3, stats=par, t_medium=256)
+        s5_sort(s, seed=3, stats=seq)
+        parallel_s5(s, p=p, seed=3, stats=par)
         assert seq.word_fetches > len(s)  # the steps charge their sample and keys
         assert (par.word_fetches, par.char_cmps) == (seq.word_fetches, seq.char_cmps)
 
     def test_sharing_batch_flushes_its_leaves_once(self, monkeypatch):
         # a batch whose share hook always sees an idle worker shares at every
         # stack pop; the leaves it keeps are still sorted by one flush
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(20_000, seed=14)
-        sh = parallel._s5_shared(s, 1, want_lcps=True, seed=1, t_medium=256)
+        sh = parallel._s5_shared(s, 1, want_lcps=True, seed=1)
         env = _IdleEnv()
         calls = []
         leaves = mkqs.word_leaves
@@ -505,11 +513,20 @@ class TestParallelRadix:
         items = [b"http://www.example.com/%d" % int(x) for x in rng.integers(0, 9000, size=6000)]
         s = from_strings(items)
         if threshold is not None:  # 16-bit phased steps, as on large inputs
-            monkeypatch.setattr(parallel, "RADIX16_THRESHOLD", threshold)
             monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", threshold)
         found = self._coordinator_skips(monkeypatch)
+        widths = []  # of the count jobs
+        submit = WorkPool.submit
+
+        def recording_submit(pool, job):
+            if job[0] == "count":
+                widths.append(job[5][1])
+            submit(pool, job)
+
+        monkeypatch.setattr(WorkPool, "submit", recording_submit)
         out = parallel_radix(s, p=2)
         assert found and found[0] >= 23
+        assert widths and set(widths) == {8 if threshold is None else 16}
         assert np.array_equal(out.handles, radix16_adaptive(s).handles)
         assert ref_strings(out) == sorted(items)
 
@@ -518,7 +535,6 @@ class TestParallelRadix:
         # a batch that always sees an idle worker donates its stack items,
         # (lo, hi, depth) 3-tuples, at every pop; with 16-bit steps on large
         # ranges, draining the queue sorts as radix16_adaptive does
-        monkeypatch.setattr(parallel, "RADIX16_THRESHOLD", 2048)
         monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)
         # two-character heads put 3600, 3600, 1800, 1800 and 1200 strings in
         # the root's buckets: they take 16- and 8-bit steps
@@ -661,23 +677,26 @@ class TestParallelMkqs:
 
 
 class TestPartitionedMergeSort:
-    def test_k1_is_parallel_s5(self):
+    def test_k1_is_parallel_s5(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(2000, seed=1)
-        out = partitioned_merge_sort(s, K=1, p=2, t_medium=512)
+        out = partitioned_merge_sort(s, K=1, p=2)
         assert verify(s, out).ok
 
     @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_k4_random(self, p):
+    def test_k4_random(self, monkeypatch, p):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(4000, seed=9)
-        res = partitioned_merge_sort(s, K=4, p=p, want_lcps=True, t_medium=512)
+        res = partitioned_merge_sort(s, K=4, p=p, want_lcps=True)
         want = sorted(ref_strings(s))
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
-    def test_corpora(self, corpus):
+    def test_corpora(self, monkeypatch, corpus):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = CORPORA[corpus]()
-        res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True, t_medium=512)
+        res = partitioned_merge_sort(s, K=4, p=2, want_lcps=True)
         assert verify(s, res.set).ok
         want = sorted(ref_strings(s))
         assert list(res.lcps) == ref_lcps(want)
@@ -687,15 +706,16 @@ class TestPartitionedMergeSort:
         res = partitioned_merge_sort(s, K=8, p=2, want_lcps=True)
         assert verify(s, res.set).ok
 
-    def test_merge_job_resplit_when_workers_idle(self):
+    def test_merge_job_resplit_when_workers_idle(self, monkeypatch):
         # a job only splits after MERGE_POLL_INTERVAL emitted strings, so the
         # executor runs directly here with a scheduler that always reports an
         # idle worker; every subjob it enqueues runs the same way
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(4 * 2500, seed=21)
         streams = []
         for k in range(4):
             sub = s.with_handles(s.handles[k * 2500 : (k + 1) * 2500])
-            res = s5_sort(sub, want_lcps=True, t_medium=512)
+            res = s5_sort(sub, want_lcps=True)
             streams.append(LcpStream(s, res.set.handles, res.lcps))
         n = len(s)
         assert n > MERGE_POLL_INTERVAL
@@ -740,12 +760,13 @@ class TestPartitionedMergeSort:
         assert ref_strings(res.set) == sorted(items)
 
 
-def test_scheduler_share_event_with_single_root():
+def test_scheduler_share_event_with_single_root(monkeypatch):
     # one sequential root job on a multi-worker pool must trigger sharing
+    monkeypatch.setattr(ssss, "T_MEDIUM", 2048)
     s = random_set(60_000, seed=13)
     from strsort.parallel import _s5_shared
 
-    shared = _s5_shared(s, 4, want_lcps=False, seed=1, t_medium=2048)
+    shared = _s5_shared(s, 4, want_lcps=False, seed=1)
     stats = pool_run(4, [("batch", [(0, len(s), 0)])], _phased_executor, shared)
     out = s.with_handles(shared.cur.copy())
     assert verify(s, out).ok

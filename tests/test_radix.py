@@ -199,14 +199,14 @@ def test_no_step_distributes_into_one_bucket(monkeypatch):
     s = from_strings(items)
     expect = s.handles[sorted(range(len(items)), key=items.__getitem__)]
     widths = []
-    orig = radix_mod._distribute
+    orig = radix_mod.distribute
 
-    def spy(seg, digs, width):
-        bounds = orig(seg, digs, width)
-        widths.append((width, int(np.count_nonzero(np.diff(bounds)))))
+    def spy(seg, digs, k):
+        bounds = orig(seg, digs, k)
+        widths.append((k.bit_length() - 1, int(np.count_nonzero(np.diff(bounds)))))
         return bounds
 
-    monkeypatch.setattr(radix_mod, "_distribute", spy)
+    monkeypatch.setattr(radix_mod, "distribute", spy)
     assert np.array_equal(radix8_inplace(s).handles, expect)
     monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)  # 16-bit steps run
     assert np.array_equal(radix16_adaptive(s).handles, expect)

@@ -204,7 +204,7 @@ class TestClassify:
     def test_unroll_equals_equal(self, items, seed):
         s = from_strings(items)
         rng = np.random.default_rng(seed)
-        v = tree_capacity(len(items), 7)
+        v = min(tree_capacity(len(items)), 7)
         sample = draw_sample(s, s.handles, 0, v, rng)
         tree = select_splitters(sample, v)
         keys = extract_keys(s, s.handles, 0)
@@ -359,25 +359,28 @@ class TestS5Sort:
         out = s5_sort(s)
         assert ref_strings(out) == sorted(ref_strings(s))
 
-    def test_verify_and_lcp_oracle(self):
+    def test_verify_and_lcp_oracle(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         for seed in range(3):
             s = random_set(2000, seed=seed)
-            res = s5_sort(s, want_lcps=True, t_medium=256)
+            res = s5_sort(s, want_lcps=True)
             assert verify(s, res.set).ok
             want = sorted(ref_strings(s))
             assert ref_strings(res.set) == want
             assert list(res.lcps) == ref_lcps(want)
 
-    def test_both_variants_sort(self):
+    def test_both_variants_sort(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(3000, seed=5)
-        a = s5_sort(s, variant="unroll", t_medium=256)
-        b = s5_sort(s, variant="equal", t_medium=256)
+        a = s5_sort(s, variant="unroll")
+        b = s5_sort(s, variant="equal")
         assert ref_strings(a) == ref_strings(b) == sorted(ref_strings(s))
 
     def test_equality_buckets_advance_depth_by_word(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = shared_prefix_clusters(4000, seed=1, prefix_len=8)
         records = record_steps(monkeypatch)
-        res = s5_sort(s, want_lcps=True, t_medium=512)
+        res = s5_sort(s, want_lcps=True)
         assert verify(s, res.set).ok
         assert records, "expected at least one classification step"
         # clusters share exactly 8 characters: every deep recursion entered
@@ -404,7 +407,8 @@ class TestS5Sort:
             return bounds, tree
 
         monkeypatch.setattr(ssss, "s5_step", recording)
-        res = s5_sort(s, want_lcps=True, variant=variant, t_medium=1024)
+        monkeypatch.setattr(ssss, "T_MEDIUM", 1024)
+        res = s5_sort(s, want_lcps=True, variant=variant)
         assert steps[0][3].v == ssss.DEFAULT_V
         for seg, moved, depth, tree in steps:
             oracle = classify_keys(extract_keys(s, seg, depth), tree, variant)
@@ -415,24 +419,27 @@ class TestS5Sort:
         assert np.array_equal(res.set.handles, s.handles[order])
         assert list(res.lcps) == ref_lcps([strings[i] for i in order])
 
-    def test_all_equal_terminates(self):
+    def test_all_equal_terminates(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = all_equal_set(5000, b"abcdefghijxyz")
-        res = s5_sort(s, want_lcps=True, t_medium=512)
+        res = s5_sort(s, want_lcps=True)
         assert verify(s, res.set).ok
         assert list(res.lcps) == ref_lcps(sorted(ref_strings(s)))
 
-    def test_deterministic_with_seed(self):
+    def test_deterministic_with_seed(self, monkeypatch):
+        monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(2000, seed=4)
-        a = s5_sort(s, seed=77, t_medium=256)
-        b = s5_sort(s, seed=77, t_medium=256)
+        a = s5_sort(s, seed=77)
+        b = s5_sort(s, seed=77)
         assert np.array_equal(a.handles, b.handles)
 
     def test_bucket_lcp_property(self, monkeypatch):
         # within every produced bucket, pairs share at least the documented
         # prefix credit
+        monkeypatch.setattr(ssss, "T_MEDIUM", 1024)
         s = random_set(10_000, seed=13)
         records = record_steps(monkeypatch)
-        res = s5_sort(s, t_medium=1024)
+        res = s5_sort(s)
         assert verify(s, res).ok
         rng = np.random.default_rng(0)
         checked = 0
@@ -458,7 +465,9 @@ class TestS5Sort:
     @settings(max_examples=40, deadline=None)
     def test_property_sort_and_lcps(self, items, seed):
         s = from_strings(items)
-        res = s5_sort(s, want_lcps=True, seed=seed, t_medium=16)
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis reuses function fixtures
+            patch.setattr(ssss, "T_MEDIUM", 16)
+            res = s5_sort(s, want_lcps=True, seed=seed)
         want = sorted(items)
         assert ref_strings(res.set) == want
         assert list(res.lcps) == ref_lcps(want)
