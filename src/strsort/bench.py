@@ -20,7 +20,7 @@ import numpy as np
 
 from .basecase import insertion_sort, lcp_insertion_sort
 from .counters import SortStats
-from .lcpmerge import LcpStream, binary_lcp_mergesort, kway_lcp_merge
+from .lcpmerge import LcpRuns, binary_lcp_mergesort, kway_lcp_merge
 from .mkqs import mkqs, mkqs_cached
 from .parallel import parallel_mkqs, parallel_radix, parallel_s5, partitioned_merge_sort
 from .radix import radix8_inplace, radix16_adaptive
@@ -94,15 +94,17 @@ def _algo_lcp_mergesort(sset, threads, seed, stats):
 
 
 def _algo_kway_merge(sset, threads, seed, stats, shards: int = 4):
-    """Presort contiguous shards, then K-way LCP-merge them."""
+    """Presort contiguous shards in place, into one handle and one LCP
+    array, then K-way LCP-merge them."""
     n = len(sset)
     cuts = np.linspace(0, n, shards + 1).astype(np.int64)
-    streams = []
-    for i in range(shards):
-        sub = sset.with_handles(sset.handles[cuts[i] : cuts[i + 1]])
-        res = s5_sort(sub, want_lcps=True, seed=seed + i, stats=stats)
-        streams.append(LcpStream(sset, res.set.handles, res.lcps))
-    out_h, _ = kway_lcp_merge(streams, stats=stats)
+    handles = np.empty(n, dtype=np.int64)
+    lcps = np.empty(n, dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        res = s5_sort(sset.with_handles(sset.handles[lo:hi]), want_lcps=True, seed=seed + i, stats=stats)
+        handles[lo:hi] = res.set.handles
+        lcps[lo:hi] = res.lcps
+    out_h, _ = kway_lcp_merge(LcpRuns(sset, handles, lcps, cuts), stats=stats)
     return sset.with_handles(out_h)
 
 

@@ -7,16 +7,17 @@ and every matched character permanently raises the output LCP sum.
 Character comparisons are counted per position examined.  The binary LCP
 merge and mergesort are built on it.
 
-The K-way LCP merge is not a tournament tree.  split_merge_jobs cuts the
-sorted runs into independent jobs by multiway splitting: splitters drawn
-by regular sampling, each found in every run by binary search over the
-buffer's bytes, O(K * m * log n) string reads for m jobs and no word
-fetch.  The strings of a job share the LCP of its two bounding values, so
-each job's run_merge_job splits it from that depth into groups of strings
-with equal words, level by level in numpy, from the runs' LCP arrays and
-one word fetch per block head and level, until every group is copied: a
-group from one run, or a group of equal strings, run by run in stream
-order.
+The K-way LCP merge is not a tournament tree.  Its K sorted runs lie end
+to end in one LcpRuns: one handle array, one LCP array and the position
+where each run starts.  split_merge_jobs cuts the runs into independent
+jobs by multiway splitting: splitters drawn by regular sampling, each
+found in every run by binary search over the buffer's bytes,
+O(K * m * log n) string reads for m jobs and no word fetch.  The strings
+of a job share the LCP of its two bounding values, so each job's
+run_merge_job splits it from that depth into groups of strings with equal
+words, level by level in numpy over all its runs at once, from the LCP
+array and one word fetch per block head and level, until every group is
+copied: a group from one run, or a group of equal strings, in run order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ MERGE_POLL_INTERVAL = 4096  # emitted strings between scheduler polls
 
 @dataclass
 class LcpStream:
-    """A sorted run with its LCP array."""
+    """A sorted run with its LCP array, for binary_lcp_merge."""
 
     sset: StringSet
     handles: np.ndarray
@@ -54,25 +55,41 @@ class LcpStream:
         return len(self.handles)
 
 
+@dataclass
+class LcpRuns:
+    """K sorted runs laid end to end, with their LCPs.
+
+    Run k is handles[starts[k]:starts[k+1]], with its LCPs at the same
+    positions of lcps.  starts holds K + 1 non-decreasing positions from 0
+    to len(handles), so a run may be empty.  A run's first LCP is never
+    read.
+    """
+
+    sset: StringSet
+    handles: np.ndarray
+    lcps: np.ndarray
+    starts: np.ndarray
+
+
 # columns of MergeJob.blocks
-STREAM, POS, LEN, OUT, LCP, DEPTH = range(6)
+POS, LEN, OUT, LCP, DEPTH = range(5)
 
 
 @dataclass
 class MergeJob:
-    """Per-stream subranges that merge into one stretch of the output.
+    """Subranges of the runs that merge into one stretch of the output.
 
-    blocks holds one row per block of consecutive strings of one stream,
-    in output order: STREAM, POS and LEN locate it; OUT is the output
-    position of its group within the job; DEPTH is -1 for a copied group,
-    else the depth a pending group is split from.  The blocks of one group
-    are its runs, in stream order, and share the group's OUT.  A copied
-    group's blocks follow each other from OUT, and each holds the LCP to
-    write at its first string; a pending group's first block holds the
-    group's LCP.  The first block's LCP is the one to the string before the
-    job.  A job of split_merge_jobs is one pending group, one block per run
-    at OUT 0, or one copied block; a job that pack_merge_jobs packs from a
-    refined table holds copied groups only.
+    blocks holds one row per block of consecutive strings of one run, in
+    output order: POS and LEN locate it in the LcpRuns arrays; OUT is the
+    output position of its group within the job; DEPTH is -1 for a copied
+    group, else the depth a pending group is split from.  The blocks of one
+    group lie in different runs, in run order, and share the group's OUT.
+    A copied group's blocks follow each other from OUT, and each holds the
+    LCP to write at its first string; a pending group's first block holds
+    the group's LCP.  The first block's LCP is the one to the string before
+    the job.  A job of split_merge_jobs is one pending group, one block per
+    run at OUT 0, or one copied block; a job that pack_merge_jobs packs
+    from a refined table holds copied groups only.
     """
 
     blocks: np.ndarray
@@ -182,27 +199,22 @@ def binary_lcp_mergesort(
     return sset.with_handles(merged.handles), lcps, stats
 
 
-def kway_lcp_merge(
-    streams: list[LcpStream],
-    shared: int = 0,
-    stats: SortStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge K sorted runs sharing `shared` prefix characters, with LCPs.
+def kway_lcp_merge(runs: LcpRuns, stats: SortStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Merge K sorted runs with their LCPs.
 
     Runs the one job of split_merge_jobs: its strings share the LCP D of
     the smallest run head and the largest run tail, which the split reads,
     and run_merge_job splits every group from several runs from depth D to
     the end.  It compares no characters, and a string's word is fetched
     only at depths from D up to its larger output LCP h: at most
-    1 + (h - D) // WORD_CHARS <= 1 + (h - shared) // WORD_CHARS word fetches
-    per string.
+    1 + (h - D) // WORD_CHARS word fetches per string.
     """
     stats = stats if stats is not None else SortStats()
-    n = sum(st.length for st in streams)
+    n = len(runs.handles)
     out_h = np.empty(n, dtype=np.int64)
     out_l = np.empty(n, dtype=np.int64)
-    for job in split_merge_jobs(streams, 1, shared, stats=stats):  # at most one
-        run_merge_job(streams, job, stats, out_h, out_l)
+    for job in split_merge_jobs(runs, 1):  # at most one
+        run_merge_job(runs, job, stats, out_h, out_l)
     if n:
         out_l[0] = LCP_UNDEF
     return out_h, out_l
@@ -213,76 +225,61 @@ def _index_type(sset: StringSet):
     return np.int32 if len(sset.buffer) < 2**31 else np.int64
 
 
-def _split_levels(streams, segs, parents, stats) -> np.ndarray:
+def _split_levels(runs: LcpRuns, segs, parents, stats: SortStats) -> np.ndarray:
     """Split groups of run segments to the end, one word level at a time.
 
-    segs = (parent, stream, lo, hi) arrays locate each group's segments,
-    one per run; parents = (start, lead, depth) arrays give each group's
-    output start, LCP to the string before it, and the depth of its next
-    word.  A level cuts every active segment into blocks from its LCP array
-    alone: a string joins its predecessor's block when their LCP reaches
-    the segment's depth + WORD_CHARS, or when both are the same string
-    ending at that LCP (in a sorted run the second holds exactly when the
-    later string ends there).  It fetches the word of every block head at
-    its depth in one extract_keys call, charged to stats.word_fetches, and
-    orders the heads by one stable lexsort of (parent, word, stream).
-    Equal words form a group, and neighbouring groups share depth +
-    shared_chars(words) characters.  A group from one run is one copied
-    block.  When the word of a group from several runs holds the
-    terminator, its strings are all equal and its blocks are copied in
-    stream order.  Otherwise the group recurses at depth + WORD_CHARS.
-    Returns the blocks table of copied groups, sorted by OUT, each group's
-    blocks in stream order.
+    segs = (parent, lo, hi) arrays locate each group's segments, one per
+    run, as positions of the runs' arrays, each group's in run order;
+    parents = (start, lead, depth) arrays give each group's output start,
+    LCP to the string before it, and the depth of its next word.  A level
+    cuts every active segment into blocks from the LCP array alone: a
+    string joins its predecessor's block when their LCP reaches the
+    segment's depth + WORD_CHARS, or when both are the same string ending
+    at that LCP (in a sorted run the second holds exactly when the later
+    string ends there).  It fetches the word of every block head at its
+    depth in one extract_keys call, charged to stats.word_fetches, and
+    orders the heads by one stable lexsort of (parent, word), so equal
+    words keep run order.  Equal words form a group, and neighbouring
+    groups share depth + shared_chars(words) characters.  A group from one
+    run is one copied block.  When the word of a group from several runs
+    holds the terminator, its strings are all equal and its blocks are
+    copied in run order.  Otherwise the group recurses at depth +
+    WORD_CHARS.  Returns the blocks table of copied groups, sorted by OUT,
+    each group's blocks in run order.
     """
     w = WORD_CHARS
-    sset = streams[0].sset
+    sset = runs.sset
     chars = sset.char_array()
     itype = _index_type(sset)
-    s_parent, s_stream, s_lo, s_hi = (np.asarray(x, dtype=itype) for x in segs)
+    s_parent, s_lo, s_hi = (np.asarray(x, dtype=itype) for x in segs)
     p_start, p_lead, p_depth = (np.asarray(x, dtype=itype) for x in parents)
     tables = []
     # each level frees its head-sized arrays once spent: the one job of
     # kway_lcp_merge spans the whole input, and its peak memory is the merge's
     while len(s_lo):
         lens = s_hi - s_lo
-        pos, size, seg, handles = [], [], [], []
-        for k in np.flatnonzero(np.bincount(s_stream)).tolist():
-            st_h, st_l = streams[k].handles, streams[k].lcps
-            sel = np.flatnonzero(s_stream == k)
-            idx = concat_ranges(s_lo[sel], lens[sel])
-            first = np.cumsum(lens[sel]) - lens[sel]
-            # a string heads a block unless it shares the segment's word
-            # with its predecessor or equals it
-            lcps = st_l[idx]
-            head = lcps < np.repeat(p_depth[s_parent[sel]] + w, lens[sel])
-            head[first] = False
-            cand = np.flatnonzero(head)
-            head[cand[chars[st_h[idx[cand]] + lcps[cand]] == 0]] = False
-            head[first] = True
-            del lcps, cand
-            at = np.flatnonzero(head)
-            del head
-            size.append(np.diff(at, append=len(idx)).astype(itype))
-            seg.append(sel[np.searchsorted(first, at, side="right") - 1].astype(itype))
-            at = idx[at]
-            pos.append(at.astype(itype))
-            handles.append(st_h[at])
-            del idx, at
-        seg = np.concatenate(seg)
-        handles = np.concatenate(handles)
-        words = extract_keys(sset, handles, p_depth[s_parent[seg]])
-        if stats is not None:
-            stats.word_fetches += len(handles)
-        del handles
-        parent, stream = s_parent[seg], s_stream[seg]
-        del seg
-        pos, size = np.concatenate(pos), np.concatenate(size)
-        # the rows arrive as K sorted runs, which lexsort's timsort merges faster
-        # than basecase.stable_word_order's two unstable sorts
-        order = np.lexsort((stream, words, parent))
-        pos, size, stream, parent, words = (
-            x[order] for x in (pos, size, stream, parent, words)
-        )
+        idx = concat_ranges(s_lo, lens)
+        first = np.cumsum(lens) - lens
+        # a string heads a block unless it shares the segment's word with
+        # its predecessor or equals it; a segment's first string heads one
+        lcps = runs.lcps[idx]
+        head = lcps < np.repeat(p_depth[s_parent] + w, lens)
+        head[first] = False
+        cand = np.flatnonzero(head)
+        head[cand[chars[runs.handles[idx[cand]] + lcps[cand]] == 0]] = False
+        head[first] = True
+        del lcps, cand
+        at = np.flatnonzero(head)
+        del head
+        size = np.diff(at, append=len(idx)).astype(itype)
+        parent = s_parent[np.searchsorted(first, at, side="right") - 1]
+        pos = idx[at].astype(itype)
+        del idx, at, first
+        words = extract_keys(sset, runs.handles[pos], p_depth[parent])
+        stats.word_fetches += len(pos)
+        # the segments of a parent arrive in run order, each sorted
+        order = np.lexsort((words, parent))
+        pos, size, parent, words = (x[order] for x in (pos, size, parent, words))
         del order
         new = np.ones(len(pos), dtype=bool)
         new[1:] = (parent[1:] != parent[:-1]) | (words[1:] != words[:-1])
@@ -311,20 +308,19 @@ def _split_levels(streams, segs, parents, stats) -> np.ndarray:
         g_start += p_start[g_parent] - g_start[np.maximum.accumulate(np.where(pfirst, np.arange(len(first)), 0))]
         g_lead[pfirst] = p_lead[g_parent[pfirst]]
         del pfirst, g_parent, first
-        # the runs of deeper groups are the next level's segments
+        # the blocks of deeper groups are the next level's segments
         down = np.flatnonzero(deeper)
         p_start, p_lead, p_depth = g_start[down], g_lead[down], g_depth[down]
         rec = deeper[gid]
         at = np.flatnonzero(rec)
         s_parent = np.searchsorted(down, gid[at]).astype(itype)
-        s_stream, s_lo = stream[at], pos[at]
+        s_lo = pos[at]
         s_hi = s_lo + size[at]
         del down, deeper, at
-        table = np.empty((len(pos), 6), dtype=itype)
-        table[:, STREAM] = stream
+        table = np.empty((len(pos), 5), dtype=itype)
         table[:, POS] = pos
         table[:, LEN] = size
-        del stream, pos, size
+        del pos, size
         table[:, OUT] = g_start[gid]
         # a later run of an equal group follows strings equal to its own
         table[:, LCP] = np.where(new, g_lead[gid], np.where(equal[gid], g_depth[gid], 0))
@@ -334,7 +330,7 @@ def _split_levels(streams, segs, parents, stats) -> np.ndarray:
     if len(tables) == 1:  # parents are numbered in output order
         return tables[0]
     # deeper groups' blocks go between their neighbours; a group's blocks lie
-    # in one level's table, in stream order, and OUT differs between groups
+    # in one level's table, in run order, and OUT differs between groups
     blocks = np.concatenate(tables)
     del tables
     return blocks[np.argsort(blocks[:, OUT], kind="stable")]
@@ -350,18 +346,17 @@ def _lcp_bytes(a: bytes, b: bytes) -> int:
 
 
 def split_merge_jobs(
-    streams: list[LcpStream],
+    runs: LcpRuns,
     target_jobs: int,
-    shared: int = 0,
     stats: SortStats | None = None,
 ) -> list[MergeJob]:
     """Split K sorted runs into independent merge jobs by sampled splitters.
 
     This is the first of two split stages.  With m = target_jobs (at most
     N), each non-empty run of length L gives the strings at i * L // m for
-    i = 1 .. m-1 as samples (regular sampling), each standing for L / m
-    strings.  In sorted order, splitter i is the sample at which these
-    weights reach i * N / m; an equal splitter counts once.  Each
+    i = 1 .. m-1 of it as samples (regular sampling), each standing for
+    L / m strings.  In sorted order, splitter i is the sample at which
+    these weights reach i * N / m; an equal splitter counts once.  Each
     splitter's lower bound in every run is found by binary search over the
     buffer's bytes, so equal strings never straddle two jobs.  A job holds
     the strings between two splitters, one table row per run with any
@@ -371,32 +366,34 @@ def split_merge_jobs(
     all its strings share.  Its first string equals its lower splitter, so
     the group's LCP to the string before the job is the largest LCP of the
     splitter to a run's string just before its lower bound; the first
-    job's is `shared`, the LCP every string shares.  The split reads at
-    most K * m * (ceil(log2 N) + 2) strings and fetches no word, and
-    charges nothing to stats.  The second stage, in run_merge_job, splits
-    each job's pending group to the end.
+    job's is 0, and the caller overwrites the output's first LCP.  The
+    split reads at most K * m * (ceil(log2 N) + 2) strings and fetches no
+    word, and charges nothing to stats.  The second stage, in
+    run_merge_job, splits each job's pending group to the end.
     """
-    total = sum(s.length for s in streams)
+    handles = runs.handles
+    total = len(handles)
     if total == 0:
         return []
-    runs = [k for k, s in enumerate(streams) if s.length]
-    sset = streams[runs[0]].sset
+    starts = runs.starts.tolist()
+    spans = [(lo, hi) for lo, hi in zip(starts, starts[1:]) if lo < hi]
+    sset = runs.sset
     itype = _index_type(sset)
-    if len(runs) == 1:
-        (k,) = runs
-        return [MergeJob(np.array([[k, 0, total, 0, shared, -1]], dtype=itype))]
+    if len(spans) == 1:
+        ((lo, hi),) = spans
+        return [MergeJob(np.array([[lo, hi - lo, 0, 0, -1]], dtype=itype))]
     buf = sset.buffer
 
-    def read(handles) -> list[bytes]:
+    def read(hs) -> list[bytes]:
         """Whole strings, terminators included."""
-        handles = np.asarray(handles, dtype=np.int64)
-        return [buf[h : e + 1] for h, e in zip(handles.tolist(), sset.ends(handles).tolist())]
+        hs = np.asarray(hs, dtype=np.int64)
+        return [buf[h : e + 1] for h, e in zip(hs.tolist(), sset.ends(hs).tolist())]
 
     m = max(1, min(target_jobs, total))
     samples = [
-        (s, streams[k].length)
-        for k in runs
-        for s in read(streams[k].handles[np.arange(1, m) * streams[k].length // m])
+        (s, hi - lo)
+        for lo, hi in spans
+        for s in read(handles[lo + np.arange(1, m) * (hi - lo) // m])
     ]
     splitters, reached, i = [], 0, 1
     for s, weight in sorted(samples):
@@ -405,29 +402,28 @@ def split_merge_jobs(
             if not splitters or splitters[-1] != s:
                 splitters.append(s)
             i += 1
-    # cuts[j][k]: where job j starts in run k; leads[j]: its first LCP
-    cuts = [[0] * len(streams)]
-    leads = [shared]
+    # cuts[j][r]: where job j starts in the r-th non-empty run; leads[j]: its first LCP
+    cuts = [[lo for lo, _ in spans]]
+    leads = [0]
     for sp in splitters:
         width = len(sp)
-        cut, lead = list(cuts[-1]), shared
-        for k in runs:
-            hs = streams[k].handles
+        cut, lead = list(cuts[-1]), 0
+        for r, (lo, hi) in enumerate(spans):
             # a string's first len(sp) bytes, read past its terminator if
             # need be, order against sp as the string does: sp's one zero
             # byte is its last
-            cut[k] = bisect_left(hs, sp, cut[k], key=lambda h: buf[h : h + width])
-            if cut[k]:
-                h = int(hs[cut[k] - 1])
+            cut[r] = bisect_left(handles, sp, cut[r], hi, key=lambda h: buf[h : h + width])
+            if cut[r] > lo:
+                h = int(handles[cut[r] - 1])
                 lead = max(lead, _lcp_bytes(sp, buf[h : h + width]))
         cuts.append(cut)
         leads.append(lead)
-    cuts.append([s.length for s in streams])
-    bounds = [min(read([streams[k].handles[0] for k in runs]))]
-    bounds += splitters + [max(read([streams[k].handles[-1] for k in runs]))]
+    cuts.append([hi for _, hi in spans])
+    bounds = [min(read(handles[[lo for lo, _ in spans]]))]
+    bounds += splitters + [max(read(handles[[hi - 1 for _, hi in spans]]))]
     jobs = []
     for j, lead in enumerate(leads):
-        rows = [(k, cuts[j][k], cuts[j + 1][k] - cuts[j][k]) for k in runs if cuts[j + 1][k] > cuts[j][k]]
+        rows = [(a, b - a) for a, b in zip(cuts[j], cuts[j + 1]) if b > a]
         if not rows:  # only before the first splitter: each holds itself
             continue
         depth = _lcp_bytes(bounds[j], bounds[j + 1]) if len(rows) > 1 else -1
@@ -453,33 +449,28 @@ def pack_merge_jobs(blocks: np.ndarray, target_jobs: int) -> list[MergeJob]:
 
 
 def run_merge_job(
-    streams: list[LcpStream],
+    runs: LcpRuns,
     job: MergeJob,
-    stats: SortStats | None = None,
-    out_handles: np.ndarray | None = None,
-    out_lcps: np.ndarray | None = None,
+    stats: SortStats,
+    out_h: np.ndarray,
+    out_l: np.ndarray,
     poll=None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
-    """Execute one merge job.
+) -> tuple[int, np.ndarray | None]:
+    """Execute one merge job into out_h and out_l, job.size entries each.
 
     This is the second split stage.  _refine splits a pending group on
     from its depth until every group is copied: it comes from one run, or
-    its strings are all equal.  The groups are then written per stream in
-    vectorized passes, with the LCP at each block start taken from the
-    table.  poll(emitted) is consulted whenever the output crosses a
-    multiple of MERGE_POLL_INTERVAL strings, at the end of the group that
-    crosses it; a truthy return stops the job there.  Returns (out_handles,
-    out_lcps, emitted, rest).  rest is None when the job completed; when
-    poll stopped it, rest is the refined blocks table of the groups not
+    its strings are all equal.  The groups are then written in one gather
+    per stretch between polls, with the LCP at each block start taken
+    from the table.  poll(emitted) is consulted whenever the output
+    crosses a multiple of MERGE_POLL_INTERVAL strings, at the end of the
+    group that crosses it; a truthy return stops the job there.  Returns
+    (emitted, rest).  rest is None when the job completed; when poll
+    stopped it, rest is the refined blocks table of the groups not
     written, with OUT counted from the stop, for pack_merge_jobs.
     """
-    stats = stats if stats is not None else SortStats()
     n = job.size
-    out_h = out_handles if out_handles is not None else np.empty(n, dtype=np.int64)
-    out_l = out_lcps if out_lcps is not None else np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out_h, out_l, 0, None
-    blocks = _refine(streams, job.blocks, stats)
+    blocks = _refine(runs, job.blocks, stats)
     out = blocks[:, OUT]
     stops = [n]
     if poll is not None:
@@ -487,40 +478,35 @@ def run_merge_job(
         marks = np.arange(MERGE_POLL_INTERVAL, n, MERGE_POLL_INTERVAL)
         # not np.unique: its first call imports numpy.ma, in every fresh worker
         stops = sorted({*ends[np.searchsorted(ends, marks)].tolist(), n})
-    done = 0
+    done = emitted = 0
     for stop in stops:
         upto = int(np.searchsorted(out, stop))
-        _emit(streams, blocks[done:upto], out_h, out_l)
-        done = upto
+        _emit(runs, blocks[done:upto], out_h[emitted:stop], out_l[emitted:stop])
+        done, emitted = upto, stop
         if stop < n and poll(stop):
             rest = blocks[upto:].copy()
             rest[:, OUT] -= stop
-            return out_h, out_l, stop, rest
-    return out_h, out_l, n, None
+            return stop, rest
+    return n, None
 
 
-def _refine(streams: list[LcpStream], blocks: np.ndarray, stats: SortStats) -> np.ndarray:
+def _refine(runs: LcpRuns, blocks: np.ndarray, stats: SortStats) -> np.ndarray:
     """The blocks table with its pending group split to the end."""
     if blocks[0, DEPTH] < 0:  # copied groups only
         return blocks
     return _split_levels(
-        streams,
-        (np.zeros(len(blocks)), blocks[:, STREAM], blocks[:, POS], blocks[:, POS] + blocks[:, LEN]),
+        runs,
+        (np.zeros(len(blocks)), blocks[:, POS], blocks[:, POS] + blocks[:, LEN]),
         (blocks[:1, OUT], blocks[:1, LCP], blocks[:1, DEPTH]),
         stats,
     )
 
 
-def _emit(streams, blocks, out_h, out_l) -> None:
-    """Write the copied groups of a refined blocks table, gathered per stream."""
-    # the blocks of one group follow each other from its OUT
-    before = np.cumsum(blocks[:, LEN]) - blocks[:, LEN]
-    first = np.flatnonzero(np.diff(blocks[:, OUT], prepend=-1))
-    dst = blocks[:, OUT] + before - np.repeat(before[first], np.diff(first, append=len(blocks)))
-    for k in np.flatnonzero(np.bincount(blocks[:, STREAM])).tolist():
-        sel = blocks[:, STREAM] == k
-        at = concat_ranges(dst[sel], blocks[sel, LEN])
-        src = concat_ranges(blocks[sel, POS], blocks[sel, LEN])
-        out_h[at] = streams[k].handles[src]
-        out_l[at] = streams[k].lcps[src]
-    out_l[dst] = blocks[:, LCP]
+def _emit(runs: LcpRuns, blocks: np.ndarray, out_h: np.ndarray, out_l: np.ndarray) -> None:
+    """Write the copied groups of a refined blocks table, whose blocks tile
+    out_h and out_l in row order, in one gather."""
+    size = blocks[:, LEN]
+    src = concat_ranges(blocks[:, POS], size)
+    out_h[:] = runs.handles[src]
+    out_l[:] = runs.lcps[src]
+    out_l[np.cumsum(size) - size] = blocks[:, LCP]

@@ -49,7 +49,7 @@ import numpy as np
 from . import basecase
 from .basecase import SortedWithLcp, concat_ranges, range_rows
 from .counters import SortStats
-from .lcpmerge import LcpStream, pack_merge_jobs, run_merge_job, split_merge_jobs
+from .lcpmerge import LcpRuns, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
 from .radix import bucket_spans, digit_width, radix8_items, skip_shared, step_digits
 from .ssss import (
@@ -624,7 +624,7 @@ def parallel_mkqs(
 
 @dataclass
 class _MergeShared:
-    streams: list
+    runs: LcpRuns
     out_h: np.ndarray
     out_l: np.ndarray
 
@@ -641,7 +641,7 @@ def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
     def poll(emitted: int) -> bool:
         return env.idle_workers() > 0
 
-    _, _, emitted, rest = run_merge_job(shared.streams, mjob, env.stats, out_h, out_l, poll)
+    emitted, rest = run_merge_job(shared.runs, mjob, env.stats, out_h, out_l, poll)
     if rest is not None:
         pos = offset + emitted
         for sub in pack_merge_jobs(rest, max(2, env.idle_workers() + 1)):
@@ -671,15 +671,18 @@ def partitioned_merge_sort(
 
     The parts are the roots of one parallel sample sort that records LCPs:
     a part of at least n/p strings takes phased steps on all p workers and
-    smaller parts run as batch jobs.  The coordinator then splits the parts
-    into about 8p jobs with split_merge_jobs (sampled splitters, each found
-    in every part by binary search: O(K * p * log n) string reads and no
-    word fetch) and merges them on the same pool.  Each merge job splits
-    its strings from their splitters' LCP on until each group comes from
-    one part or holds equal strings, and copies them; when workers go
-    idle, it hands the groups it has not written back to the queue as new
-    jobs.  A job's first block holds its LCP to the string before it, so
-    every LCP of the output is written by its job.
+    smaller parts run as batch jobs.  Each part ends sorted in its range of
+    cur, with its LCPs in the same range of the S5 LCP array, so one
+    LcpRuns over those two arrays and the part bounds holds the merge's
+    runs.  The coordinator then splits them into about 8p jobs with
+    split_merge_jobs (sampled splitters, each found in every part by
+    binary search: O(K * p * log n) string reads and no word fetch) and
+    merges them on the same pool.  Each merge job splits its strings from
+    their splitters' LCP on until each group comes from one part or holds
+    equal strings, and copies them; when workers go idle, it hands the
+    groups it has not written back to the queue as new jobs.  A job's
+    first block holds its LCP to the string before it, so every LCP of the
+    output is written by its job.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
@@ -689,20 +692,16 @@ def partitioned_merge_sort(
     lens = sset.ends() - sset.handles + 1
     cum = np.cumsum(lens)
     total = int(cum[-1])
-    cuts = [0]
-    for k in range(1, K):
-        cuts.append(int(np.searchsorted(cum, total * k / K)))
-    cuts.append(n)
-    parts = [(cuts[k], cuts[k + 1]) for k in range(K) if cuts[k] < cuts[k + 1]]
+    cuts = np.concatenate(([0], np.searchsorted(cum, total * np.arange(1, K) / K), [n]))
     # everything the merge jobs read is allocated before the pool forks
     sh = _s5_shared(sset, p, True, seed)
-    streams = [LcpStream(sset, sh.cur[lo:hi], sh.s5.lcps[lo:hi]) for lo, hi in parts]
-    merge = _MergeShared(streams, shared_array(n, np.int64), shared_array(n, np.int64))
+    runs = LcpRuns(sset, sh.cur, sh.s5.lcps, cuts)
+    merge = _MergeShared(runs, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
-        roots = [(lo, hi, 0) for lo, hi in parts]
+        roots = [(lo, hi, 0) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()) if lo < hi]
         phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
         offset = 0
-        for job in split_merge_jobs(streams, 8 * p, stats=pool.stats):
+        for job in split_merge_jobs(runs, 8 * p, stats=pool.stats):
             pool.submit(("merge", job, offset))
             offset += job.size
         pool.wait_idle()

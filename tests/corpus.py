@@ -1,6 +1,7 @@
 """Shared corpus builders for the test suite.
 
-Every builder returns a StringSet.  `ref_sorted_strings` re-derives string
+Every builder returns a StringSet, except `sorted_runs`, which builds the
+sorted runs of a K-way merge.  `ref_sorted_strings` re-derives string
 contents by scanning the raw buffer, independent of the library's handle
 arithmetic, and is the ground truth every sorter is compared against.
 """
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from strsort.basecase import lcp_insertion_sort
+from strsort.lcpmerge import LcpRuns
 from strsort.strset import StringSet, from_strings
 
 
@@ -91,3 +94,17 @@ def url_like_set(n: int, seed: int = 7) -> StringSet:
         page = str(int(rng.integers(0, 500))).encode()
         items.append(b"http://" + h + b"/" + s + b"/page" + page + b".html")
     return from_strings(items)
+
+
+def sorted_runs(sset: StringSet, sizes, sort=lcp_insertion_sort) -> LcpRuns:
+    """The runs of a K-way merge: sset's handles cut into consecutive
+    slices of the given sizes, each sorted with its LCPs by `sort`, and
+    laid end to end in run order."""
+    starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    handles = np.empty(starts[-1], dtype=np.int64)
+    lcps = np.empty(starts[-1], dtype=np.int64)
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
+        res = sort(sset.with_handles(sset.handles[lo:hi]))
+        handles[lo:hi] = res.set.handles
+        lcps[lo:hi] = res.lcps
+    return LcpRuns(sset, handles, lcps, starts)

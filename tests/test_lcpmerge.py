@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, url_like_set
+from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, sorted_runs, url_like_set
 from strsort import lcpmerge, ssss
 from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
 from strsort.lcpmerge import (
     DEPTH,
     LEN,
+    LcpRuns,
     LcpStream,
     binary_lcp_merge,
     binary_lcp_mergesort,
@@ -21,13 +22,12 @@ from strsort.lcpmerge import (
     MERGE_POLL_INTERVAL,
     OUT,
     POS,
-    STREAM,
     pack_merge_jobs,
     run_merge_job,
     split_merge_jobs,
 )
 from strsort.parallel import partitioned_merge_sort, shared_array
-from strsort.strset import LCP_UNDEF, WORD_CHARS, StringSet, from_strings, lcp, lcp_sum, verify
+from strsort.strset import LCP_UNDEF, WORD_CHARS, StringSet, from_strings, lcp, lcp_array_oracle, lcp_sum, verify
 
 text_bytes = st.binary(min_size=0, max_size=10).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -176,37 +176,49 @@ def fetch_budget(lcps, shared=0):
     return int((1 + h // WORD_CHARS).sum())
 
 
-def make_shards(sset, k, seed=0):
-    """Sort k contiguous shards of a set into LcpStreams."""
-    n = len(sset)
-    cuts = np.linspace(0, n, k + 1).astype(int)
-    return [
-        stream_from_sorted(sset, sset.handles[cuts[i] : cuts[i + 1]])
-        for i in range(k)
-    ]
+def even(n, k):
+    """The sizes of k contiguous slices of n strings, as even as can be."""
+    return np.diff(np.linspace(0, n, k + 1).astype(int))
+
+
+def merge_job(runs, job, stats=None, poll=None):
+    """run_merge_job into fresh arrays: (handles, lcps, emitted, rest)."""
+    h = np.empty(job.size, dtype=np.int64)
+    l = np.empty(job.size, dtype=np.int64)
+    emitted, rest = run_merge_job(runs, job, stats if stats is not None else SortStats(), h, l, poll)
+    return h, l, emitted, rest
+
+
+def run_of(pos, runs):
+    """The run that holds each position."""
+    return np.searchsorted(runs.starts, pos, "right") - 1
 
 
 class TestKwayMerge:
     def test_k1_copy(self):
         s = random_set(50, seed=0)
-        (st0,) = make_shards(s, 1)
-        h, l = kway_lcp_merge([st0])
-        assert list(h) == list(st0.handles)
+        runs = sorted_runs(s, [len(s)])
+        h, l = kway_lcp_merge(runs)
+        assert list(h) == list(runs.handles)
 
     def test_k2_equals_binary(self):
         s = random_set(201, seed=1)
-        shards = make_shards(s, 2)
-        h2, l2 = kway_lcp_merge(shards)
-        hb, lb = binary_lcp_merge(shards[0], shards[1])
+        runs = sorted_runs(s, even(len(s), 2))
+        h2, l2 = kway_lcp_merge(runs)
+        a, b, c = runs.starts.tolist()
+        hb, lb = binary_lcp_merge(
+            LcpStream(s, runs.handles[a:b], runs.lcps[a:b]),
+            LcpStream(s, runs.handles[b:c], runs.lcps[b:c]),
+        )
         assert list(h2) == list(hb)
         assert list(l2)[1:] == list(lb)[1:]
 
     def test_k4_matches_reference_and_bound(self):
         for seed in range(3):
             s = random_set(800, seed=seed)
-            shards = make_shards(s, 4)
+            runs = sorted_runs(s, even(len(s), 4))
             stats = SortStats()
-            h, l = kway_lcp_merge(shards, stats=stats)
+            h, l = kway_lcp_merge(runs, stats=stats)
             out = s.with_handles(h)
             want = sorted(ref_strings(s))
             assert ref_strings(out) == want
@@ -217,9 +229,9 @@ class TestKwayMerge:
     def test_common_prefix_streams(self):
         items = [b"pref" + bytes([c]) * k for c in range(97, 105) for k in range(1, 4)]
         s = from_strings(items)
-        shards = make_shards(s, 4)
+        runs = sorted_runs(s, even(len(s), 4))
         stats = SortStats()
-        h, l = kway_lcp_merge(shards, shared=4, stats=stats)
+        h, l = kway_lcp_merge(runs, stats=stats)
         out = s.with_handles(h)
         assert ref_strings(out) == sorted(items)
         assert list(l) == ref_lcps(sorted(items))
@@ -227,26 +239,16 @@ class TestKwayMerge:
 
     def test_shared_prefix_skips_its_words(self):
         # every string shares two words: the split finds them from the
-        # smallest run head and the largest run tail, so merging from depth
-        # 0 fetches no word of the shared prefix, as merging from 16 does
+        # smallest run head and the largest run tail, so the merge fetches
+        # no word of the shared prefix
         items = [b"common-prefix-16" + b"%d" % (i * 7919 % 1000) for i in range(400)]
         s = from_strings(items)
-        shards = make_shards(s, 4)
-        full, skip = SortStats(), SortStats()
-        h0, l0 = kway_lcp_merge(shards, stats=full)
-        h1, l1 = kway_lcp_merge(shards, shared=16, stats=skip)
-        assert list(h1) == list(h0)
-        assert list(l1) == list(l0) == ref_lcps(sorted(items))
-        assert 0 < full.word_fetches == skip.word_fetches <= fetch_budget(l0, shared=16)
-
-
-def uneven_shards(sset, sizes):
-    """Sorted LcpStreams over consecutive slices of the given sizes."""
-    cuts = np.concatenate(([0], np.cumsum(sizes)))
-    return [
-        stream_from_sorted(sset, sset.handles[cuts[i] : cuts[i + 1]])
-        for i in range(len(sizes))
-    ]
+        runs = sorted_runs(s, even(len(s), 4))
+        stats = SortStats()
+        h, l = kway_lcp_merge(runs, stats=stats)
+        assert ref_strings(s.with_handles(h)) == sorted(items)
+        assert list(l) == ref_lcps(sorted(items))
+        assert 0 < stats.word_fetches <= fetch_budget(l, shared=16)
 
 
 def split_corpus(name):
@@ -272,26 +274,27 @@ def split_corpus(name):
 SPLIT_CORPORA = ("empty_strings", "equal_long", "long_prefixes", "bytes_1_255", "mixed")
 
 
-def check_partition(shards, jobs):
+def check_partition(runs, jobs):
     """The table rows of the jobs, in order, tile every run from its start
     to its end with non-empty blocks."""
-    pos = [0] * len(shards)
+    pos = runs.starts[:-1].tolist()
     for job in jobs:
-        for k, start, length in job.blocks[:, [STREAM, POS, LEN]].tolist():
+        for start, length in job.blocks[:, [POS, LEN]].tolist():
+            k = run_of(start, runs)
             assert start == pos[k] and length > 0
             pos[k] += length
-    assert pos == [shard.length for shard in shards]
+    assert pos == runs.starts[1:].tolist()
 
 
-def check_split(sset, shards, jobs):
+def check_split(sset, runs, jobs):
     """Partition property, and oracle order and LCPs, the LCP at each job
     start included."""
-    check_partition(shards, jobs)
+    check_partition(runs, jobs)
     want = ref_sorted_strings(sset)
     want_lcps = ref_lcps(want)
     got, pos = [], 0
     for job in jobs:
-        h, l, emitted, rest = run_merge_job(shards, job)
+        h, l, emitted, rest = merge_job(runs, job)
         assert (emitted, rest) == (job.size, None)
         got += ref_strings(sset.with_handles(h))
         lo = 1 if pos == 0 else 0  # entry 0 of the whole output is the caller's
@@ -307,34 +310,34 @@ class TestSplitMergeJobs:
         groups = {c: [bytes([c]) + b"x", bytes([c]) + b"yy"] for c in range(97, 103)}
         items = [x for g in groups.values() for x in g]
         s = from_strings(items)
-        shards = make_shards(s, 2)
-        jobs = split_merge_jobs(shards, target_jobs=100)
+        runs = sorted_runs(s, even(len(s), 2))
+        jobs = split_merge_jobs(runs, target_jobs=100)
         assert len(jobs) == len(items)
         assert all(job.blocks[:, DEPTH].tolist() == [-1] for job in jobs)
-        check_split(s, shards, jobs)
+        check_split(s, runs, jobs)
 
     def test_all_identical_single_job(self):
         s = from_strings([b"same"] * 40)
-        shards = make_shards(s, 4)
-        jobs = split_merge_jobs(shards, target_jobs=8)
+        runs = sorted_runs(s, even(len(s), 4))
+        jobs = split_merge_jobs(runs, target_jobs=8)
         assert len(jobs) == 1
         assert jobs[0].size == 40
 
     def test_partition_property(self):
         for seed in range(4):
             s = random_set(600, seed=seed)
-            shards = make_shards(s, 4)
-            jobs = split_merge_jobs(shards, target_jobs=16)
+            runs = sorted_runs(s, even(len(s), 4))
+            jobs = split_merge_jobs(runs, target_jobs=16)
             assert len(jobs) > 1
-            check_partition(shards, jobs)
+            check_partition(runs, jobs)
 
     def test_jobwise_equals_monolithic(self):
         for seed in range(4):
             s = random_set(500, seed=seed + 3)
-            shards = make_shards(s, 4)
-            jobs = split_merge_jobs(shards, target_jobs=12)
-            mono_h, mono_l = kway_lcp_merge(shards)
-            parts = [run_merge_job(shards, job) for job in jobs]
+            runs = sorted_runs(s, even(len(s), 4))
+            jobs = split_merge_jobs(runs, target_jobs=12)
+            mono_h, mono_l = kway_lcp_merge(runs)
+            parts = [merge_job(runs, job) for job in jobs]
             got_h = np.concatenate([p[0] for p in parts])
             assert list(got_h) == list(mono_h)
             # interior lcps match; job boundaries are the caller's concern
@@ -350,17 +353,17 @@ class TestSplitMergeJobs:
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA)
     def test_matches_oracle(self, corpus, target):
         s, sizes = split_corpus(corpus)
-        shards = uneven_shards(s, sizes)
-        check_split(s, shards, split_merge_jobs(shards, target))
+        runs = sorted_runs(s, sizes)
+        check_split(s, runs, split_merge_jobs(runs, target))
 
     def test_empty_and_single_streams(self):
         s = from_strings([b"only"])
-        shards = uneven_shards(s, [0, 1, 0])
-        jobs = split_merge_jobs(shards, 8)
-        assert [j.blocks.tolist() for j in jobs] == [[[1, 0, 1, 0, 0, -1]]]
+        runs = sorted_runs(s, [0, 1, 0])
+        jobs = split_merge_jobs(runs, 8)
+        assert [j.blocks.tolist() for j in jobs] == [[[0, 1, 0, 0, -1]]]
         assert jobs[0].size == 1
-        check_split(s, shards, jobs)
-        assert split_merge_jobs(uneven_shards(s, [0, 0]), 8) == []
+        check_split(s, runs, jobs)
+        assert split_merge_jobs(sorted_runs(s, [0, 0]), 8) == []
 
     def test_word_fetches_one_per_head_and_level(self):
         # the split fetches no word; the one job's strings share the 8
@@ -370,15 +373,15 @@ class TestSplitMergeJobs:
         s = from_strings(
             [b"abcdefgh1", b"abcdefgh2", b"abcdefgh2", b"abcdefgh3", b"abcdefgh4"]
         )
-        shards = uneven_shards(s, [3, 2])
+        runs = sorted_runs(s, [3, 2])
         stats = SortStats()
-        jobs = split_merge_jobs(shards, 2, stats=stats)
+        jobs = split_merge_jobs(runs, 2, stats=stats)
         assert stats.word_fetches == 0
-        check_split(s, shards, jobs)
-        (job,) = split_merge_jobs(shards, 1)
+        check_split(s, runs, jobs)
+        (job,) = split_merge_jobs(runs, 1)
         assert job.blocks[:, DEPTH].tolist() == [8, 8]
         stats = SortStats()
-        kway_lcp_merge(shards, stats=stats)
+        kway_lcp_merge(runs, stats=stats)
         assert stats.word_fetches == 4
 
     @pytest.mark.parametrize("target", [1, 16])
@@ -386,7 +389,7 @@ class TestSplitMergeJobs:
     def test_fetches_words_per_level_not_per_string(self, monkeypatch, make, target):
         # each job's refinement fetches its words in one call per level
         s = make()
-        shards = make_shards(s, 4)
+        runs = sorted_runs(s, even(len(s), 4))
         calls = []
         real = lcpmerge.extract_keys
 
@@ -395,12 +398,12 @@ class TestSplitMergeJobs:
             return real(sset, handles, depth)
 
         monkeypatch.setattr(lcpmerge, "extract_keys", counting)
-        jobs = split_merge_jobs(shards, target)
+        jobs = split_merge_jobs(runs, target)
         assert calls == [] and sum(j.size for j in jobs) == len(s)
         max_depth = int((s.ends() - s.handles).max())
         for job in jobs:
             calls.clear()
-            run_merge_job(shards, job)
+            merge_job(runs, job)
             assert len(calls) <= 1 + max_depth // WORD_CHARS
             assert bool(calls) == (job.blocks[:, DEPTH] >= 0).any()
 
@@ -410,16 +413,16 @@ class TestSplitMergeJobs:
         # the rest goes out as jobs that fetch no word again
         items = [b"%d" % (i % 3000) for i in range(12_000)]
         s = from_strings(items)
-        shards = make_shards(s, 4)
-        (job,) = split_merge_jobs(shards, 1)
-        h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
+        runs = sorted_runs(s, even(len(s), 4))
+        (job,) = split_merge_jobs(runs, 1)
+        h, l, emitted, rest = merge_job(runs, job, poll=lambda e: True)
         assert rest is not None and MERGE_POLL_INTERVAL <= emitted < len(s)
         want = sorted(items)
         assert ref_strings(s.with_handles(h[:emitted])) == want[:emitted]
         subs = pack_merge_jobs(rest, 3)
         assert len(subs) == 3 and sum(sub.size for sub in subs) == len(s) - emitted
         stats = SortStats()
-        tail = [run_merge_job(shards, sub, stats)[0] for sub in subs]
+        tail = [merge_job(runs, sub, stats)[0] for sub in subs]
         assert ref_strings(s.with_handles(np.concatenate(tail))) == want[emitted:]
         assert stats.word_fetches == 0
 
@@ -443,9 +446,9 @@ class TestSampledSplit:
         items = [b"v%d" % (i % 37) for i in range(2000)]
         items = [items[i] for i in rng.permutation(len(items))]
         s = from_strings(items)
-        shards = uneven_shards(s, [300, 900, 0, 800])
-        jobs = split_merge_jobs(shards, target)
-        check_split(s, shards, jobs)
+        runs = sorted_runs(s, [300, 900, 0, 800])
+        jobs = split_merge_jobs(runs, target)
+        check_split(s, runs, jobs)
         want = sorted(items)
         starts = np.cumsum([j.size for j in jobs])[:-1].tolist()
         assert len(starts) >= min(target, 37) // 2
@@ -458,19 +461,19 @@ class TestSampledSplit:
         items = [b"m"] * 900 + [b"a"] * 50 + [b"z"] * 50
         items = [items[i] for i in rng.permutation(len(items))]
         s = from_strings(items)
-        shards = make_shards(s, 4)
-        jobs = split_merge_jobs(shards, target)
+        runs = sorted_runs(s, even(len(s), 4))
+        jobs = split_merge_jobs(runs, target)
         assert 1 <= len(jobs) <= 3 and all(job.size > 0 for job in jobs)
-        check_split(s, shards, jobs)
+        check_split(s, runs, jobs)
 
     def test_url_jobs_start_at_their_splitters_lcp(self):
         # a job's first string is its lower splitter and the next job's
         # first string its upper one: every string of the job shares their
         # LCP, and its group is split from there
         s = url_like_set(20_000)
-        shards = make_shards(s, 4)
-        jobs = split_merge_jobs(shards, 16)
-        check_split(s, shards, jobs)
+        runs = sorted_runs(s, even(len(s), 4))
+        jobs = split_merge_jobs(runs, 16)
+        check_split(s, runs, jobs)
         want = ref_sorted_strings(s)
         starts = np.cumsum([0] + [j.size for j in jobs]).tolist()
         depths = []
@@ -486,12 +489,12 @@ class TestSampledSplit:
 
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
     def test_split_fetches_no_word(self, monkeypatch, corpus):
-        s, shards = merge_shards(corpus)
+        s, runs = merge_shards(corpus)
         calls = []
         monkeypatch.setattr(lcpmerge, "extract_keys", lambda *args: calls.append(args))
         stats = SortStats()
         for target in (1, 4, 16, 1000):
-            assert sum(j.size for j in split_merge_jobs(shards, target, stats=stats)) == len(s)
+            assert sum(j.size for j in split_merge_jobs(runs, target, stats=stats)) == len(s)
         assert calls == [] and stats == SortStats()
 
     @pytest.mark.parametrize("target", [1, 4, 16, 1000])
@@ -499,15 +502,15 @@ class TestSampledSplit:
     def test_split_reads_log_strings(self, corpus, target):
         # the samples, K * m * ceil(log2 n) binary-search probes, the string
         # before each lower bound, and the runs' heads and tails
-        s, shards = merge_shards(corpus)
+        s, runs = merge_shards(corpus)
         buf = CountingBytes(s.buffer)
         counted = StringSet(buf, s.handles)
-        shards = [LcpStream(counted, sh.handles, sh.lcps) for sh in shards]
+        runs = LcpRuns(counted, runs.handles, runs.lcps, runs.starts)
         buf.reads = 0
-        jobs = split_merge_jobs(shards, target)
-        k = sum(sh.length > 0 for sh in shards)
+        jobs = split_merge_jobs(runs, target)
+        k = np.count_nonzero(np.diff(runs.starts))
         assert 0 < buf.reads <= k * target * (math.ceil(math.log2(len(s))) + 2)
-        check_partition(shards, jobs)
+        check_partition(runs, jobs)
 
 
 class TestPackMergeJobs:
@@ -517,9 +520,9 @@ class TestPackMergeJobs:
         # runs, packed into about target jobs: no job starts inside a group,
         # and the jobs merge to the oracle with the LCP at each job start
         s = from_strings(ref_strings(url_like_set(1500)) * 2)
-        shards = uneven_shards(s, [400, 1500, 0, 1100])
-        (job,) = split_merge_jobs(shards, 1)
-        blocks = lcpmerge._refine(shards, job.blocks, SortStats())
+        runs = sorted_runs(s, [400, 1500, 0, 1100])
+        (job,) = split_merge_jobs(runs, 1)
+        blocks = lcpmerge._refine(runs, job.blocks, SortStats())
         out = blocks[:, OUT].copy()
         group_start = np.diff(out, prepend=-1) != 0
         assert group_start.sum() > 64 and not group_start.all()
@@ -533,7 +536,7 @@ class TestPackMergeJobs:
         for j, a in zip(jobs, firsts[:-1]):
             assert j.blocks[0, OUT] == 0
             assert list(j.blocks[:, OUT] + out[a]) == list(out[a : a + len(j.blocks)])
-        check_split(s, shards, jobs)
+        check_split(s, runs, jobs)
 
 
 def merge_corpus(name):
@@ -549,16 +552,16 @@ def merge_shards(name):
     """(set, sorted runs) of merge_corpus(name), built once: the runs are
     sorted by LCP insertion sort, which takes seconds at 20,000 strings."""
     s, sizes = merge_corpus(name)
-    return s, uneven_shards(s, sizes)
+    return s, sorted_runs(s, sizes)
 
 
 @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
 def test_kway_word_fetches_within_budget(corpus):
     # a string is fetched only at depths its group shares with another
     # string, so never deeper than its larger output LCP
-    s, shards = merge_shards(corpus)
+    s, runs = merge_shards(corpus)
     stats = SortStats()
-    h, l = kway_lcp_merge(shards, stats=stats)
+    h, l = kway_lcp_merge(runs, stats=stats)
     want = ref_sorted_strings(s)
     assert ref_strings(s.with_handles(h)) == want
     assert list(l) == ref_lcps(want)
@@ -566,20 +569,47 @@ def test_kway_word_fetches_within_budget(corpus):
     assert stats.char_cmps == 0
 
 
+@pytest.mark.parametrize("target", [1, 3, 16, 1000])
+def test_runs_first_lcps_are_never_read(target):
+    # every run's first LCP holds garbage, and empty runs lie between the
+    # others: a merge that read a first LCP would cut its run's first block
+    # wrongly, index past the buffer, or write the garbage out
+    s = from_strings(ref_strings(url_like_set(300)) + [b"", b"http", b"http:/"] * 5)
+    n = len(s)
+    runs = sorted_runs(s, [0, 90, 0, 0, 130, n - 260, 40, 0])
+    firsts = runs.starts[:-1][np.diff(runs.starts) > 0]
+    runs.lcps[firsts] = np.resize([2**40, -5], len(firsts))
+    want = ref_sorted_strings(s)
+    h, l = kway_lcp_merge(runs)
+    assert ref_strings(s.with_handles(h)) == want
+    assert np.array_equal(l, lcp_array_oracle(s.with_handles(h)))
+    out_h = np.empty(n, dtype=np.int64)
+    out_l = np.empty(n, dtype=np.int64)
+    pos = 0
+    for job in split_merge_jobs(runs, target):
+        end = pos + job.size
+        assert run_merge_job(runs, job, SortStats(), out_h[pos:end], out_l[pos:end]) == (job.size, None)
+        pos = end
+    assert pos == n
+    out_l[0] = LCP_UNDEF
+    assert ref_strings(s.with_handles(out_h)) == want
+    assert np.array_equal(out_l, lcp_array_oracle(s.with_handles(out_h)))
+
+
 class TestRefine:
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))
     def test_refined_table_has_no_pending_group(self, monkeypatch, corpus):
-        s, shards = merge_shards(corpus)
+        s, runs = merge_shards(corpus)
         pending = []
         real = lcpmerge._refine
 
-        def spy(streams, blocks, stats):
-            refined = real(streams, blocks, stats)
+        def spy(runs, blocks, stats):
+            refined = real(runs, blocks, stats)
             pending.append((int((blocks[:, DEPTH] >= 0).sum()), int((refined[:, DEPTH] >= 0).sum())))
             return refined
 
         monkeypatch.setattr(lcpmerge, "_refine", spy)
-        h, l = kway_lcp_merge(shards)
+        h, l = kway_lcp_merge(runs)
         want = ref_sorted_strings(s)
         assert ref_strings(s.with_handles(h)) == want
         assert list(l) == ref_lcps(want)
@@ -597,8 +627,8 @@ class TestRefine:
         seen[0] = 0
         real = lcpmerge._refine
 
-        def spy(streams, blocks, stats):
-            refined = real(streams, blocks, stats)
+        def spy(runs, blocks, stats):
+            refined = real(runs, blocks, stats)
             if (refined[:, DEPTH] >= 0).any():
                 raise AssertionError("a refined table holds a pending group")
             if (blocks[:, DEPTH] >= 0).any():
@@ -626,31 +656,29 @@ class TestEqualGroups:
         items += [b"abcdefgh%d" % i for i in range(10, 40)] + [b"q" * 29, b"q" * 31, b"r"]
         items = [items[i] for i in rng.permutation(len(items))]
         s = from_strings(items)
-        shards = uneven_shards(s, [7, 25, 3, len(items) - 35])
-        # stable: equal strings in stream order, then position in the stream
-        keyed = [
-            (ref_strings(s.with_handles(sh.handles[i : i + 1]))[0], k, i, int(sh.handles[i]))
-            for k, sh in enumerate(shards)
-            for i in range(sh.length)
-        ]
+        runs = sorted_runs(s, [7, 25, 3, len(items) - 35])
+        # stable: equal strings in run order, then position in the run,
+        # which is their order in the runs' arrays
+        strings = ref_strings(s.with_handles(runs.handles))
+        keyed = [(x, i, int(h)) for i, (x, h) in enumerate(zip(strings, runs.handles))]
         stable = [h for *_, h in sorted(keyed)]
         for target in (1, 3, 1000):
-            jobs = split_merge_jobs(shards, target)
-            check_split(s, shards, jobs)
-            got = np.concatenate([run_merge_job(shards, job)[0] for job in jobs])
+            jobs = split_merge_jobs(runs, target)
+            check_split(s, runs, jobs)
+            got = np.concatenate([merge_job(runs, job)[0] for job in jobs])
             assert list(got) == stable
-        h, l = kway_lcp_merge(shards)
+        h, l = kway_lcp_merge(runs)
         assert list(h) == stable
         assert list(l) == ref_lcps(sorted(items))
 
     @pytest.mark.parametrize("value", EQUAL_VALUES)
     def test_all_equal_is_one_job(self, value):
         s = from_strings([value] * 40)
-        shards = uneven_shards(s, [11, 0, 25, 4])
+        runs = sorted_runs(s, [11, 0, 25, 4])
         for target in (1, 2, 8, 1000):
-            jobs = split_merge_jobs(shards, target)
+            jobs = split_merge_jobs(runs, target)
             assert len(jobs) == 1
-            h, l, emitted, rest = run_merge_job(shards, jobs[0])
+            h, l, emitted, rest = merge_job(runs, jobs[0])
             assert (emitted, rest) == (40, None)
             assert list(h) == list(s.handles)
             assert list(l[1:]) == [len(value)] * 39
@@ -663,22 +691,22 @@ def test_poll_stops_at_group_boundary():
     items = [b"%05d" % (i // 6) for i in range(25_200)]
     items = [items[i] for i in rng.permutation(len(items))]
     s = from_strings(items)
-    shards = make_shards(s, 3)
+    runs = sorted_runs(s, even(len(s), 3))
     n = len(s)
-    assert all(sh.length > 2 * MERGE_POLL_INTERVAL for sh in shards)
-    full_h, full_l = kway_lcp_merge(shards)
-    (job,) = split_merge_jobs(shards, 1)
-    h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
+    assert (np.diff(runs.starts) > 2 * MERGE_POLL_INTERVAL).all()
+    full_h, full_l = kway_lcp_merge(runs)
+    (job,) = split_merge_jobs(runs, 1)
+    h, l, emitted, rest = merge_job(runs, job, poll=lambda e: True)
     assert MERGE_POLL_INTERVAL <= emitted < n
     want = sorted(items)
     assert want[emitted - 1] != want[emitted]  # a group boundary
     assert list(h[:emitted]) == list(full_h[:emitted])
     subs = pack_merge_jobs(rest, 3)
-    assert sorted({k for sub in subs for k in sub.blocks[:, STREAM].tolist()}) == [0, 1, 2]
+    assert sorted({k for sub in subs for k in run_of(sub.blocks[:, POS], runs).tolist()}) == [0, 1, 2]
     assert sum(sub.size for sub in subs) == n - emitted
     pos = emitted
     for sub in subs:
-        th, tl, _, _ = run_merge_job(shards, sub)
+        th, tl, _, _ = merge_job(runs, sub)
         # the LCP at a subjob's start is exact too
         assert list(th) == list(full_h[pos : pos + sub.size])
         assert list(tl) == list(full_l[pos : pos + sub.size])
@@ -690,11 +718,11 @@ def test_poll_stops_before_the_last_group():
     # two copied groups of 5,000 equal strings: the first crosses the poll
     # mark, so the job stops where the last group starts
     s = from_strings([b"a"] * 5000 + [b"b"] * 5000)
-    shards = uneven_shards(s, [5000, 5000])
-    (job,) = split_merge_jobs(shards, 1)
-    h, l, emitted, rest = run_merge_job(shards, job, poll=lambda e: True)
+    runs = sorted_runs(s, [5000, 5000])
+    (job,) = split_merge_jobs(runs, 1)
+    h, l, emitted, rest = merge_job(runs, job, poll=lambda e: True)
     assert emitted == 5000
-    assert rest.tolist() == [[1, 0, 5000, 0, 0, -1]]  # stream 1 from 0, LCP 0 to "a"
+    assert rest.tolist() == [[5000, 5000, 0, 0, -1]]  # run 1 from its start, LCP 0 to "a"
     assert list(h[:emitted]) == list(s.handles[:5000])
 
 

@@ -15,13 +15,14 @@ from corpus import (
     ref_lcps,
     ref_strings,
     shared_prefix_clusters,
+    sorted_runs,
     suffix_set,
 )
 from strsort import mkqs, parallel, ssss
 from strsort import radix as radix_mod
 from strsort.counters import SortStats
 from strsort.basecase import LEAF_FLUSH, range_rows
-from strsort.lcpmerge import MERGE_POLL_INTERVAL, LcpStream, run_merge_job, split_merge_jobs
+from strsort.lcpmerge import MERGE_POLL_INTERVAL, run_merge_job, split_merge_jobs
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
     WorkerFailure,
@@ -712,26 +713,22 @@ class TestPartitionedMergeSort:
         # idle worker; every subjob it enqueues runs the same way
         monkeypatch.setattr(ssss, "T_MEDIUM", 512)
         s = random_set(4 * 2500, seed=21)
-        streams = []
-        for k in range(4):
-            sub = s.with_handles(s.handles[k * 2500 : (k + 1) * 2500])
-            res = s5_sort(sub, want_lcps=True)
-            streams.append(LcpStream(s, res.set.handles, res.lcps))
+        runs = sorted_runs(s, [2500] * 4, lambda sub: s5_sort(sub, want_lcps=True))
         n = len(s)
         assert n > MERGE_POLL_INTERVAL
         out_h = np.zeros(n, dtype=np.int64)
         out_l = np.zeros(n, dtype=np.int64)
-        shared = _MergeShared(streams, out_h, out_l)
+        shared = _MergeShared(runs, out_h, out_l)
         env = _IdleEnv()
-        (job,) = split_merge_jobs(streams, 1, stats=env.stats)
+        (job,) = split_merge_jobs(runs, 1, stats=env.stats)
         _merge_executor(shared, ("merge", job, 0), env)
         assert env.queue and env.stats.share_events == 1
         while env.queue:
             _merge_executor(shared, env.queue.pop(0), env)
         # the subjobs write the split's groups and fetch no word again
         unpolled = SortStats()
-        for job in split_merge_jobs(streams, 1, stats=unpolled):
-            run_merge_job(streams, job, unpolled)
+        for job in split_merge_jobs(runs, 1, stats=unpolled):
+            run_merge_job(runs, job, unpolled, np.empty(job.size, np.int64), np.empty(job.size, np.int64))
         assert env.stats.word_fetches == unpolled.word_fetches
         out_l[0] = LCP_UNDEF
         want = sorted(ref_strings(s))
