@@ -124,13 +124,22 @@ def range_positions(lo, hi, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return concat_ranges(lo, sizes), np.repeat(depth, sizes), np.repeat(np.arange(len(sizes)), sizes)
 
 
-def distribute(seg: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+def distribute(seg: np.ndarray, keys: np.ndarray, k: int, *extra: np.ndarray) -> np.ndarray:
     """Stably sort seg in place by its bucket keys, unsigned 8- or 16-bit
     ints below k, for which numpy's stable sort is a radix sort; returns the
-    bucket bounds: bucket b occupies seg[bounds[b]:bounds[b + 1]]."""
-    seg[:] = seg[np.argsort(keys, kind="stable")]
+    bucket bounds: bucket b occupies seg[bounds[b]:bounds[b + 1]].
+
+    Each extra array, as long as seg, moves with it.  When one bucket holds
+    every key, nothing moves.  radix8_items, ssss.s5_step and the
+    coordinator of parallel.phased_step call it.
+    """
+    sizes = np.bincount(keys, minlength=k)
+    if np.count_nonzero(sizes) > 1:
+        order = np.argsort(keys, kind="stable")
+        for arr in (seg, *extra):
+            arr[:] = arr[order]
     bounds = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=k), out=bounds[1:])
+    np.cumsum(sizes, out=bounds[1:])
     return bounds
 
 

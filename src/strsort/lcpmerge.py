@@ -348,7 +348,6 @@ def _lcp_bytes(a: bytes, b: bytes) -> int:
 def split_merge_jobs(
     runs: LcpRuns,
     target_jobs: int,
-    stats: SortStats | None = None,
 ) -> list[MergeJob]:
     """Split K sorted runs into independent merge jobs by sampled splitters.
 
@@ -368,8 +367,8 @@ def split_merge_jobs(
     splitter to a run's string just before its lower bound; the first
     job's is 0, and the caller overwrites the output's first LCP.  The
     split reads at most K * m * (ceil(log2 N) + 2) strings and fetches no
-    word, and charges nothing to stats.  The second stage, in
-    run_merge_job, splits each job's pending group to the end.
+    word.  The second stage, in run_merge_job, splits each job's pending
+    group to the end.
     """
     handles = runs.handles
     total = len(handles)

@@ -11,21 +11,20 @@ for progress: the worker that finishes the last outstanding job sends a
 puts one None sentinel per worker on the job queue.
 
 Parallel sample sort, radix sort and caching multikey quicksort share one
-phased distribution engine.  A step over src[lo:hi] cuts the range into p
-shards; each shard job computes one bucket per string with the sorter's
-bucket function (classified word keys, radix digits, or the word's side of
-a pivot word), stores it in a shared uint16 oracle and its bucket counts in
-a shared (p, buckets) table, copies its shard of cur to other, and
-replies.  The coordinator takes one interleaved, bucket-major prefix sum
-over the shard counts, then each shard job stably scatters its strings
-from other back into cur; when one bucket holds them all, the range is
-already in order and no scatter runs.  So every step ends with its range
-in cur, and its subproblems go on as one (m, 3) int64 array of
-(lo, hi, depth) rows.  The coordinator runs such steps on every
-subproblem of at least n/p strings and feeds the smaller ones to the pool
-as batch jobs, which sort sequentially and share when workers idle.
-Steps and batch sorts are all stable, so equal strings keep their input
-order.
+phased distribution engine.  A step over cur[lo:hi] cuts the range into p
+shards, and each shard's classify job computes one bucket per string with
+the sorter's bucket function (classified word keys, radix digits, or the
+word's side of a pivot word), stores it in a shared uint16 oracle and
+replies.  That is the step's one pool round trip: the coordinator then
+stably sorts cur[lo:hi] by the oracle with basecase.distribute, the
+in-place radix argsort of the sequential steps, and moves pmkqs's cached
+words with their handles; a step whose strings all land in one bucket
+moves nothing.  So every step ends with its range in cur, and its
+subproblems go on as one (m, 3) int64 array of (lo, hi, depth) rows.  The
+coordinator runs such steps on every subproblem of at least n/p strings
+and feeds the smaller ones to the pool as batch jobs, which sort
+sequentially and share when workers idle.  Steps and batch sorts are all
+stable, so equal strings keep their input order.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basecase
-from .basecase import SortedWithLcp, concat_ranges, range_rows
+from .basecase import SortedWithLcp, distribute, range_rows
 from .counters import SortStats
 from .lcpmerge import LcpRuns, pack_merge_jobs, run_merge_job, split_merge_jobs
 from .mkqs import _median3, mkqs_cached_items
@@ -59,7 +58,6 @@ from .ssss import (
     finish_buckets,
     s5_sort_items,
     step_tree,
-    tree_capacity,
     write_boundary_lcps,
 )
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte
@@ -312,7 +310,7 @@ def feed_batches(pool: WorkPool, rows: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# phased distribution engine: count -> prefix sum -> scatter
+# phased distribution engine: classify on the pool -> distribute on the coordinator
 
 
 @dataclass
@@ -321,101 +319,46 @@ class _Phased:
 
     sset: StringSet
     cur: np.ndarray  # handles; every step and batch leaves its range here
-    other: np.ndarray  # the count jobs' copies of their shards, which the scatter reads
-    oracle: np.ndarray  # uint16 bucket of every position, from count to scatter
-    counts: np.ndarray  # (p, max buckets): the bucket counts of each shard's count job
+    oracle: np.ndarray  # uint16 bucket of every position: classify jobs write, distribute reads
     buckets: object  # (shared, lo, hi, arg) -> (bucket per string of cur[lo:hi], summary)
     batch: object  # (shared, rows, env): sort (lo, hi, depth) rows of cur
     s5: S5Context | None = None
-    # pmkqs: each position's word at its range's depth, with cur and with other
-    cache: np.ndarray | None = None
-    other_cache: np.ndarray | None = None
+    cache: np.ndarray | None = None  # pmkqs: each position's word at its range's depth
 
     @classmethod
-    def create(cls, sset: StringSet, p: int, max_k: int, buckets, batch) -> "_Phased":
-        n = len(sset)
-        cur = shared_array(n, np.int64)
+    def create(cls, sset: StringSet, buckets, batch) -> "_Phased":
+        cur = shared_array(len(sset), np.int64)
         cur[:] = sset.handles
-        other = shared_array(n, np.int64)
-        counts = shared_array(p * max_k, np.int64).reshape(p, max_k)
-        return cls(sset, cur, other, shared_array(n, np.uint16), counts, buckets, batch)
-
-
-def prefix_offsets(counts: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved prefix sum over (shards, buckets) counts.
-
-    Bucket b of the whole step occupies [lo + bounds[b], lo + bounds[b + 1]).
-    offsets covers only the filled buckets, those some shard fills, in
-    bucket order: in the j-th of them, shard s starts at offsets[s, j],
-    after the earlier shards' strings of that bucket.
-    """
-    totals = counts.sum(axis=0)
-    bounds = np.zeros(len(totals) + 1, dtype=np.int64)
-    np.cumsum(totals, out=bounds[1:])
-    filled = np.flatnonzero(totals)
-    offsets = np.empty((len(counts), len(filled)), dtype=np.int64)
-    start = lo + bounds[filled]
-    for row, shard_counts in zip(offsets, counts):
-        row[:] = start
-        start = start + shard_counts[filled]
-    return offsets, bounds
-
-
-def scatter(items: np.ndarray, oracle: np.ndarray, offsets: np.ndarray, dst: np.ndarray) -> None:
-    """Stable counting scatter: the items of the j-th nonempty bucket go,
-    in input order, to dst[offsets[j]:]."""
-    order = np.argsort(oracle, kind="stable")
-    sizes = np.bincount(oracle)
-    sizes = sizes[sizes > 0]
-    dst[concat_ranges(offsets, sizes)] = items[order]
+        return cls(sset, cur, shared_array(len(sset), np.uint16), buckets, batch)
 
 
 def _phased_executor(sh: _Phased, job, env: _Env) -> None:
     kind = job[0]
     if kind == "batch":
         sh.batch(sh, job[1], env)
-        return
-    _, lo, hi = job[:3]
-    if kind == "count":
-        row, k, arg = job[3:]
+    elif kind == "classify":
+        _, lo, hi, arg = job
         buckets, summary = sh.buckets(sh, lo, hi, arg)
         sh.oracle[lo:hi] = buckets
-        sh.counts[row, :k] = np.bincount(buckets, minlength=k)
-        # every count job replies before any scatter job starts to write cur
-        sh.other[lo:hi] = sh.cur[lo:hi]
-        if sh.cache is not None:  # pmkqs: the words move with their handles
-            sh.other_cache[lo:hi] = sh.cache[lo:hi]
         env.replies.put(("phase", (lo, summary)))
-    elif kind == "scatter":
-        scatter(sh.other[lo:hi], sh.oracle[lo:hi], job[3], sh.cur)
-        if sh.cache is not None:
-            scatter(sh.other_cache[lo:hi], sh.oracle[lo:hi], job[3], sh.cache)
-        env.replies.put(("phase", None))
     else:
         raise ValueError(f"unknown phased job kind: {kind}")
 
 
 def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, k: int, arg):
-    """Stably distribute cur[lo:hi] into k buckets on the pool's p shards.
+    """Stably distribute cur[lo:hi] into k buckets, classified on the pool's p shards.
 
     `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
     b then occupies cur[lo + bounds[b]:lo + bounds[b + 1]], and summaries
     holds the bucket function's second result per shard, in shard order.
-    When the counts leave one bucket nonempty, cur[lo:hi] is already in
-    bucket order and no scatter job runs.
     """
     cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
     shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
-    for row, (slo, shi) in enumerate(shards):
-        pool.submit(("count", slo, shi, row, k, arg))
+    for slo, shi in shards:
+        pool.submit(("classify", slo, shi, arg))
     parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
-    counts = sh.counts[: len(shards), :k]
-    offsets, bounds = prefix_offsets(counts, lo)
-    if offsets.shape[1] > 1:
-        filled = np.flatnonzero(np.diff(bounds))
-        for (slo, shi), shard_counts, shard_offsets in zip(shards, counts, offsets):
-            pool.submit(("scatter", slo, shi, shard_offsets[shard_counts[filled] > 0]))
-        pool.wait_phase(len(shards))
+    extra = () if sh.cache is None else (sh.cache[lo:hi],)
+    bounds = distribute(sh.cur[lo:hi], sh.oracle[lo:hi], k, *extra)
     return bounds, [part[1] for part in parts]
 
 
@@ -455,9 +398,9 @@ def _s5_batch(sh: _Phased, rows, env: _Env) -> None:
     s5_sort_items(ctx, rows, share=make_share_hook(env))
 
 
-def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int) -> _Phased:
+def _s5_shared(sset: StringSet, want_lcps: bool, seed: int) -> _Phased:
     n = len(sset)
-    sh = _Phased.create(sset, p, 2 * tree_capacity(n) + 1, _s5_buckets, _s5_batch)
+    sh = _Phased.create(sset, _s5_buckets, _s5_batch)
     lcps = None
     if want_lcps:
         lcps = shared_array(n, np.int64)
@@ -469,8 +412,8 @@ def _s5_shared(sset: StringSet, p: int, want_lcps: bool, seed: int) -> _Phased:
 def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int) -> np.ndarray:
     """One phased sample-sort step; returns the buckets left to sort as (m, 3) rows."""
     ctx = sh.s5
-    tree = step_tree(ctx, lo, hi, depth, pool.stats)  # charges the count jobs' keys too
-    # count jobs pickle only what classify_keys(..., "unroll") reads
+    tree = step_tree(ctx, lo, hi, depth, pool.stats)  # charges the classify jobs' keys too
+    # classify jobs pickle only what classify_keys(..., "unroll") reads
     search = dataclasses.replace(
         tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None
     )
@@ -491,7 +434,7 @@ def parallel_s5(
 ) -> StringSet | SortedWithLcp:
     """Sample sort on p workers; content order matches the sequential sorter."""
     p = default_workers() if p is None else max(1, p)
-    sh = _s5_shared(sset, p, want_lcps, seed)
+    sh = _s5_shared(sset, want_lcps, seed)
     with WorkPool(p, _phased_executor, sh) as pool:
         phased_sort(pool, [(0, len(sset), 0)], lambda *item: _s5_step(pool, sh, *item))
     if stats is not None:
@@ -522,12 +465,13 @@ def parallel_radix(
     p: int | None = None,
     stats: SortStats | None = None,
 ) -> StringSet:
-    """MSD radix sort with fully parallel counting/redistribution steps.
+    """MSD radix sort whose large steps read their digits on the pool.
 
-    Large subproblems run phased 16- or 8-bit steps on the pool; smaller
-    ones flow into the queue as batch jobs of radix16_adaptive's in-place
-    loop, radix8_items with wide=True, with voluntary sharing.
-    bucket_spans decides which buckets recurse.  Every step is stable, so
+    Large subproblems run phased 16- or 8-bit steps: classify jobs read
+    the digits on the pool and the coordinator distributes the strings by
+    them.  Smaller ones flow into the queue as batch jobs of
+    radix16_adaptive's in-place loop, radix8_items with wide=True, with
+    voluntary sharing.  bucket_spans decides which buckets recurse.  Every step is stable, so
     the handles equal radix16_adaptive's.  A range whose first and last
     strings share the step's digit first lets skip_shared move it past its
     shared prefix or finish equal strings, so no step has one bucket.
@@ -535,7 +479,7 @@ def parallel_radix(
     p = default_workers() if p is None else max(1, p)
     if len(sset) == 0:
         return sset.with_handles(sset.handles.copy())
-    sh = _Phased.create(sset, p, 1 << 16, _radix_buckets, _radix_batch)
+    sh = _Phased.create(sset, _radix_buckets, _radix_batch)
 
     def step(lo: int, hi: int, depth: int) -> np.ndarray:
         width = digit_width(hi - lo)
@@ -575,22 +519,22 @@ def parallel_mkqs(
     p: int | None = None,
     stats: SortStats | None = None,
 ) -> StringSet:
-    """Caching multikey quicksort with fully parallel ternary partitioning steps.
+    """Caching multikey quicksort whose large ternary steps classify on the pool.
 
     Every string's word at the current depth rides along with its handle:
-    the coordinator fetches the words once, a phased step puts each string
-    into the less, equal or greater bucket of the median-of-3 pivot word and
-    scatters the words with the handles.  The equal bucket is settled when
-    the pivot word holds the terminator and otherwise recurses a word
-    deeper, after the coordinator fetches its next words.  Smaller
-    subproblems run as batched caching-mkqs jobs with voluntary sharing.
-    Handles and word fetches match mkqs_cached.
+    the coordinator fetches the words once; a phased step's classify jobs
+    put each string into the less, equal or greater bucket of the
+    median-of-3 pivot word, and the coordinator's distribute moves the
+    words with the handles.  The equal bucket is settled when the pivot
+    word holds the terminator and otherwise recurses a word deeper, after
+    the coordinator fetches its next words.  Smaller subproblems run as
+    batched caching-mkqs jobs with voluntary sharing.  Handles and word
+    fetches match mkqs_cached.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
-    sh = _Phased.create(sset, p, 3, _mkqs_buckets, _mkqs_batch)
+    sh = _Phased.create(sset, _mkqs_buckets, _mkqs_batch)
     sh.cache = shared_array(n, np.uint64)
-    sh.other_cache = shared_array(n, np.uint64)
     sh.cache[:] = extract_keys(sset, sset.handles, 0)
 
     def step(lo: int, hi: int, depth: int) -> np.ndarray:
@@ -694,14 +638,14 @@ def partitioned_merge_sort(
     total = int(cum[-1])
     cuts = np.concatenate(([0], np.searchsorted(cum, total * np.arange(1, K) / K), [n]))
     # everything the merge jobs read is allocated before the pool forks
-    sh = _s5_shared(sset, p, True, seed)
+    sh = _s5_shared(sset, True, seed)
     runs = LcpRuns(sset, sh.cur, sh.s5.lcps, cuts)
     merge = _MergeShared(runs, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
         roots = [(lo, hi, 0) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()) if lo < hi]
         phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
         offset = 0
-        for job in split_merge_jobs(runs, 8 * p, stats=pool.stats):
+        for job in split_merge_jobs(runs, 8 * p):
             pool.submit(("merge", job, offset))
             offset += job.size
         pool.wait_idle()

@@ -374,9 +374,7 @@ class TestSplitMergeJobs:
             [b"abcdefgh1", b"abcdefgh2", b"abcdefgh2", b"abcdefgh3", b"abcdefgh4"]
         )
         runs = sorted_runs(s, [3, 2])
-        stats = SortStats()
-        jobs = split_merge_jobs(runs, 2, stats=stats)
-        assert stats.word_fetches == 0
+        jobs = split_merge_jobs(runs, 2)
         check_split(s, runs, jobs)
         (job,) = split_merge_jobs(runs, 1)
         assert job.blocks[:, DEPTH].tolist() == [8, 8]
@@ -492,10 +490,9 @@ class TestSampledSplit:
         s, runs = merge_shards(corpus)
         calls = []
         monkeypatch.setattr(lcpmerge, "extract_keys", lambda *args: calls.append(args))
-        stats = SortStats()
         for target in (1, 4, 16, 1000):
-            assert sum(j.size for j in split_merge_jobs(runs, target, stats=stats)) == len(s)
-        assert calls == [] and stats == SortStats()
+            assert sum(j.size for j in split_merge_jobs(runs, target)) == len(s)
+        assert calls == []
 
     @pytest.mark.parametrize("target", [1, 4, 16, 1000])
     @pytest.mark.parametrize("corpus", SPLIT_CORPORA + ("url", "random"))

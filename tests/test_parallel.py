@@ -1,6 +1,7 @@
 import errno
 import multiprocessing as mp
 import os
+import queue
 import subprocess
 import sys
 import time
@@ -43,12 +44,10 @@ from strsort.parallel import (
     partitioned_merge_sort,
     phased_step,
     pool_run,
-    prefix_offsets,
-    scatter,
     shared_array,
 )
 from strsort.radix import radix16_adaptive
-from strsort.ssss import DEFAULT_V, s5_sort, tree_capacity
+from strsort.ssss import DEFAULT_V, s5_sort, step_tree, tree_capacity
 from strsort.strset import (
     LCP_UNDEF,
     WORD_CHARS,
@@ -90,6 +89,7 @@ class _IdleEnv:
 
     def __init__(self, idle=1):
         self.queue = []
+        self.replies = queue.SimpleQueue()
         self.stats = SortStats()
         self.idle = idle
 
@@ -214,7 +214,7 @@ class TestWorkPool:
         [("_radix_buckets", parallel_radix), ("_mkqs_buckets", parallel_mkqs)],
     )
     def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch, buckets, sorter):
-        # the count job of the first phased step kills its worker
+        # the classify job of the first phased step kills its worker
         monkeypatch.setattr(parallel, buckets, _exit_worker)
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
@@ -223,69 +223,54 @@ class TestWorkPool:
         assert not mp.active_children()
 
 
-def test_phased_engine_interleaves_shards():
-    # shard 0 holds positions [0, 3), shard 1 [3, 6); regions are bucket-major
-    handles = np.arange(6, dtype=np.int64)
-    oracle = np.array([2, 0, 2, 1, 0, 2], dtype=np.uint16)
-    shards = ((0, 3), (3, 6))
-    counts = np.stack([np.bincount(oracle[lo:hi], minlength=3) for lo, hi in shards])
-    offsets, bounds = prefix_offsets(counts, 10)
-    out = np.full(16, -1, dtype=np.int64)
-    for s, (lo, hi) in enumerate(shards):
-        scatter(handles[lo:hi], oracle[lo:hi], offsets[s][counts[s] > 0], out)
-    assert list(bounds) == [0, 2, 3, 6]
-    assert list(out[10:]) == [1, 4, 3, 0, 2, 5]
-    assert (out[:10] == -1).all()
-
-
-def test_phased_engine_skips_empty_buckets():
-    # buckets 1, 3 and 5 are empty and shard 0 leaves bucket 2 empty: offsets
-    # cover the three filled buckets only, bounds every bucket
-    handles = np.arange(7, dtype=np.int64)
-    oracle = np.array([4, 0, 4, 2, 0, 4, 2], dtype=np.uint16)
-    shards = ((0, 3), (3, 7))
-    counts = np.stack([np.bincount(oracle[lo:hi], minlength=6) for lo, hi in shards])
-    offsets, bounds = prefix_offsets(counts, 10)
-    assert offsets.shape == (2, 3)
-    assert list(bounds) == [0, 2, 2, 4, 4, 7, 7]
-    filled = counts[:, np.diff(bounds) > 0]
-    out = np.full(17, -1, dtype=np.int64)
-    for s, (lo, hi) in enumerate(shards):
-        scatter(handles[lo:hi], oracle[lo:hi], offsets[s][filled[s] > 0], out)
-    assert list(out[10:]) == list(np.argsort(oracle, kind="stable"))
-    assert (out[:10] == -1).all()
+def _phased_shared(kind, s):
+    """A phased sorter's shared state over s: "s5", "radix" or "mkqs"."""
+    if kind == "s5":
+        return _s5_shared(s, want_lcps=False, seed=1)
+    if kind == "radix":
+        return _Phased.create(s, _radix_buckets, _radix_batch)
+    sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
+    sh.cache = shared_array(len(s), np.uint64)
+    sh.cache[:] = extract_keys(s, s.handles, 0)
+    return sh
 
 
 class TestPhasedStep:
     """A phased step leaves [lo, hi) of cur in stable bucket order."""
 
     @staticmethod
-    def _submitted(monkeypatch):
-        kinds = []
-        submit = WorkPool.submit
-        monkeypatch.setattr(WorkPool, "submit", lambda pool, job: kinds.append(job[0]) or submit(pool, job))
-        return kinds
+    def _pool_calls(monkeypatch):
+        """Record the kind of each submitted job and ("wait_phase", count) for each phase wait."""
+        calls = []
+        submit, wait_phase = WorkPool.submit, WorkPool.wait_phase
+
+        def recording_wait(pool, count, collect=None):
+            calls.append(("wait_phase", count))
+            return wait_phase(pool, count, collect)
+
+        monkeypatch.setattr(WorkPool, "submit", lambda pool, job: calls.append(job[0]) or submit(pool, job))
+        monkeypatch.setattr(WorkPool, "wait_phase", recording_wait)
+        return calls
 
     def test_radix_step_orders_an_interior_range(self, monkeypatch):
         s = random_set(3000, seed=31, lo=97, hi=105)  # first characters a to h, or none
-        sh = _Phased.create(s, 2, 1 << 16, _radix_buckets, _radix_batch)
+        sh = _Phased.create(s, _radix_buckets, _radix_batch)
         before = sh.cur.copy()
         lo, hi = 400, 2700
         buckets = np.array([x[0] if x else 0 for x in ref_strings(s.with_handles(before[lo:hi]))])
-        kinds = self._submitted(monkeypatch)
+        calls = self._pool_calls(monkeypatch)
         with WorkPool(2, _phased_executor, sh) as pool:
             bounds, _ = phased_step(pool, sh, lo, hi, 256, (0, 8))
-        assert kinds.count("scatter") == 2 and np.count_nonzero(np.diff(bounds)) > 2
+        # one round trip: two classify jobs, then one wait for their replies
+        assert calls == ["classify", "classify", ("wait_phase", 2)]
+        assert np.count_nonzero(np.diff(bounds)) > 2
         assert np.array_equal(sh.cur[lo:hi], before[lo:hi][np.argsort(buckets, kind="stable")])
         assert np.array_equal(np.diff(bounds), np.bincount(buckets, minlength=256))
         assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
 
     def test_mkqs_step_moves_the_words(self):
         s = random_set(3000, seed=32)
-        sh = _Phased.create(s, 2, 3, _mkqs_buckets, _mkqs_batch)
-        sh.cache = shared_array(len(s), np.uint64)
-        sh.other_cache = shared_array(len(s), np.uint64)
-        sh.cache[:] = extract_keys(s, s.handles, 0)
+        sh = _phased_shared("mkqs", s)
         before, words = sh.cur.copy(), sh.cache.copy()
         lo, hi = 250, 2900
         pivot = np.uint64(np.median(words[lo:hi]))
@@ -298,16 +283,43 @@ class TestPhasedStep:
         assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
         assert np.array_equal(sh.cache[:lo], words[:lo]) and np.array_equal(sh.cache[hi:], words[hi:])
 
-    def test_one_bucket_submits_no_scatter(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["radix", "mkqs"])
+    def test_one_bucket_moves_nothing(self, monkeypatch, kind):
+        # cur and the cache are read-only, in the workers too: any write raises
         s = from_strings([b"q%d" % i for i in range(2000)])
-        sh = _Phased.create(s, 2, 1 << 16, _radix_buckets, _radix_batch)
+        sh = _phased_shared(kind, s)
         before = sh.cur.copy()
-        kinds = self._submitted(monkeypatch)
+        for arr in (sh.cur, sh.cache):
+            if arr is not None:
+                arr.flags.writeable = False
+        k, arg = (256, (0, 8)) if kind == "radix" else (3, np.uint64(2**64 - 1))  # all less
+        calls = self._pool_calls(monkeypatch)
         with WorkPool(2, _phased_executor, sh) as pool:
-            bounds, _ = phased_step(pool, sh, 100, 1900, 256, (0, 8))
-        assert kinds == ["count", "count"]
+            bounds, _ = phased_step(pool, sh, 100, 1900, k, arg)
+        assert calls == ["classify", "classify", ("wait_phase", 2)]
         assert np.count_nonzero(np.diff(bounds)) == 1
         assert np.array_equal(sh.cur, before)
+
+    @pytest.mark.parametrize("kind", ["s5", "radix", "mkqs"])
+    def test_classify_job_writes_only_the_oracle(self, kind):
+        # so no worker writes cur, or pmkqs's cache, during a step
+        s = random_set(3000, seed=34)
+        sh = _phased_shared(kind, s)
+        lo, hi = 300, 2500
+        if kind == "s5":
+            arg = (0, step_tree(sh.s5, lo, hi, 0, SortStats()))
+        elif kind == "radix":
+            arg = (0, 8)
+        else:
+            arg = np.uint64(np.median(sh.cache[lo:hi]))
+        moving = [arr for arr in (sh.cur, sh.cache) if arr is not None]
+        before = [arr.tobytes() for arr in moving]
+        want, summary = sh.buckets(sh, lo, hi, arg)
+        env = _IdleEnv()
+        _phased_executor(sh, ("classify", lo, hi, arg), env)
+        assert [arr.tobytes() for arr in moving] == before
+        assert np.array_equal(sh.oracle[lo:hi], want) and len(np.unique(want)) > 1
+        assert env.replies.get_nowait() == ("phase", (lo, summary)) and env.replies.empty()
 
 
 class TestBatchRows:
@@ -316,23 +328,13 @@ class TestBatchRows:
 
     RANGES = [(0, 1500, 0), (1500, 1501, 0), (1600, 4000, 0), (4000, 4000, 0), (4100, 6000, 0)]
 
-    @staticmethod
-    def _shared(kind, s):
-        if kind == "s5":
-            return _s5_shared(s, 1, want_lcps=False, seed=1)
-        if kind == "radix":
-            return _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
-        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
-        sh.cache = extract_keys(s, s.handles, 0)
-        return sh
-
     @pytest.mark.parametrize("kind", ["radix", "mkqs", "s5"])
     def test_array_and_tuples_agree(self, monkeypatch, kind):
         monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(6000, seed=33)
         outs = []
         for rows in (np.array(self.RANGES, dtype=np.int64), list(self.RANGES)):
-            sh = self._shared(kind, s)
+            sh = _phased_shared(kind, s)
             _phased_executor(sh, ("batch", rows), _IdleEnv(idle=0))
             outs.append(sh.cur.copy())
         assert np.array_equal(outs[0], outs[1])
@@ -456,7 +458,7 @@ class TestParallelS5:
         # stack pop; the leaves it keeps are still sorted by one flush
         monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(20_000, seed=14)
-        sh = parallel._s5_shared(s, 1, want_lcps=True, seed=1)
+        sh = parallel._s5_shared(s, want_lcps=True, seed=1)
         env = _IdleEnv()
         calls = []
         leaves = mkqs.word_leaves
@@ -516,12 +518,12 @@ class TestParallelRadix:
         if threshold is not None:  # 16-bit phased steps, as on large inputs
             monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", threshold)
         found = self._coordinator_skips(monkeypatch)
-        widths = []  # of the count jobs
+        widths = []  # of the classify jobs
         submit = WorkPool.submit
 
         def recording_submit(pool, job):
-            if job[0] == "count":
-                widths.append(job[5][1])
+            if job[0] == "classify":
+                widths.append(job[3][1])
             submit(pool, job)
 
         monkeypatch.setattr(WorkPool, "submit", recording_submit)
@@ -543,7 +545,7 @@ class TestParallelRadix:
         heads = np.repeat([b"ax", b"ay", b"bx", b"by", b"cx"], [3600, 3600, 1800, 1800, 1200])
         rng.shuffle(heads)
         s = from_strings([h + bytes(rng.integers(97, 123, size=5, dtype=np.uint8)) for h in heads])
-        sh = _Phased.create(s, 1, 1 << 16, _radix_buckets, _radix_batch)
+        sh = _Phased.create(s, _radix_buckets, _radix_batch)
         env = _IdleEnv()
         _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         assert env.stats.share_events > 0
@@ -559,26 +561,26 @@ class TestParallelRadix:
 
 
 class TestOneBucketSteps:
-    """A phased step whose strings all land in one bucket is a copy."""
+    """A phased step whose strings all land in one bucket moves nothing."""
 
     @staticmethod
     def _steps(monkeypatch):
-        """Record, per phased step, whether its counts left one bucket
-        nonempty and whether it submitted scatter jobs."""
+        """Record, per phased step, whether its oracle fills one bucket; such
+        a step's distribute gets read-only views of cur and the cache, so a
+        write to either raises."""
         steps = []
-        offsets, submit = parallel.prefix_offsets, WorkPool.submit
+        distribute = parallel.distribute
 
-        def recording_offsets(counts, lo=0):
-            steps.append([np.count_nonzero(counts.sum(axis=0)) == 1, False])
-            return offsets(counts, lo)
+        def recording_distribute(seg, keys, k, *extra):
+            one = np.count_nonzero(np.bincount(keys, minlength=k)) == 1
+            steps.append(one)
+            if one:
+                seg, *extra = (arr.view() for arr in (seg, *extra))
+                for arr in (seg, *extra):
+                    arr.flags.writeable = False
+            return distribute(seg, keys, k, *extra)
 
-        def recording_submit(pool, job):
-            if job[0] == "scatter":
-                steps[-1][1] = True
-            submit(pool, job)
-
-        monkeypatch.setattr(parallel, "prefix_offsets", recording_offsets)
-        monkeypatch.setattr(WorkPool, "submit", recording_submit)
+        monkeypatch.setattr(parallel, "distribute", recording_distribute)
         return steps
 
     @staticmethod
@@ -590,20 +592,20 @@ class TestOneBucketSteps:
     def test_pradix(self, monkeypatch):
         # every string starts with "http://www.example.com/": the root's first
         # and last strings share its digit, so it skips that prefix before
-        # it counts, and no step, the root included, has one bucket
+        # it classifies, and no step, the root included, has one bucket
         s = self._corpus()
         steps = self._steps(monkeypatch)
-        depths = []  # of the count jobs
+        depths = []  # of the classify jobs
         submit = WorkPool.submit
 
         def recording_submit(pool, job):
-            if job[0] == "count":
-                depths.append(job[5][0])
+            if job[0] == "classify":
+                depths.append(job[3][0])
             submit(pool, job)
 
         monkeypatch.setattr(WorkPool, "submit", recording_submit)
         out = parallel_radix(s, p=2)
-        assert steps and all(scattered and not one for one, scattered in steps)
+        assert steps and not any(steps)
         assert min(depths) == len(b"http://www.example.com/")
         assert np.array_equal(out.handles, radix16_adaptive(s).handles)
 
@@ -612,8 +614,7 @@ class TestOneBucketSteps:
         steps = self._steps(monkeypatch)
         stats = SortStats()
         out = parallel_mkqs(s, p=2, stats=stats)
-        assert [one for one, _ in steps].count(True) >= 2  # "http://w" and "ww.examp"
-        assert all(scattered != one for one, scattered in steps)
+        assert steps.count(True) >= 2  # "http://w" and "ww.examp"
         seq = mkqs_cached(s)
         assert np.array_equal(out.handles, seq.set.handles)
         assert stats.word_fetches == seq.stats.word_fetches
@@ -635,7 +636,7 @@ class TestParallelMkqs:
         # the donated ranges must sort on their cached words, not fetch them again
         s = random_set(3000, seed=12)
         seq = mkqs_cached(s)
-        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
+        sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
         # the coordinator fetches and charges the root's words; batches fetch none
         sh.cache = extract_keys(s, s.handles, 0)
         env = _IdleEnv()
@@ -649,7 +650,7 @@ class TestParallelMkqs:
 
     def test_sharing_batch_flushes_its_leaves_once(self, monkeypatch):
         s = random_set(20_000, seed=15)
-        sh = _Phased.create(s, 1, 3, _mkqs_buckets, _mkqs_batch)
+        sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
         sh.cache = extract_keys(s, s.handles, 0)
         env = _IdleEnv()
         calls = []
@@ -720,14 +721,14 @@ class TestPartitionedMergeSort:
         out_l = np.zeros(n, dtype=np.int64)
         shared = _MergeShared(runs, out_h, out_l)
         env = _IdleEnv()
-        (job,) = split_merge_jobs(runs, 1, stats=env.stats)
+        (job,) = split_merge_jobs(runs, 1)
         _merge_executor(shared, ("merge", job, 0), env)
         assert env.queue and env.stats.share_events == 1
         while env.queue:
             _merge_executor(shared, env.queue.pop(0), env)
         # the subjobs write the split's groups and fetch no word again
         unpolled = SortStats()
-        for job in split_merge_jobs(runs, 1, stats=unpolled):
+        for job in split_merge_jobs(runs, 1):
             run_merge_job(runs, job, unpolled, np.empty(job.size, np.int64), np.empty(job.size, np.int64))
         assert env.stats.word_fetches == unpolled.word_fetches
         out_l[0] = LCP_UNDEF
@@ -763,7 +764,7 @@ def test_scheduler_share_event_with_single_root(monkeypatch):
     s = random_set(60_000, seed=13)
     from strsort.parallel import _s5_shared
 
-    shared = _s5_shared(s, 4, want_lcps=False, seed=1)
+    shared = _s5_shared(s, want_lcps=False, seed=1)
     stats = pool_run(4, [("batch", [(0, len(s), 0)])], _phased_executor, shared)
     out = s.with_handles(shared.cur.copy())
     assert verify(s, out).ok

@@ -11,6 +11,7 @@ from corpus import (
     shared_prefix_clusters,
 )
 from strsort import ssss
+from strsort.basecase import distribute
 from strsort.counters import SortStats
 from strsort.ssss import (
     S5Context,
@@ -24,7 +25,6 @@ from strsort.ssss import (
     select_splitters,
     tree_capacity,
 )
-from strsort.parallel import prefix_offsets, scatter
 from strsort.strset import (
     LCP_UNDEF,
     WORD_CHARS,
@@ -321,36 +321,34 @@ class TestFinishBuckets:
         assert len(results[0])  # and children left to sort
 
 
-def distribute(handles, oracle, num_buckets):
-    """One-shard run of the phased engine's prefix sum and scatter."""
-    oracle = np.asarray(oracle, dtype=np.uint16)
-    counts = np.bincount(oracle, minlength=num_buckets)[None, :]
-    offsets, bounds = prefix_offsets(counts)
-    out = np.empty(len(handles), dtype=np.int64)
-    scatter(handles, oracle, offsets[0], out)  # one shard fills every filled bucket
-    return out, bounds
-
-
 class TestDistribute:
+    """basecase.distribute, the stable distribution of every step."""
+
     def test_counting_example(self):
         handles = np.array([10, 20, 30], dtype=np.int64)
-        oracle = np.array([1, 0, 1])
-        out, bounds = distribute(handles, oracle, 3)
+        bounds = distribute(handles, np.array([1, 0, 1], dtype=np.uint16), 3)
         assert list(bounds) == [0, 1, 3, 3]
-        assert list(out) == [20, 10, 30]
+        assert list(handles) == [20, 10, 30]
 
     def test_single_bucket(self):
+        # read-only arrays: one bucket moves nothing
         handles = np.array([5, 6, 7], dtype=np.int64)
-        out, bounds = distribute(handles, np.zeros(3, dtype=np.int64), 3)
-        assert sorted(out) == [5, 6, 7]
+        words = np.array([9, 8, 7], dtype=np.uint64)
+        for arr in (handles, words):
+            arr.flags.writeable = False
+        bounds = distribute(handles, np.zeros(3, dtype=np.uint16), 3, words)
+        assert list(handles) == [5, 6, 7] and list(words) == [9, 8, 7]
         assert list(bounds) == [0, 3, 3, 3]
 
     @given(st.lists(st.integers(0, 6), max_size=50))
     def test_conservation(self, oracle):
+        keys = np.asarray(oracle, dtype=np.uint16)
         handles = np.arange(len(oracle), dtype=np.int64)
-        out, bounds = distribute(handles, np.asarray(oracle, dtype=np.int64), 7)
+        words = handles.astype(np.uint64) * 3
+        bounds = distribute(handles, keys, 7, words)
         assert bounds[-1] == len(oracle)
-        assert sorted(out) == list(range(len(oracle)))
+        assert list(handles) == sorted(range(len(oracle)), key=lambda i: oracle[i])
+        assert np.array_equal(words, handles.astype(np.uint64) * 3)
 
 
 class TestS5Sort:
