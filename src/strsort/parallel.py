@@ -1,13 +1,16 @@
 """Process-based work pool with voluntary work sharing, and parallel sorters.
 
-Workers are forked processes sharing the character buffer (copy-on-write)
-and the handle/scratch arrays (anonymous shared memory), so jobs write
-directly into disjoint ranges of the final arrays.  Scheduling follows one
-idea: a central queue holds coarse jobs, workers keep recursion on local
-stacks, and an unsynchronized idle counter tells busy workers when to
-donate their largest pending subproblems back to the queue.  Nothing polls
-for progress: the worker that finishes the last outstanding job sends a
-"quiet" reply, the coordinator reads every reply in one loop, and shutdown
+A pool has p participants: the coordinator and p - 1 forked workers.  The
+workers share the character buffer (copy-on-write) and the handle/scratch
+arrays (anonymous shared memory), so jobs write directly into disjoint
+ranges of the final arrays, whoever runs them.  Scheduling follows one
+idea: a central queue holds coarse jobs, participants keep recursion on
+local stacks, and an unsynchronized idle counter tells busy participants
+when to donate their largest pending subproblems back to the queue.  The
+coordinator submits jobs and, while it waits for them, runs queued jobs
+itself and counts itself idle when it finds none.  Nothing polls for
+progress: the coordinator sleeps until a reply or a job arrives, the worker
+that finishes the last outstanding job sends a "quiet" reply, and shutdown
 puts one None sentinel per worker on the job queue.
 
 Parallel sample sort, radix sort and caching multikey quicksort share one
@@ -23,13 +26,14 @@ moves nothing.  So every step ends with its range in cur, and its
 subproblems go on as one (m, 3) int64 array of (lo, hi, depth) rows.  The
 coordinator runs such steps on every subproblem of at least n/p strings
 and feeds the smaller ones to the pool as batch jobs, which sort
-sequentially and share when workers idle.  Steps and batch sorts are all
+sequentially and share when a participant idles.  Steps and batch sorts are all
 stable, so equal strings keep their input order.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
-n/p strings takes phased steps on all p workers and smaller parts run as
-batch jobs; the K-way LCP merge then runs as merge jobs on the same pool.
+n/p strings takes phased steps on all p participants and smaller parts run
+as batch jobs; the K-way LCP merge then runs as merge jobs on the same
+pool.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait as mp_wait
 
 import numpy as np
 
@@ -63,6 +68,7 @@ from .ssss import (
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte
 
 POLL_S = 0.1  # how often a wait with no reply checks the workers' exit codes
+LOCK_WAIT_S = 0.001  # longest wait for the job queue's read lock when a job is ready
 SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
 
 
@@ -91,7 +97,7 @@ class WorkerFailure(RuntimeError):
 
 @dataclass
 class _Env:
-    """Per-worker handles to the pool's shared state."""
+    """One participant's handles to the pool's shared state."""
 
     jobs: object
     replies: object
@@ -150,32 +156,43 @@ def _worker_main(executor, ctx, env: _Env, worker_id: int) -> None:
 
 
 class WorkPool:
-    """p forked workers around one job queue.
+    """p participants around one job queue: the coordinator and p - 1 forked workers.
 
     Every enqueued job executes exactly once; the pool is quiescent when
-    the outstanding-job counter returns to zero, and the worker that brings
-    it there says so on the reply queue.  One loop, _wait, reads every
-    reply.  Worker exceptions abort the run with the worker's traceback,
-    and a worker that dies aborts it with the worker's exit code.  On
-    shutdown each worker takes one None sentinel from the job queue, sends
-    its stats and exits.
+    the outstanding-job counter returns to zero.  One loop, _wait, reads
+    every reply, and while it waits the coordinator runs queued jobs with
+    the pool's executor, shared state and stats, and counts itself idle
+    when it finds none, so busy workers donate work to it.  A job that
+    raises aborts the run with its traceback, naming the worker or the
+    coordinator that ran it, and a worker that dies aborts it with its exit
+    code.  On shutdown each worker takes one None sentinel from the job
+    queue, sends its stats and exits.  With no forked worker (p = 1) the
+    jobs stay in an in-process queue.
     """
+
+    _coordinator_works = True
 
     def __init__(self, p: int, executor, ctx):
         fork = _fork_context()
         self.p = p
-        self.jobs = fork.Queue()
+        self.executor = executor
+        self.ctx = ctx
+        forks = p - 1 if self._coordinator_works else p
+        self.jobs = fork.Queue() if forks else queue_mod.SimpleQueue()
         self.replies = fork.Queue()
         self.outstanding = fork.Value("q", 0)
         self.idle = fork.Value("i", 0)
         self.fail = fork.Event()
         self.stats = SortStats()
+        # the coordinator's own jobs reply in process and charge the pool's stats
+        self._env = _Env(self.jobs, queue_mod.SimpleQueue(), self.outstanding, self.idle, self.fail,
+                         self.stats)
         self._stats_seen = 0
         self._closed = False
         self._aborting = False
         self.workers = []
         try:
-            for i in range(p):
+            for i in range(forks):
                 env = _Env(self.jobs, self.replies, self.outstanding, self.idle, self.fail,
                            SortStats())
                 w = fork.Process(target=_worker_main, args=(executor, ctx, env, i), daemon=True)
@@ -203,28 +220,81 @@ class WorkPool:
     def _wait(self, done) -> list:
         """Read replies until done(phase payloads so far) holds; return those payloads.
 
-        Collects the workers' stats, raises WorkerFailure on a worker's
-        error, and every POLL_S without a reply checks the workers' exit
-        codes: workers exit only after the pool closes, so before that an
-        exited worker has died and its job will never finish.
+        Collects the workers' stats and raises WorkerFailure on a job's
+        error.  Until the pool closes, a working coordinator takes queued
+        jobs and counts itself idle while it finds none.  It sleeps until a
+        reply or a job arrives, and checks the workers' exit codes after
+        every job it runs and every wait that reads no reply.
         """
         phases = []
-        while not done(phases):
-            try:
-                msg = self.replies.get(timeout=POLL_S)
-            except queue_mod.Empty:
-                for i, w in enumerate(self.workers):
-                    if w.exitcode is not None and not self._closed:
-                        raise WorkerFailure(f"worker {i} died with exit code {w.exitcode}")
-                continue
-            if msg[0] == "error":
-                raise WorkerFailure(f"worker {msg[1]} failed:\n{msg[2]}")
-            if msg[0] == "phase":
-                phases.append(msg[1])
-            elif msg[0] == "stats":
-                self.stats.add(SortStats.from_dict(msg[2]))
-                self._stats_seen += 1
+        working = self._coordinator_works and not self._closed
+        jobs_ready = self.jobs._reader if working and self.workers else None
+        readers = [self.replies._reader] + ([jobs_ready] if jobs_ready else [])
+        contended = idle = False
+        try:
+            while not done(phases):
+                if working:
+                    job = self._take(contended)
+                    if job is not None:
+                        idle = self._mark_idle(idle, False)
+                        self._run(job, phases)
+                        self._check_workers()  # a stream of jobs must not hide a dead worker
+                        continue
+                    if not self.workers:
+                        raise RuntimeError("the pool waits with no job queued and no worker")
+                    idle = self._mark_idle(idle, True)
+                ready = mp_wait(readers, POLL_S)
+                # an idle worker holds the job queue's read lock while it takes a job
+                contended = jobs_ready in ready
+                if self.replies._reader in ready:
+                    self._read(self.replies.get(), phases)
+                else:
+                    self._check_workers()
+        finally:
+            self._mark_idle(idle, False)
         return phases
+
+    def _check_workers(self) -> None:
+        """Workers exit only after the pool closes, so before that an exited
+        worker has died and its job will never finish."""
+        for i, w in enumerate(self.workers):
+            if w.exitcode is not None and not self._closed:
+                raise WorkerFailure(f"worker {i} died with exit code {w.exitcode}")
+
+    def _take(self, contended: bool):
+        """A queued job, or None; waits briefly for the read lock when contended."""
+        try:
+            return self.jobs.get(timeout=LOCK_WAIT_S) if contended else self.jobs.get_nowait()
+        except queue_mod.Empty:
+            return None
+
+    def _mark_idle(self, was: bool, now: bool) -> bool:
+        """Count the coordinator in `idle` when now is true; return now."""
+        if now != was:
+            with self.idle.get_lock():
+                self.idle.value += 1 if now else -1
+        return now
+
+    def _run(self, job, phases: list) -> None:
+        """Run a queued job in the coordinator."""
+        try:
+            self.executor(self.ctx, job, self._env)
+        except Exception:
+            raise WorkerFailure(f"coordinator failed:\n{traceback.format_exc()}") from None
+        self.stats.jobs_executed += 1
+        with self.outstanding.get_lock():
+            self.outstanding.value -= 1
+        while not self._env.replies.empty():
+            self._read(self._env.replies.get(), phases)
+
+    def _read(self, msg, phases: list) -> None:
+        if msg[0] == "error":
+            raise WorkerFailure(f"worker {msg[1]} failed:\n{msg[2]}")
+        if msg[0] == "phase":
+            phases.append(msg[1])
+        elif msg[0] == "stats":
+            self.stats.add(SortStats.from_dict(msg[2]))
+            self._stats_seen += 1
 
     def wait_phase(self, count: int, collect=None) -> list:
         """Wait for `count` phase replies, returning their payloads."""
@@ -261,15 +331,24 @@ class WorkPool:
                 if w.is_alive():
                     w.terminate()
                     w.join()
-            # jobs no worker took may still sit in the feeder's buffer
-            self.jobs.cancel_join_thread()
-            self.jobs.close()
+            if not isinstance(self.jobs, queue_mod.SimpleQueue):
+                # jobs no worker took may still sit in the feeder's buffer
+                self.jobs.cancel_join_thread()
+                self.jobs.close()
             self.replies.close()
 
 
+class _ForkedPool(WorkPool):
+    """p forked workers and a coordinator that only waits, for pool_run,
+    whose jobs may end the process that runs them."""
+
+    _coordinator_works = False
+
+
 def pool_run(p: int, root_jobs: list, executor, ctx) -> SortStats:
-    """Run root jobs (and everything they spawn) to quiescence; return stats."""
-    with WorkPool(p, executor, ctx) as pool:
+    """Run root jobs (and everything they spawn) on p forked workers to
+    quiescence; return stats."""
+    with _ForkedPool(p, executor, ctx) as pool:
         for job in root_jobs:
             pool.submit(job)
         pool.wait_idle()
@@ -277,7 +356,7 @@ def pool_run(p: int, root_jobs: list, executor, ctx) -> SortStats:
 
 
 def make_share_hook(env: _Env):
-    """Donate the largest pending stack entries when workers sit idle.
+    """Donate the largest pending stack entries when participants sit idle.
 
     The donated entries go to the queue as one ("batch", entries) job, so
     a sorter's batch function takes its own stack entries.  One donation
@@ -302,7 +381,9 @@ def make_share_hook(env: _Env):
 
 
 def feed_batches(pool: WorkPool, rows: np.ndarray) -> None:
-    """Submit the (m, 3) rows as at most 2p batch jobs, then wait until the pool idles."""
+    """Submit the (m, 3) rows as at most 2p batch jobs for the p participants,
+    the coordinator and p - 1 forked workers, then run and wait for them
+    until the pool idles."""
     if len(rows):
         for chunk in np.array_split(rows, min(len(rows), 2 * pool.p)):
             pool.submit(("batch", chunk))
@@ -363,7 +444,8 @@ def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, k: int, arg):
 
 
 def phased_sort(pool: WorkPool, roots, step) -> None:
-    """Sort the (lo, hi, depth) roots of cur: phased steps on subproblems
+    """Sort the (lo, hi, depth) roots of cur on the pool's p participants,
+    the coordinator and p - 1 forked workers: phased steps on subproblems
     of at least total/p strings, then the smaller ones as batch jobs.
 
     step(lo, hi, depth) runs one phased step, settles its finished buckets
@@ -432,7 +514,8 @@ def parallel_s5(
     seed: int = 1,
     stats: SortStats | None = None,
 ) -> StringSet | SortedWithLcp:
-    """Sample sort on p workers; content order matches the sequential sorter."""
+    """Sample sort on p participants, the coordinator and p - 1 forked
+    workers; content order matches the sequential sorter."""
     p = default_workers() if p is None else max(1, p)
     sh = _s5_shared(sset, want_lcps, seed)
     with WorkPool(p, _phased_executor, sh) as pool:
@@ -456,7 +539,7 @@ def _radix_buckets(sh: _Phased, lo: int, hi: int, arg):
 
 def _radix_batch(sh: _Phased, rows, env: _Env) -> None:
     """radix16_adaptive's loop over the (lo, hi, depth) rows: an (m, 3)
-    array from the coordinator or the stack items a worker donated."""
+    array from the coordinator or the stack items a participant donated."""
     radix8_items(sh.sset, sh.cur, rows, make_share_hook(env), wide=True)
 
 
@@ -510,7 +593,7 @@ def _mkqs_buckets(sh: _Phased, lo: int, hi: int, arg):
 def _mkqs_batch(sh: _Phased, rows, env: _Env) -> None:
     """Caching mkqs of the (lo, hi, depth) rows, whose words the steps left
     in the cache: an (m, 3) array from the coordinator or the stack items a
-    worker donated."""
+    participant donated."""
     mkqs_cached_items(sh.sset, sh.cur, sh.cache, rows, None, env.stats, make_share_hook(env))
 
 
@@ -574,9 +657,9 @@ class _MergeShared:
 
 
 def _merge_executor(shared: _MergeShared, job, env: _Env) -> None:
-    """Run one merge job; when a poll finds a worker idle, the job stops at
-    a group boundary and its rest, already split to the end, goes back to
-    the queue as new jobs."""
+    """Run one merge job; when a poll finds a participant idle, the job stops
+    at a group boundary and its rest, already split to the end, goes back
+    to the queue as new jobs."""
     _, mjob, offset = job
     size = mjob.size
     out_h = shared.out_h[offset : offset + size]
@@ -613,8 +696,9 @@ def partitioned_merge_sort(
 ) -> StringSet | SortedWithLcp:
     """Sort K byte-balanced parts, then merge them with LCPs, on one pool.
 
+    The pool has p participants, the coordinator and p - 1 forked workers.
     The parts are the roots of one parallel sample sort that records LCPs:
-    a part of at least n/p strings takes phased steps on all p workers and
+    a part of at least n/p strings takes phased steps on all of them and
     smaller parts run as batch jobs.  Each part ends sorted in its range of
     cur, with its LCPs in the same range of the S5 LCP array, so one
     LcpRuns over those two arrays and the part bounds holds the merge's
@@ -623,7 +707,7 @@ def partitioned_merge_sort(
     binary search: O(K * p * log n) string reads and no word fetch) and
     merges them on the same pool.  Each merge job splits its strings from
     their splitters' LCP on until each group comes from one part or holds
-    equal strings, and copies them; when workers go idle, it hands the
+    equal strings, and copies them; when participants go idle, it hands the
     groups it has not written back to the queue as new jobs.  A job's
     first block holds its LCP to the string before it, so every LCP of the
     output is written by its job.

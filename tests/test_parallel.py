@@ -58,15 +58,35 @@ from strsort.strset import (
 )
 
 
+def _in_worker() -> bool:
+    """Whether this runs in a forked worker rather than in the coordinator."""
+    return mp.parent_process() is not None
+
+
 def _exit_worker(*args):
-    os._exit(3)  # stands in for a worker killed mid-job
+    if _in_worker():
+        os._exit(3)  # stands in for a worker killed mid-job
 
 
 def _fail_or_sleep(fail, job, env):
-    """Job 0 fails by `fail`; job 1 keeps its worker busy far past any bound."""
-    if job == 0:
-        fail()
-    time.sleep(20)
+    """In a worker, job 0 fails by `fail` and job 1 keeps its worker busy far past any bound."""
+    if _in_worker():
+        if job == 0:
+            fail()
+        time.sleep(20)
+
+
+def _in_workers_only(executor, kind):
+    """`executor`, except that the coordinator hands jobs of `kind` back to
+    the queue, so only a forked worker runs them."""
+
+    def run(ctx, job, env):
+        if job[0] == kind and not _in_worker():
+            env.enqueue(job)
+        else:
+            executor(ctx, job, env)
+
+    return run
 
 
 def _raise():
@@ -216,6 +236,7 @@ class TestWorkPool:
     def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch, buckets, sorter):
         # the classify job of the first phased step kills its worker
         monkeypatch.setattr(parallel, buckets, _exit_worker)
+        monkeypatch.setattr(parallel, "_phased_executor", _in_workers_only(_phased_executor, "classify"))
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
             sorter(random_set(20_000), p=2)
