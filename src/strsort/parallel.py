@@ -26,8 +26,8 @@ moves nothing.  So every step ends with its range in cur, and its
 subproblems go on as one (m, 3) int64 array of (lo, hi, depth) rows.  The
 coordinator runs such steps on every subproblem of at least n/p strings
 and feeds the smaller ones to the pool as batch jobs, which sort
-sequentially and share when a participant idles.  Steps and batch sorts are all
-stable, so equal strings keep their input order.
+sequentially and share when a participant idles.  Steps and batch sorts
+are all stable, so equal strings keep their input order.
 
 The partitioned merge sort runs on one pool too.  Its K byte-balanced parts
 are the roots of one sample sort over the whole set, so a part of at least
@@ -228,8 +228,8 @@ class WorkPool:
         """
         phases = []
         working = self._coordinator_works and not self._closed
-        jobs_ready = self.jobs._reader if working and self.workers else None
-        readers = [self.replies._reader] + ([jobs_ready] if jobs_ready else [])
+        job_reader = self.jobs._reader if working and self.workers else None
+        readers = [self.replies._reader] + ([job_reader] if job_reader else [])
         contended = idle = False
         try:
             while not done(phases):
@@ -245,7 +245,7 @@ class WorkPool:
                     idle = self._mark_idle(idle, True)
                 ready = mp_wait(readers, POLL_S)
                 # an idle worker holds the job queue's read lock while it takes a job
-                contended = jobs_ready in ready
+                contended = job_reader in ready
                 if self.replies._reader in ready:
                     self._read(self.replies.get(), phases)
                 else:

@@ -2,9 +2,11 @@ import errno
 import multiprocessing as mp
 import os
 import queue
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from corpus import (
     all_equal_set,
     random_set,
     ref_lcps,
+    ref_sorted_strings,
     ref_strings,
     shared_prefix_clusters,
     sorted_runs,
@@ -28,6 +31,7 @@ from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
     WorkerFailure,
     WorkPool,
+    _ForkedPool,
     _merge_executor,
     _MergeShared,
     _mkqs_batch,
@@ -76,12 +80,12 @@ def _fail_or_sleep(fail, job, env):
         time.sleep(20)
 
 
-def _in_workers_only(executor, kind):
-    """`executor`, except that the coordinator hands jobs of `kind` back to
-    the queue, so only a forked worker runs them."""
+def _run_kind_in(executor, kind, worker=True):
+    """`executor`, except that jobs of `kind` go back to the queue until a
+    forked worker (worker=True) or the coordinator (worker=False) takes them."""
 
     def run(ctx, job, env):
-        if job[0] == kind and not _in_worker():
+        if job[0] == kind and _in_worker() != worker:
             env.enqueue(job)
         else:
             executor(ctx, job, env)
@@ -91,6 +95,10 @@ def _in_workers_only(executor, kind):
 
 def _raise():
     raise ValueError("job exploded")
+
+
+def _sleep(ctx, job, env):
+    time.sleep(0.3)
 
 
 def _touch_executor(shared, job, env):
@@ -184,6 +192,20 @@ class TestWorkPool:
             times.append(time.perf_counter() - t0)
         assert min(times) < 0.08
 
+    def test_waiting_coordinator_does_not_spin(self):
+        # the coordinator sleeps on the reply and job queues while its one
+        # worker runs the job: it neither polls nor retries a lock in a loop
+        with WorkPool(2, _run_kind_in(_sleep, "sleep"), None) as pool:
+            deadline = time.monotonic() + 5.0
+            while pool.idle.value < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)  # the worker waits for a job, holding the queue's read lock
+            pool.submit(("sleep",))
+            wall, cpu = time.monotonic(), time.process_time()
+            pool.wait_idle()
+            wall, cpu = time.monotonic() - wall, time.process_time() - cpu
+        assert wall >= 0.25
+        assert cpu < 0.05
+
     def test_failed_fork_reaps_started_workers(self, monkeypatch):
         process = mp.get_context("fork").Process
         start, calls = process.start, []
@@ -236,7 +258,7 @@ class TestWorkPool:
     def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch, buckets, sorter):
         # the classify job of the first phased step kills its worker
         monkeypatch.setattr(parallel, buckets, _exit_worker)
-        monkeypatch.setattr(parallel, "_phased_executor", _in_workers_only(_phased_executor, "classify"))
+        monkeypatch.setattr(parallel, "_phased_executor", _run_kind_in(_phased_executor, "classify"))
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="exit code 3"):
             sorter(random_set(20_000), p=2)
@@ -791,3 +813,158 @@ def test_scheduler_share_event_with_single_root(monkeypatch):
     assert verify(s, out).ok
     assert stats.share_events >= 1
     assert stats.jobs_executed == stats.jobs_enqueued + 1  # root included
+
+
+# ---------------------------------------------------------------------------
+# the coordinator as the p-th participant
+
+SORTERS = {
+    "ps5": parallel_s5,
+    "pradix": parallel_radix,
+    "pmkqs": parallel_mkqs,
+    "pmergesort": partitioned_merge_sort,
+}
+# the job kinds each sorter runs: pmergesort's parts are smaller than n/p
+JOB_KINDS = [
+    (algo, kind)
+    for algo, kinds in {
+        "ps5": ("classify", "batch"),
+        "pradix": ("classify", "batch"),
+        "pmkqs": ("classify", "batch"),
+        "pmergesort": ("batch", "merge"),
+    }.items()
+    for kind in kinds
+]
+
+
+def _injected_raise():
+    raise RuntimeError("injected fault")
+
+
+def _injected_kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# fault -> (what the job does, the failure it must raise)
+FAULTS = {
+    "raise": (_injected_raise, r"worker 0 failed:(?s:.*)RuntimeError: injected fault"),
+    "exit": (lambda: os._exit(3), "worker 0 died with exit code 3"),
+    "kill": (_injected_kill, "worker 0 died with exit code -9"),
+}
+
+
+def _faulty(executor, kind, fault):
+    """`executor`, whose jobs of `kind` call fault() first."""
+
+    def run(ctx, job, env):
+        if job[0] == kind:
+            fault()
+        executor(ctx, job, env)
+
+    return run
+
+
+def _patch_faulty(monkeypatch, kind, fault, workers_only):
+    """Make the executor of `kind`'s jobs faulty for every parallel sorter."""
+    target = "_merge_executor" if kind == "merge" else "_phased_executor"
+    executor = _faulty(getattr(parallel, target), kind, fault)
+    if workers_only:
+        executor = _run_kind_in(executor, kind)
+    monkeypatch.setattr(parallel, target, executor)
+
+
+class TestCoordinatorParticipates:
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("algo, kind", JOB_KINDS)
+    def test_worker_fault_names_its_cause(self, monkeypatch, algo, kind, fault):
+        # the coordinator hands the faulty kind on, so the forked worker runs it
+        action, match = FAULTS[fault]
+        _patch_faulty(monkeypatch, kind, action, workers_only=True)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure, match=match):
+            SORTERS[algo](random_set(20_000), p=2)
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
+    @pytest.mark.parametrize("algo, kind", JOB_KINDS)
+    def test_coordinator_fault_names_the_coordinator(self, monkeypatch, algo, kind):
+        # at p = 1 the coordinator is the only participant and runs every job
+        _patch_faulty(monkeypatch, kind, _injected_raise, workers_only=False)
+        match = r"coordinator failed:(?s:.*)RuntimeError: injected fault"
+        with pytest.raises(WorkerFailure, match=match):
+            SORTERS[algo](random_set(20_000), p=1)
+
+    def test_coordinator_fault_terminates_a_busy_worker(self):
+        # "sleep" runs only in the worker and "boom" only in the coordinator
+        def run(ctx, job, env):
+            if job[0] == "boom":
+                raise ValueError("coordinator job exploded")
+            time.sleep(20)
+
+        executor = _run_kind_in(_run_kind_in(run, "boom", worker=False), "sleep")
+        t0 = time.monotonic()
+        match = r"coordinator failed:(?s:.*)coordinator job exploded"
+        with pytest.raises(WorkerFailure, match=match):
+            with WorkPool(2, executor, None) as pool:
+                pool.submit(("sleep",))
+                pool.submit(("boom",))
+                pool.wait_idle()
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
+    def test_busy_worker_shares_with_the_idle_coordinator(self, monkeypatch):
+        # the worker sorts the one root batch; the waiting coordinator counts
+        # as idle, so the worker's share hook donates to it
+        monkeypatch.setattr(ssss, "T_MEDIUM", 2048)
+        s = random_set(60_000, seed=13)
+        shared = _s5_shared(s, want_lcps=False, seed=1)
+        ran_here = []  # the coordinator's list: workers append to their own copies
+
+        def run(sh, job, env):
+            if job[0] == "root":
+                job = ("batch", job[1])
+            else:
+                ran_here.append(job[0])
+            _phased_executor(sh, job, env)
+
+        with WorkPool(2, _run_kind_in(run, "root"), shared) as pool:
+            pool.submit(("root", [(0, len(s), 0)]))
+            pool.wait_idle()
+        assert "batch" in ran_here
+        assert pool.stats.share_events >= 1
+        assert verify(s, s.with_handles(shared.cur.copy())).ok
+
+    @pytest.mark.parametrize("p, forks", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("algo", SORTERS)
+    def test_forks_p_minus_one_workers(self, monkeypatch, algo, p, forks):
+        process = mp.get_context("fork").Process
+        start, started = process.start, []
+        monkeypatch.setattr(process, "start", lambda proc: started.append(proc) or start(proc))
+        s = random_set(5000, seed=41)
+        out = SORTERS[algo](s, p=p)
+        assert len(started) == forks
+        assert ref_strings(out) == ref_sorted_strings(s)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("workload", ["random", "url", "suffix"])
+    def test_same_output_and_counters_as_forked_workers(self, monkeypatch, workload, p):
+        # the reference pool forks p workers and its coordinator only waits
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import corpora
+
+        s = corpora.make(workload, 1, 30_000)
+        results = []
+        for pool in (WorkPool, _ForkedPool):
+            monkeypatch.setattr(parallel, "WorkPool", pool)
+            runs = {}
+            for algo, sort in SORTERS.items():
+                stats = SortStats()
+                lcps = {"want_lcps": True} if algo in ("ps5", "pmergesort") else {}
+                out = sort(s, p=p, stats=stats, **lcps)
+                runs[algo] = (
+                    out.set.handles.tolist() if lcps else out.handles.tolist(),
+                    out.lcps.tolist() if lcps else None,
+                    (stats.char_cmps, stats.word_fetches, stats.merge_buffer_cmps),
+                )
+            results.append(runs)
+        assert results[0] == results[1]
