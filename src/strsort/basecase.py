@@ -130,8 +130,7 @@ def distribute(seg: np.ndarray, keys: np.ndarray, k: int, *extra: np.ndarray) ->
     bucket bounds: bucket b occupies seg[bounds[b]:bounds[b + 1]].
 
     Each extra array, as long as seg, moves with it.  When one bucket holds
-    every key, nothing moves.  radix8_items, ssss.s5_step and the
-    coordinator of parallel.phased_step call it.
+    every key, nothing moves.
     """
     sizes = np.bincount(keys, minlength=k)
     if np.count_nonzero(sizes) > 1:
@@ -141,6 +140,30 @@ def distribute(seg: np.ndarray, keys: np.ndarray, k: int, *extra: np.ndarray) ->
     bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
     return bounds
+
+
+@dataclass
+class SortContext:
+    """The arrays of one sort, whose steps and leaves sort ranges of cur in
+    place; a sorter that caches words keeps string cur[i]'s in cache[i]."""
+
+    sset: StringSet
+    cur: np.ndarray
+    cache: np.ndarray | None = None
+    lcps: np.ndarray | None = None
+    stats: SortStats = field(default_factory=SortStats)
+
+
+def local_classifier(buckets, ctx: SortContext):
+    """A step's in-process classify(lo, hi, k, arg) -> (bounds, [summary]):
+    distribute ctx.cur[lo:hi] by the buckets below k of the sorter's bucket
+    function, buckets(ctx, lo, hi, arg) -> (buckets, summary)."""
+
+    def classify(lo: int, hi: int, k: int, arg):
+        oracle, summary = buckets(ctx, lo, hi, arg)
+        return distribute(ctx.cur[lo:hi], oracle, k), [summary]
+
+    return classify
 
 
 def range_rows(lo, hi, depth) -> np.ndarray:
@@ -275,11 +298,10 @@ class LeafCollector:
                 self.flush()
         return True
 
-    def take_many(self, lo: np.ndarray, hi: np.ndarray, depth) -> np.ndarray:
-        """Keep the leaves among the ranges (lo[i], hi[i], depth[i]), flushing
-        where take() would; return the others, of at least LEAF_THRESHOLD
-        strings, as (m, 3) rows.  depth is one int or one depth per range."""
-        rows = range_rows(lo, hi, depth)
+    def take_many(self, rows: np.ndarray) -> np.ndarray:
+        """Keep the leaves among the (m, 3) int64 rows (lo, hi, depth),
+        flushing where take() would; return the others, of at least
+        LEAF_THRESHOLD strings."""
         sizes = rows[:, 1] - rows[:, 0]
         big = sizes >= LEAF_THRESHOLD
         leaf = ~big & (sizes > 1)

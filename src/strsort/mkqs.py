@@ -4,15 +4,17 @@ The plain variant partitions on one character per level.  The caching
 variant keeps the next word of every string alongside its handle and
 partitions on whole words, so each string's characters are fetched from the
 buffer at most once per word: total random accesses stay within
-floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Both
-collect their small ranges and sort them together with basecase.word_leaves.
+floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Its one step,
+mkqs_step, partitions with partition_classifier in mkqs_cached_items and
+on the pool in parallel.phased_sort.  Both variants collect their small
+ranges and sort them together with basecase.word_leaves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basecase import LeafCollector, SortedWithLcp, word_leaves
+from .basecase import LeafCollector, SortContext, SortedWithLcp, word_leaves
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
 
@@ -96,6 +98,64 @@ def mkqs_cached_range(
     mkqs_cached_items(sset, work_h, work_c, [(lo, hi, depth)], lcps, stats)
 
 
+def mkqs_buckets(ctx: SortContext, lo: int, hi: int, pivot):
+    """The bucket function of a step: 0, 1 or 2 as the cached word of each
+    string of ctx.cur[lo:hi] is less than, equal to or greater than the
+    np.uint64 pivot."""
+    keys = ctx.cache[lo:hi]
+    return (keys >= pivot).astype(np.uint16) + (keys > pivot), None
+
+
+def partition_classifier(ctx: SortContext):
+    """A step's in-process classify(lo, hi, 3, pivot): three flatnonzero passes
+    over the cached words, which move with their handles; no bucket array."""
+
+    def classify(lo: int, hi: int, k: int, pivot):
+        seg_c = ctx.cache[lo:hi]
+        lt = np.flatnonzero(seg_c < pivot)
+        eq = np.flatnonzero(seg_c == pivot)
+        gt = np.flatnonzero(seg_c > pivot)
+        order = np.concatenate([lt, eq, gt])
+        ctx.cur[lo:hi] = ctx.cur[lo:hi][order]
+        ctx.cache[lo:hi] = seg_c[order]
+        return (0, len(lt), len(lt) + len(eq), hi - lo), [None]
+
+    return classify
+
+
+def mkqs_step(ctx: SortContext, lo: int, hi: int, depth: int, classify) -> list:
+    """One ternary step over ctx.cur[lo:hi], whose cached words are at depth,
+    around the median-of-3 pivot word; returns the parts left to sort as
+    (lo, hi, depth) tuples, greater first.  The equal part ends when the
+    pivot holds the terminator and otherwise recurses a word deeper.  With
+    ctx.lcps set, the LCPs the step settles are written too."""
+    words = ctx.cache
+    pv = np.uint64(_median3(words[lo], words[lo + (hi - lo) // 2], words[hi - 1]))
+    bounds, _ = classify(lo, hi, 3, pv)
+    b1, b2 = lo + int(bounds[1]), lo + int(bounds[2])
+    if ctx.lcps is not None:
+        # boundary LCPs from the words alone: the last sorted string of a
+        # part carries its max word, the first its min word
+        if b1 > lo:
+            ctx.lcps[b1] = depth + shared_chars(words[lo:b1].max(), pv)
+        if b2 < hi:
+            ctx.lcps[b2] = depth + shared_chars(pv, words[b2:hi].min())
+    rows = [(b2, hi, depth)] if hi - b2 > 1 else []
+    if b2 - b1 > 1:
+        term = int(first_zero_byte(pv))
+        if term < WORD_CHARS:
+            # equal through the terminator: the whole part is one string value
+            if ctx.lcps is not None:
+                ctx.lcps[b1 + 1 : b2] = depth + term
+        else:
+            words[b1:b2] = extract_keys(ctx.sset, ctx.cur[b1:b2], depth + WORD_CHARS)
+            ctx.stats.word_fetches += b2 - b1
+            rows.append((b1, b2, depth + WORD_CHARS))
+    if b1 - lo > 1:
+        rows.append((lo, b1, depth))
+    return rows
+
+
 def mkqs_cached_items(
     sset: StringSet,
     work_h: np.ndarray,
@@ -110,8 +170,10 @@ def mkqs_cached_items(
 
     Ranges below LEAF_THRESHOLD are collected and sorted with word_leaves
     when the loop ends, also when the share hook empties the stack: donated
-    ranges never overlap the collected leaves.
+    ranges never overlap the collected leaves.  The others take mkqs_step.
     """
+    ctx = SortContext(sset, work_h, work_c, lcps, stats)
+    classify = partition_classifier(ctx)
     leaves = LeafCollector(sset, work_h, work_c, lcps, stats, word_leaves)
     stack = np.asarray(items, dtype=np.int64).reshape(-1, 3).tolist()
     while stack:
@@ -120,43 +182,8 @@ def mkqs_cached_items(
             if not stack:
                 break
         lo, hi, d = stack.pop()
-        if leaves.take(lo, hi, d):
-            continue
-        n = hi - lo
-        seg_h = work_h[lo:hi]
-        seg_c = work_c[lo:hi]
-        piv = _median3(seg_c[0], seg_c[n // 2], seg_c[n - 1])
-        pv = np.uint64(piv)
-        lt = np.flatnonzero(seg_c < pv)
-        eq = np.flatnonzero(seg_c == pv)
-        gt = np.flatnonzero(seg_c > pv)
-        order = np.concatenate([lt, eq, gt])
-        work_h[lo:hi] = seg_h[order]
-        work_c[lo:hi] = seg_c[order]
-        b1 = lo + len(lt)
-        b2 = b1 + len(eq)
-        if lcps is not None:
-            # boundary LCPs from the words alone: the last sorted string of a
-            # partition carries its max word, the first its min word
-            if len(lt):
-                lcps[b1] = d + shared_chars(work_c[lo:b1].max(), pv)
-            if len(gt):
-                lcps[b2] = d + shared_chars(pv, work_c[b2:hi].min())
-        if len(gt) > 1:
-            stack.append((b2, hi, d))
-        if len(eq) > 1:
-            term = int(first_zero_byte(pv))
-            if term < WORD_CHARS:
-                # equal through the terminator: the whole group is one string value
-                if lcps is not None:
-                    lcps[b1 + 1 : b2] = d + term
-            else:
-                nd = d + WORD_CHARS
-                work_c[b1:b2] = extract_keys(sset, work_h[b1:b2], nd)
-                stats.word_fetches += len(eq)
-                stack.append((b1, b2, nd))
-        if len(lt) > 1:
-            stack.append((lo, b1, d))
+        if not leaves.take(lo, hi, d):
+            stack += mkqs_step(ctx, lo, hi, d, classify)
     leaves.flush()
 
 

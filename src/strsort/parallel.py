@@ -13,19 +13,19 @@ progress: the coordinator sleeps until a reply or a job arrives, the worker
 that finishes the last outstanding job sends a "quiet" reply, and shutdown
 puts one None sentinel per worker on the job queue.
 
-Parallel sample sort, radix sort and caching multikey quicksort share one
-phased distribution engine.  A step over cur[lo:hi] cuts the range into p
-shards, and each shard's classify job computes one bucket per string with
-the sorter's bucket function (classified word keys, radix digits, or the
-word's side of a pivot word), stores it in a shared uint16 oracle and
-replies.  That is the step's one pool round trip: the coordinator then
-stably sorts cur[lo:hi] by the oracle with basecase.distribute, the
-in-place radix argsort of the sequential steps, and moves pmkqs's cached
-words with their handles; a step whose strings all land in one bucket
-moves nothing.  So every step ends with its range in cur, and its
-subproblems go on as one (m, 3) int64 array of (lo, hi, depth) rows.  The
-coordinator runs such steps on every subproblem of at least n/p strings
-and feeds the smaller ones to the pool as batch jobs, which sort
+Parallel sample sort, radix sort and caching multikey quicksort run the
+sequential sorters' own steps on one phased distribution engine; this
+module holds no step.  A step's classify is phased_step, which cuts
+cur[lo:hi] into p shards.  Each shard's classify job computes one bucket
+per string with the sorter module's bucket function (classified word keys,
+radix digits, or the word's side of a pivot word), stores it in a shared
+uint16 oracle and replies.  That is the step's one pool round trip: the
+coordinator then stably sorts cur[lo:hi] by the oracle with
+basecase.distribute and moves pmkqs's cached words with their handles; a
+step whose strings all land in one bucket moves nothing.  So every step
+ends with its range in cur, and its subproblems go on as (lo, hi, depth)
+rows.  The coordinator runs such steps on every subproblem of at least n/p
+strings and feeds the smaller ones to the pool as batch jobs, which sort
 sequentially and share when a participant idles.  Steps and batch sorts
 are all stable, so equal strings keep their input order.
 
@@ -39,6 +39,7 @@ pool.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import multiprocessing as mp
 import os
@@ -51,23 +52,15 @@ from multiprocessing.connection import wait as mp_wait
 import numpy as np
 
 from . import basecase
-from .basecase import SortedWithLcp, distribute, range_rows
+from .basecase import SortContext, SortedWithLcp, distribute
 from .counters import SortStats
 from .lcpmerge import LcpRuns, pack_merge_jobs, run_merge_job, split_merge_jobs
-from .mkqs import _median3, mkqs_cached_items
-from .radix import bucket_spans, digit_width, radix8_items, skip_shared, step_digits
-from .ssss import (
-    S5Context,
-    bucket_word_range,
-    classify_keys,
-    finish_buckets,
-    s5_sort_items,
-    step_tree,
-    write_boundary_lcps,
-)
-from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte
+from .mkqs import mkqs_buckets, mkqs_cached_items, mkqs_step
+from .radix import RadixContext, radix8_items, radix_buckets, radix_step
+from .ssss import S5Context, s5_buckets, s5_sort_items, s5_step
+from .strset import LCP_UNDEF, StringSet, extract_keys
 
-POLL_S = 0.1  # how often a wait with no reply checks the workers' exit codes
+POLL_S = 0.1  # how often a wait with no reply, or a coordinator's job, checks the workers' exit codes
 LOCK_WAIT_S = 0.001  # longest wait for the job queue's read lock when a job is ready
 SHUTDOWN_S = 5.0  # longest wait for the workers' final stats
 
@@ -105,6 +98,8 @@ class _Env:
     idle: object
     fail: object
     stats: SortStats
+    check: object = None  # the coordinator's: raises WorkerFailure once a worker died
+    checked: float = 0.0  # when check last ran
 
     def enqueue(self, job) -> None:
         with self.outstanding.get_lock():
@@ -113,6 +108,12 @@ class _Env:
         self.jobs.put(job)
 
     def idle_workers(self) -> int:
+        """The idle participants; in the coordinator's job, also at most one
+        check of the workers' exit codes per POLL_S, so a long job does not
+        hide a dead worker."""
+        if self.check is not None and time.monotonic() - self.checked >= POLL_S:
+            self.checked = time.monotonic()
+            self.check()
         return self.idle.value
 
     def record_share(self) -> None:
@@ -186,7 +187,7 @@ class WorkPool:
         self.stats = SortStats()
         # the coordinator's own jobs reply in process and charge the pool's stats
         self._env = _Env(self.jobs, queue_mod.SimpleQueue(), self.outstanding, self.idle, self.fail,
-                         self.stats)
+                         self.stats, self._check_workers)
         self._stats_seen = 0
         self._closed = False
         self._aborting = False
@@ -224,7 +225,8 @@ class WorkPool:
         error.  Until the pool closes, a working coordinator takes queued
         jobs and counts itself idle while it finds none.  It sleeps until a
         reply or a job arrives, and checks the workers' exit codes after
-        every job it runs and every wait that reads no reply.
+        every job it runs and every wait that reads no reply; a job it runs
+        checks them through idle_workers().
         """
         phases = []
         working = self._coordinator_works and not self._closed
@@ -279,6 +281,8 @@ class WorkPool:
         """Run a queued job in the coordinator."""
         try:
             self.executor(self.ctx, job, self._env)
+        except WorkerFailure:
+            raise  # a dead worker, found while the job polled
         except Exception:
             raise WorkerFailure(f"coordinator failed:\n{traceback.format_exc()}") from None
         self.stats.jobs_executed += 1
@@ -398,28 +402,30 @@ def feed_batches(pool: WorkPool, rows: np.ndarray) -> None:
 class _Phased:
     """State of one phased sorter, shared with its forked workers."""
 
-    sset: StringSet
-    cur: np.ndarray  # handles; every step and batch leaves its range here
+    ctx: SortContext  # the sorter's context over shared arrays: steps and batches sort cur
     oracle: np.ndarray  # uint16 bucket of every position: classify jobs write, distribute reads
-    buckets: object  # (shared, lo, hi, arg) -> (bucket per string of cur[lo:hi], summary)
-    batch: object  # (shared, rows, env): sort (lo, hi, depth) rows of cur
-    s5: S5Context | None = None
-    cache: np.ndarray | None = None  # pmkqs: each position's word at its range's depth
+    buckets: object  # the sorter's bucket function: (ctx, lo, hi, arg) -> (buckets, summary)
+    batch: object  # (ctx, rows, share): the sorter's driver over (lo, hi, depth) rows of cur
+    extra: tuple = ()  # arrays that a step moves with cur: pmkqs's cache
 
     @classmethod
-    def create(cls, sset: StringSet, buckets, batch) -> "_Phased":
-        cur = shared_array(len(sset), np.int64)
-        cur[:] = sset.handles
-        return cls(sset, cur, shared_array(len(sset), np.uint16), buckets, batch)
+    def create(cls, ctx: SortContext, buckets, batch, extra=()) -> "_Phased":
+        return cls(ctx, shared_array(len(ctx.cur), np.uint16), buckets, batch, extra)
+
+
+def _shared_copy(arr: np.ndarray) -> np.ndarray:
+    out = shared_array(len(arr), arr.dtype)
+    out[:] = arr
+    return out
 
 
 def _phased_executor(sh: _Phased, job, env: _Env) -> None:
     kind = job[0]
     if kind == "batch":
-        sh.batch(sh, job[1], env)
+        sh.batch(dataclasses.replace(sh.ctx, stats=env.stats), job[1], make_share_hook(env))
     elif kind == "classify":
         _, lo, hi, arg = job
-        buckets, summary = sh.buckets(sh, lo, hi, arg)
+        buckets, summary = sh.buckets(sh.ctx, lo, hi, arg)
         sh.oracle[lo:hi] = buckets
         env.replies.put(("phase", (lo, summary)))
     else:
@@ -432,25 +438,25 @@ def phased_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, k: int, arg):
     `arg` goes to the bucket function.  Returns (bounds, summaries): bucket
     b then occupies cur[lo + bounds[b]:lo + bounds[b + 1]], and summaries
     holds the bucket function's second result per shard, in shard order.
+    Bound to a pool and a sorter, this is the classify of the sorter's step.
     """
     cuts = np.linspace(lo, hi, pool.p + 1).astype(np.int64)
     shards = [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
     for slo, shi in shards:
         pool.submit(("classify", slo, shi, arg))
     parts = sorted(pool.wait_phase(len(shards)), key=lambda part: part[0])
-    extra = () if sh.cache is None else (sh.cache[lo:hi],)
-    bounds = distribute(sh.cur[lo:hi], sh.oracle[lo:hi], k, *extra)
+    bounds = distribute(sh.ctx.cur[lo:hi], sh.oracle[lo:hi], k, *(a[lo:hi] for a in sh.extra))
     return bounds, [part[1] for part in parts]
 
 
-def phased_sort(pool: WorkPool, roots, step) -> None:
+def phased_sort(pool: WorkPool, sh: _Phased, step, roots) -> None:
     """Sort the (lo, hi, depth) roots of cur on the pool's p participants,
-    the coordinator and p - 1 forked workers: phased steps on subproblems
-    of at least total/p strings, then the smaller ones as batch jobs.
-
-    step(lo, hi, depth) runs one phased step, settles its finished buckets
-    and returns the others as (m, 3) rows.
-    """
+    the coordinator and p - 1 forked workers: the sorter module's
+    step(ctx, lo, hi, depth, classify), with phased_step as classify and
+    the pool's stats, on subproblems of at least total/p strings, then the
+    smaller ones as batch jobs."""
+    ctx = dataclasses.replace(sh.ctx, stats=pool.stats)
+    classify = functools.partial(phased_step, pool, sh)
     roots = np.asarray(roots, dtype=np.int64).reshape(-1, 3)
     threshold = max(-(-int((roots[:, 1] - roots[:, 0]).sum()) // pool.p), basecase.LEAF_THRESHOLD)
     pending, small = [roots], []
@@ -458,53 +464,25 @@ def phased_sort(pool: WorkPool, roots, step) -> None:
         rows = pending.pop()
         big = rows[:, 1] - rows[:, 0] >= threshold
         small.append(rows[~big])
-        pending += [step(*row) for row in rows[big].tolist()]
+        pending += [
+            np.asarray(step(ctx, *row, classify), dtype=np.int64).reshape(-1, 3)
+            for row in rows[big].tolist()
+        ]
     feed_batches(pool, np.concatenate(small))
 
 
 # ---------------------------------------------------------------------------
-# parallel super scalar string sample sort
-
-
-def _s5_buckets(sh: _Phased, lo: int, hi: int, arg):
-    depth, tree = arg
-    keys = extract_keys(sh.sset, sh.cur[lo:hi], depth)
-    oracle = classify_keys(keys, tree)
-    if sh.s5.lcps is None:
-        return oracle, None
-    return oracle, bucket_word_range(oracle, keys, tree.num_buckets)
-
-
-def _s5_batch(sh: _Phased, rows, env: _Env) -> None:
-    ctx = dataclasses.replace(sh.s5, stats=env.stats)
-    s5_sort_items(ctx, rows, share=make_share_hook(env))
+# the parallel sorters: each module's step and bucket function, on shared arrays
 
 
 def _s5_shared(sset: StringSet, want_lcps: bool, seed: int) -> _Phased:
     n = len(sset)
-    sh = _Phased.create(sset, _s5_buckets, _s5_batch)
     lcps = None
     if want_lcps:
         lcps = shared_array(n, np.int64)
         lcps.fill(LCP_UNDEF)
-    sh.s5 = S5Context(sset, sh.cur, shared_array(n, np.uint64), lcps, SortStats(), seed, "unroll")
-    return sh
-
-
-def _s5_step(pool: WorkPool, sh: _Phased, lo: int, hi: int, depth: int) -> np.ndarray:
-    """One phased sample-sort step; returns the buckets left to sort as (m, 3) rows."""
-    ctx = sh.s5
-    tree = step_tree(ctx, lo, hi, depth, pool.stats)  # charges the classify jobs' keys too
-    # classify jobs pickle only what classify_keys(..., "unroll") reads
-    search = dataclasses.replace(
-        tree, node_to_inorder=None, slcp=None, eq_final=None, eq_leftmost=None, term_pos=None
-    )
-    bounds, ranges = phased_step(pool, sh, lo, hi, tree.num_buckets, (depth, search))
-    if ctx.lcps is not None:
-        mins = np.min([r[0] for r in ranges], axis=0)
-        maxs = np.max([r[1] for r in ranges], axis=0)
-        write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
-    return finish_buckets(ctx, tree, bounds, lo, depth)
+    cur, cache = _shared_copy(sset.handles), shared_array(n, np.uint64)
+    return _Phased.create(S5Context(sset, cur, cache, lcps, SortStats(), seed), s5_buckets, s5_sort_items)
 
 
 def parallel_s5(
@@ -519,28 +497,22 @@ def parallel_s5(
     p = default_workers() if p is None else max(1, p)
     sh = _s5_shared(sset, want_lcps, seed)
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, [(0, len(sset), 0)], lambda *item: _s5_step(pool, sh, *item))
+        phased_sort(pool, sh, s5_step, [(0, len(sset), 0)])
     if stats is not None:
         stats.add(pool.stats)
-    out = sset.with_handles(sh.cur.copy())
+    out = sset.with_handles(sh.ctx.cur.copy())
     if not want_lcps:
         return out
-    return SortedWithLcp(out, sh.s5.lcps.copy(), pool.stats)  # entry 0 is never written
+    return SortedWithLcp(out, sh.ctx.lcps.copy(), pool.stats)  # entry 0 is never written
 
 
-# ---------------------------------------------------------------------------
-# parallel radix sort
+def _radix_batch(ctx: RadixContext, rows, share) -> None:
+    """radix16_adaptive's loop over (lo, hi, depth) rows."""
+    radix8_items(ctx.sset, ctx.cur, rows, share, wide=True)
 
 
-def _radix_buckets(sh: _Phased, lo: int, hi: int, arg):
-    depth, width = arg
-    return step_digits(sh.sset, sh.cur, lo, hi, depth, width), None
-
-
-def _radix_batch(sh: _Phased, rows, env: _Env) -> None:
-    """radix16_adaptive's loop over the (lo, hi, depth) rows: an (m, 3)
-    array from the coordinator or the stack items a participant donated."""
-    radix8_items(sh.sset, sh.cur, rows, make_share_hook(env), wide=True)
+def _radix_shared(sset: StringSet) -> _Phased:
+    return _Phased.create(RadixContext(sset, _shared_copy(sset.handles), wide=True), radix_buckets, _radix_batch)
 
 
 def parallel_radix(
@@ -548,53 +520,29 @@ def parallel_radix(
     p: int | None = None,
     stats: SortStats | None = None,
 ) -> StringSet:
-    """MSD radix sort whose large steps read their digits on the pool.
-
-    Large subproblems run phased 16- or 8-bit steps: classify jobs read
-    the digits on the pool and the coordinator distributes the strings by
-    them.  Smaller ones flow into the queue as batch jobs of
-    radix16_adaptive's in-place loop, radix8_items with wide=True, with
-    voluntary sharing.  bucket_spans decides which buckets recurse.  Every step is stable, so
-    the handles equal radix16_adaptive's.  A range whose first and last
-    strings share the step's digit first lets skip_shared move it past its
-    shared prefix or finish equal strings, so no step has one bucket.
-    """
+    """MSD radix sort whose large 16- or 8-bit steps read their digits on
+    the pool.  Smaller subproblems run as batch jobs of radix16_adaptive's
+    loop with voluntary sharing.  Every step is stable, so the handles
+    equal radix16_adaptive's."""
     p = default_workers() if p is None else max(1, p)
-    if len(sset) == 0:
-        return sset.with_handles(sset.handles.copy())
-    sh = _Phased.create(sset, _radix_buckets, _radix_batch)
-
-    def step(lo: int, hi: int, depth: int) -> np.ndarray:
-        width = digit_width(hi - lo)
-        first, last = step_digits(sset, sh.cur[[lo, hi - 1]], 0, 2, depth, width)
-        if first == last and (depth := skip_shared(sset, sh.cur[lo:hi], depth)) is None:
-            return np.empty((0, 3), dtype=np.int64)  # equal strings, in input order
-        bounds, _ = phased_step(pool, sh, lo, hi, 1 << width, (depth, width))
-        starts, ends, recurse = bucket_spans(bounds, lo)
-        return range_rows(starts[recurse], ends[recurse], depth + width // 8)
-
+    sh = _radix_shared(sset)
     with WorkPool(p, _phased_executor, sh) as pool:
-        phased_sort(pool, [(0, len(sset), 0)], step)
+        phased_sort(pool, sh, radix_step, [(0, len(sset), 0)])
     if stats is not None:
         stats.add(pool.stats)
-    return sset.with_handles(sh.cur.copy())
+    return sset.with_handles(sh.ctx.cur.copy())
 
 
-# ---------------------------------------------------------------------------
-# parallel caching multikey quicksort
+def _mkqs_batch(ctx: SortContext, rows, share) -> None:
+    """Caching mkqs of (lo, hi, depth) rows on the words the steps left in the cache."""
+    mkqs_cached_items(ctx.sset, ctx.cur, ctx.cache, rows, ctx.lcps, ctx.stats, share)
 
 
-def _mkqs_buckets(sh: _Phased, lo: int, hi: int, arg):
-    keys = sh.cache[lo:hi]
-    pv = np.uint64(arg)
-    return (keys >= pv).astype(np.uint16) + (keys > pv), None  # 0 less, 1 equal, 2 greater
-
-
-def _mkqs_batch(sh: _Phased, rows, env: _Env) -> None:
-    """Caching mkqs of the (lo, hi, depth) rows, whose words the steps left
-    in the cache: an (m, 3) array from the coordinator or the stack items a
-    participant donated."""
-    mkqs_cached_items(sh.sset, sh.cur, sh.cache, rows, None, env.stats, make_share_hook(env))
+def _mkqs_shared(sset: StringSet) -> _Phased:
+    """Each string's word at depth 0 rides along with its handle."""
+    cache = _shared_copy(extract_keys(sset, sset.handles, 0))
+    ctx = SortContext(sset, _shared_copy(sset.handles), cache)
+    return _Phased.create(ctx, mkqs_buckets, _mkqs_batch, (cache,))
 
 
 def parallel_mkqs(
@@ -604,45 +552,19 @@ def parallel_mkqs(
 ) -> StringSet:
     """Caching multikey quicksort whose large ternary steps classify on the pool.
 
-    Every string's word at the current depth rides along with its handle:
-    the coordinator fetches the words once; a phased step's classify jobs
-    put each string into the less, equal or greater bucket of the
-    median-of-3 pivot word, and the coordinator's distribute moves the
-    words with the handles.  The equal bucket is settled when the pivot
-    word holds the terminator and otherwise recurses a word deeper, after
-    the coordinator fetches its next words.  Smaller subproblems run as
-    batched caching-mkqs jobs with voluntary sharing.  Handles and word
-    fetches match mkqs_cached.
+    Each string's word at its range's depth rides along with its handle,
+    so handles and word fetches match mkqs_cached.  Smaller subproblems run
+    as batched caching-mkqs jobs with voluntary sharing.
     """
     p = default_workers() if p is None else max(1, p)
     n = len(sset)
-    sh = _Phased.create(sset, _mkqs_buckets, _mkqs_batch)
-    sh.cache = shared_array(n, np.uint64)
-    sh.cache[:] = extract_keys(sset, sset.handles, 0)
-
-    def step(lo: int, hi: int, depth: int) -> np.ndarray:
-        words = sh.cache
-        pivot = _median3(words[lo], words[lo + (hi - lo) // 2], words[hi - 1])
-        bounds, _ = phased_step(pool, sh, lo, hi, 3, pivot)
-        equal_done = first_zero_byte(np.uint64(pivot)) < WORD_CHARS  # equal strings end within the word
-        children = []
-        for b in np.flatnonzero(np.diff(bounds)):
-            clo, chi = lo + int(bounds[b]), lo + int(bounds[b + 1])
-            if chi - clo > 1 and not (b == 1 and equal_done):
-                child_depth = depth
-                if b == 1:
-                    child_depth += WORD_CHARS
-                    words[clo:chi] = extract_keys(sset, sh.cur[clo:chi], child_depth)
-                    pool.stats.word_fetches += chi - clo
-                children.append((clo, chi, child_depth))
-        return np.array(children, dtype=np.int64).reshape(-1, 3)
-
+    sh = _mkqs_shared(sset)
     with WorkPool(p, _phased_executor, sh) as pool:
         pool.stats.word_fetches += n
-        phased_sort(pool, [(0, n, 0)], step)
+        phased_sort(pool, sh, mkqs_step, [(0, n, 0)])
     if stats is not None:
         stats.add(pool.stats)
-    return sset.with_handles(sh.cur.copy())
+    return sset.with_handles(sh.ctx.cur.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +645,11 @@ def partitioned_merge_sort(
     cuts = np.concatenate(([0], np.searchsorted(cum, total * np.arange(1, K) / K), [n]))
     # everything the merge jobs read is allocated before the pool forks
     sh = _s5_shared(sset, True, seed)
-    runs = LcpRuns(sset, sh.cur, sh.s5.lcps, cuts)
+    runs = LcpRuns(sset, sh.ctx.cur, sh.ctx.lcps, cuts)
     merge = _MergeShared(runs, shared_array(n, np.int64), shared_array(n, np.int64))
     with WorkPool(p, _pmerge_executor, (sh, merge)) as pool:
         roots = [(lo, hi, 0) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()) if lo < hi]
-        phased_sort(pool, roots, lambda *item: _s5_step(pool, sh, *item))
+        phased_sort(pool, sh, s5_step, roots)
         offset = 0
         for job in split_merge_jobs(runs, 8 * p):
             pool.submit(("merge", job, offset))

@@ -1,23 +1,26 @@
 """MSD radix sort: one in-place loop with 16-bit or 8-bit digits.
 
-Every step stably sorts its range in place on the handle array with
-basecase.distribute, one numpy argsort of the digits and one bincount,
-so equal strings keep their input order.  A step whose digits are all
-equal either ends equal strings or first lets skip_shared move its depth
-a word at a time past the prefix the range shares.  radix8 takes 8-bit
-steps everywhere; radix16 takes the digit_width of each range, 16-bit
-steps on ranges of at least RADIX16_THRESHOLD strings and 8-bit steps on
-smaller ones (Kärkkäinen and Rantala, SPIRE 2008).  bucket_spans decides
-which buckets recurse.  Each step hands them all to the sort's one
-LeafCollector at once, which keeps the leaves, sorts them together with
-basecase.word_leaves, and returns the larger buckets.
+radix_step is the one step, run in process by radix8_items and on the pool
+by parallel.phased_sort.  It stably sorts its range in place by the
+strings' digits, so equal strings keep their input order.  A range whose
+first and last strings share the step's digit first lets skip_shared move
+its depth a word at a time past the prefix the range shares, or ends it
+when its strings are equal.  radix8 takes 8-bit steps everywhere; radix16
+takes the digit_width of each range, 16-bit steps on ranges of at least
+RADIX16_THRESHOLD strings and 8-bit steps on smaller ones (Kärkkäinen and
+Rantala, SPIRE 2008).  bucket_spans decides which buckets recurse.  Each
+step hands them all to the sort's one LeafCollector at once, which keeps
+the leaves, sorts them together with basecase.word_leaves, and returns the
+larger buckets.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .basecase import LeafCollector, distribute, word_leaves
+from .basecase import LeafCollector, SortContext, local_classifier, range_rows, word_leaves
 from .counters import SortStats
 from .strset import WORD_CHARS, StringSet, first_diff_byte, first_zero_byte
 
@@ -78,6 +81,35 @@ def bucket_spans(bounds: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, n
     return starts, ends, ((digits & 0xFF) != 0) & (ends - starts > 1)
 
 
+@dataclass
+class RadixContext(SortContext):
+    """A radix sort's arrays; wide steps take digit_width(hi - lo) bits, others 8."""
+
+    wide: bool = False
+
+
+def radix_buckets(ctx: RadixContext, lo: int, hi: int, arg):
+    """Each string's bucket for arg = (depth, width): its digit there."""
+    depth, width = arg
+    return step_digits(ctx.sset, ctx.cur, lo, hi, depth, width), None
+
+
+def radix_step(ctx: RadixContext, lo: int, hi: int, depth: int, classify) -> np.ndarray:
+    """One MSD radix step over ctx.cur[lo:hi]; returns the buckets left to
+    sort as (m, 3) rows.  When the range's first and last strings share the
+    step's digit, skip_shared first moves its depth past the prefix all its
+    strings share, or ends equal strings, so no step has one bucket;
+    classify(lo, hi, 2^width, (depth, width)) then sorts the range by
+    radix_buckets."""
+    width = digit_width(hi - lo) if ctx.wide else 8
+    first, last = step_digits(ctx.sset, ctx.cur[[lo, hi - 1]], 0, 2, depth, width)
+    if first == last and (depth := skip_shared(ctx.sset, ctx.cur[lo:hi], depth)) is None:
+        return np.empty((0, 3), dtype=np.int64)  # equal strings, in input order
+    bounds, _ = classify(lo, hi, 1 << width, (depth, width))
+    starts, ends, recurse = bucket_spans(bounds, lo)
+    return range_rows(starts[recurse], ends[recurse], depth + width // 8)
+
+
 def radix8_range(sset: StringSet, work: np.ndarray, lo: int, hi: int, depth: int) -> None:
     """In-place 8-bit MSD radix sort of work[lo:hi] sharing a `depth` prefix."""
     radix8_items(sset, work, [(lo, hi, depth)])
@@ -92,30 +124,22 @@ def radix8_items(
 ) -> None:
     """In-place MSD radix sort of several independent (lo, hi, depth) ranges of work.
 
-    A step stably sorts work[lo:hi] in place by its strings' digits at the
-    range's depth: digit_width(hi - lo) bits when `wide`, else 8.  Its
-    children recurse one digit deeper.  The seeds and the children of a
-    step go to the sort's LeafCollector in one take_many each, so only
-    the larger ranges it returns enter the stack and the share hook; the
-    collector is flushed at the end.
+    Each takes radix_step, with digit_width(hi - lo) bits when `wide`, else
+    8.  The seeds and the children of a step go to the sort's LeafCollector
+    in one take_many each, so only the larger ranges it returns enter the
+    stack and the share hook; the collector is flushed at the end.
     """
+    ctx = RadixContext(sset, work, wide=wide)
+    classify = local_classifier(radix_buckets, ctx)
     leaves = LeafCollector(sset, work, None, None, SortStats(), word_leaves)
-    stack = leaves.take_many(*np.asarray(items, dtype=np.int64).reshape(-1, 3).T).tolist()
+    stack = leaves.take_many(np.asarray(items, dtype=np.int64).reshape(-1, 3)).tolist()
     while stack:
         if share is not None:
             share(stack)
             if not stack:
                 break  # the collected leaves are still sorted
         lo, hi, d = stack.pop()
-        width = digit_width(hi - lo) if wide else 8
-        digs = step_digits(sset, work, lo, hi, d, width)
-        if (digs == digs[0]).all():  # one bucket: equal strings, or a shared prefix to skip
-            if not digs[0] & 0xFF or (d := skip_shared(sset, work[lo:hi], d + width // 8)) is None:
-                continue
-            digs = step_digits(sset, work, lo, hi, d, width)
-        bounds = distribute(work[lo:hi], digs, 1 << width)
-        starts, ends, recurse = bucket_spans(bounds, lo)
-        stack += leaves.take_many(starts[recurse], ends[recurse], d + width // 8)[::-1].tolist()
+        stack += leaves.take_many(radix_step(ctx, lo, hi, d, classify))[::-1].tolist()
     leaves.flush()
 
 

@@ -10,8 +10,10 @@ the tree is built and its buckets are settled in numpy passes.  Equality
 buckets recurse with the depth advanced by a full word; range buckets
 advance by the LCP of their bounding splitters.  Classification is
 branch-free: all descents proceed in lockstep over the whole batch, one
-tree level per pass.  Subproblems below the medium threshold are sorted by
-caching multikey quicksort, whose small ranges end in basecase.word_leaves.
+tree level per pass.  s5_step is the one step, run in process by
+s5_sort_items and on the pool by parallel.phased_sort.  Subproblems below
+the medium threshold are sorted by caching multikey quicksort, whose small
+ranges end in basecase.word_leaves.
 DEFAULT_V is 255, not the paper's 8191 sized for a core's L2 cache: here a
 tree level is a numpy pass over the keys, a bucket a Python-level subproblem.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basecase import SortedWithLcp, distribute, range_positions, range_rows
+from .basecase import SortContext, SortedWithLcp, local_classifier, range_positions, range_rows
 from .counters import SortStats
 from .mkqs import mkqs_cached_items
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
@@ -170,14 +172,11 @@ def bucket_word_range(oracle: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.
 
 
 @dataclass
-class S5Context:
-    sset: StringSet
-    cur: np.ndarray  # handles; every step and leaf sorts its range here in place
-    cache: np.ndarray  # word cache shared by the mkqs leaves
-    lcps: np.ndarray | None
-    stats: SortStats
-    seed: int
-    variant: str
+class S5Context(SortContext):
+    """A sample sort's arrays; its cache holds the words of the mkqs leaves."""
+
+    seed: int = 1
+    variant: str = "unroll"
 
 
 def write_boundary_lcps(
@@ -236,34 +235,39 @@ def _mkqs_leaves(ctx: S5Context, items: list[tuple[int, int, int]]) -> None:
     mkqs_cached_items(ctx.sset, ctx.cur, ctx.cache, items, ctx.lcps, ctx.stats)
 
 
-def step_tree(ctx: S5Context, lo: int, hi: int, depth: int, stats: SortStats) -> SplitterTree:
+def step_tree(ctx: S5Context, lo: int, hi: int, depth: int) -> SplitterTree:
     """The splitter tree of a step over ctx.cur[lo:hi] from its seeded sample.
 
-    Charges stats the sample's word fetches and the step's hi - lo.
+    Charges ctx.stats the sample's word fetches and the step's hi - lo.
     """
     v = tree_capacity(hi - lo)
     rng = np.random.default_rng((ctx.seed, lo, hi, depth))
     sample = draw_sample(ctx.sset, ctx.cur[lo:hi], depth, v, rng)
-    stats.word_fetches += len(sample) + hi - lo
+    ctx.stats.word_fetches += len(sample) + hi - lo
     return select_splitters(sample, v)
 
 
-def s5_step(ctx: S5Context, lo: int, hi: int, depth: int) -> tuple[np.ndarray, SplitterTree]:
-    """One classification step that stably sorts ctx.cur[lo:hi] in place by
-    bucket; returns (bounds, tree).
-
-    With ctx.lcps set, the LCPs at the bucket boundaries are written too.
-    """
-    tree = step_tree(ctx, lo, hi, depth, ctx.stats)
-    seg = ctx.cur[lo:hi]
-    keys = extract_keys(ctx.sset, seg, depth)
+def s5_buckets(ctx: S5Context, lo: int, hi: int, arg):
+    """Each string's bucket for arg = (depth, tree); with ctx.lcps set, the
+    summary is each bucket's word range, for the boundary LCPs."""
+    depth, tree = arg
+    keys = extract_keys(ctx.sset, ctx.cur[lo:hi], depth)
     oracle = classify_keys(keys, tree, ctx.variant)
-    # at most 2 * DEFAULT_V + 1 = 511 buckets: 16-bit keys
-    bounds = distribute(seg, oracle.astype(np.uint16), tree.num_buckets)
+    summary = None if ctx.lcps is None else bucket_word_range(oracle, keys, tree.num_buckets)
+    return oracle.astype(np.uint16), summary  # at most 2 * DEFAULT_V + 1 = 511 buckets
+
+
+def s5_step(ctx: S5Context, lo: int, hi: int, depth: int, classify) -> np.ndarray:
+    """One sample-sort step over ctx.cur[lo:hi]; returns the buckets left to
+    sort as (m, 3) rows.  classify(lo, hi, k, arg) sorts the range by
+    s5_buckets; with ctx.lcps set, the boundary LCPs are written too."""
+    tree = step_tree(ctx, lo, hi, depth)
+    bounds, ranges = classify(lo, hi, tree.num_buckets, (depth, tree))
     if ctx.lcps is not None:
-        mins, maxs = bucket_word_range(oracle, keys, tree.num_buckets)
+        mins = np.min([r[0] for r in ranges], axis=0)
+        maxs = np.max([r[1] for r in ranges], axis=0)
         write_boundary_lcps(ctx.lcps, lo, depth, bounds, mins, maxs)
-    return bounds, tree
+    return finish_buckets(ctx, tree, bounds, lo, depth)
 
 
 def child_depths(tree: SplitterTree, depth: int) -> np.ndarray:
@@ -284,6 +288,7 @@ def s5_sort_items(ctx: S5Context, items, share=None) -> None:
     caching mkqs when the loop ends, also when the share hook empties the
     stack.
     """
+    classify = local_classifier(s5_buckets, ctx)
     stack = np.asarray(items, dtype=np.int64).reshape(-1, 3).tolist()
     medium = []
     while stack:
@@ -296,8 +301,7 @@ def s5_sort_items(ctx: S5Context, items, share=None) -> None:
             if hi - lo > 1:
                 medium.append((lo, hi, d))
             continue
-        bounds, tree = s5_step(ctx, lo, hi, d)
-        stack += finish_buckets(ctx, tree, bounds, lo, d).tolist()
+        stack += s5_step(ctx, lo, hi, d, classify).tolist()
     _mkqs_leaves(ctx, medium)
 
 

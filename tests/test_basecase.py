@@ -10,6 +10,7 @@ from strsort.basecase import (
     LeafCollector,
     insertion_sort,
     lcp_insertion_sort,
+    range_rows,
     stable_word_order,
     word_leaves,
 )
@@ -284,7 +285,7 @@ def test_take_many_flushes_where_take_would():
             rest[how] = [
                 tuple(row)
                 for cut in np.split(np.arange(400), [1, 7, 150, 151, 320])
-                for row in leaves.take_many(lo[cut], hi[cut], depth[cut]).tolist()
+                for row in leaves.take_many(range_rows(lo[cut], hi[cut], depth[cut])).tolist()
             ]
         leaves.flush()
         flushes[how] = [sorted(map(tuple, rows)) for rows in seen]

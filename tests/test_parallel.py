@@ -1,4 +1,6 @@
+import dataclasses
 import errno
+import functools
 import multiprocessing as mp
 import os
 import queue
@@ -25,7 +27,7 @@ from corpus import (
 from strsort import mkqs, parallel, ssss
 from strsort import radix as radix_mod
 from strsort.counters import SortStats
-from strsort.basecase import LEAF_FLUSH, range_rows
+from strsort.basecase import LEAF_FLUSH, local_classifier, range_rows
 from strsort.lcpmerge import MERGE_POLL_INTERVAL, run_merge_job, split_merge_jobs
 from strsort.mkqs import mkqs_cached
 from strsort.parallel import (
@@ -34,12 +36,9 @@ from strsort.parallel import (
     _ForkedPool,
     _merge_executor,
     _MergeShared,
-    _mkqs_batch,
-    _mkqs_buckets,
-    _Phased,
+    _mkqs_shared,
     _phased_executor,
-    _radix_batch,
-    _radix_buckets,
+    _radix_shared,
     _s5_shared,
     feed_batches,
     parallel_mkqs,
@@ -56,7 +55,6 @@ from strsort.strset import (
     LCP_UNDEF,
     WORD_CHARS,
     dist_stats,
-    extract_keys,
     from_strings,
     verify,
 )
@@ -253,7 +251,7 @@ class TestWorkPool:
 
     @pytest.mark.parametrize(
         "buckets, sorter",
-        [("_radix_buckets", parallel_radix), ("_mkqs_buckets", parallel_mkqs)],
+        [("radix_buckets", parallel_radix), ("mkqs_buckets", parallel_mkqs)],
     )
     def test_worker_dying_mid_phase_raises_promptly(self, monkeypatch, buckets, sorter):
         # the classify job of the first phased step kills its worker
@@ -270,12 +268,7 @@ def _phased_shared(kind, s):
     """A phased sorter's shared state over s: "s5", "radix" or "mkqs"."""
     if kind == "s5":
         return _s5_shared(s, want_lcps=False, seed=1)
-    if kind == "radix":
-        return _Phased.create(s, _radix_buckets, _radix_batch)
-    sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
-    sh.cache = shared_array(len(s), np.uint64)
-    sh.cache[:] = extract_keys(s, s.handles, 0)
-    return sh
+    return _radix_shared(s) if kind == "radix" else _mkqs_shared(s)
 
 
 class TestPhasedStep:
@@ -297,8 +290,8 @@ class TestPhasedStep:
 
     def test_radix_step_orders_an_interior_range(self, monkeypatch):
         s = random_set(3000, seed=31, lo=97, hi=105)  # first characters a to h, or none
-        sh = _Phased.create(s, _radix_buckets, _radix_batch)
-        before = sh.cur.copy()
+        sh = _radix_shared(s)
+        before = sh.ctx.cur.copy()
         lo, hi = 400, 2700
         buckets = np.array([x[0] if x else 0 for x in ref_strings(s.with_handles(before[lo:hi]))])
         calls = self._pool_calls(monkeypatch)
@@ -307,32 +300,34 @@ class TestPhasedStep:
         # one round trip: two classify jobs, then one wait for their replies
         assert calls == ["classify", "classify", ("wait_phase", 2)]
         assert np.count_nonzero(np.diff(bounds)) > 2
-        assert np.array_equal(sh.cur[lo:hi], before[lo:hi][np.argsort(buckets, kind="stable")])
+        cur = sh.ctx.cur
+        assert np.array_equal(cur[lo:hi], before[lo:hi][np.argsort(buckets, kind="stable")])
         assert np.array_equal(np.diff(bounds), np.bincount(buckets, minlength=256))
-        assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
+        assert np.array_equal(cur[:lo], before[:lo]) and np.array_equal(cur[hi:], before[hi:])
 
     def test_mkqs_step_moves_the_words(self):
         s = random_set(3000, seed=32)
         sh = _phased_shared("mkqs", s)
-        before, words = sh.cur.copy(), sh.cache.copy()
+        cur, cache = sh.ctx.cur, sh.ctx.cache
+        before, words = cur.copy(), cache.copy()
         lo, hi = 250, 2900
         pivot = np.uint64(np.median(words[lo:hi]))
         buckets = (words[lo:hi] >= pivot).astype(int) + (words[lo:hi] > pivot)
         with WorkPool(2, _phased_executor, sh) as pool:
             phased_step(pool, sh, lo, hi, 3, pivot)
         order = np.argsort(buckets, kind="stable")
-        assert np.array_equal(sh.cur[lo:hi], before[lo:hi][order])
-        assert np.array_equal(sh.cache[lo:hi], words[lo:hi][order])
-        assert np.array_equal(sh.cur[:lo], before[:lo]) and np.array_equal(sh.cur[hi:], before[hi:])
-        assert np.array_equal(sh.cache[:lo], words[:lo]) and np.array_equal(sh.cache[hi:], words[hi:])
+        assert np.array_equal(cur[lo:hi], before[lo:hi][order])
+        assert np.array_equal(cache[lo:hi], words[lo:hi][order])
+        assert np.array_equal(cur[:lo], before[:lo]) and np.array_equal(cur[hi:], before[hi:])
+        assert np.array_equal(cache[:lo], words[:lo]) and np.array_equal(cache[hi:], words[hi:])
 
     @pytest.mark.parametrize("kind", ["radix", "mkqs"])
     def test_one_bucket_moves_nothing(self, monkeypatch, kind):
         # cur and the cache are read-only, in the workers too: any write raises
         s = from_strings([b"q%d" % i for i in range(2000)])
         sh = _phased_shared(kind, s)
-        before = sh.cur.copy()
-        for arr in (sh.cur, sh.cache):
+        before = sh.ctx.cur.copy()
+        for arr in (sh.ctx.cur, sh.ctx.cache):
             if arr is not None:
                 arr.flags.writeable = False
         k, arg = (256, (0, 8)) if kind == "radix" else (3, np.uint64(2**64 - 1))  # all less
@@ -341,7 +336,7 @@ class TestPhasedStep:
             bounds, _ = phased_step(pool, sh, 100, 1900, k, arg)
         assert calls == ["classify", "classify", ("wait_phase", 2)]
         assert np.count_nonzero(np.diff(bounds)) == 1
-        assert np.array_equal(sh.cur, before)
+        assert np.array_equal(sh.ctx.cur, before)
 
     @pytest.mark.parametrize("kind", ["s5", "radix", "mkqs"])
     def test_classify_job_writes_only_the_oracle(self, kind):
@@ -350,19 +345,85 @@ class TestPhasedStep:
         sh = _phased_shared(kind, s)
         lo, hi = 300, 2500
         if kind == "s5":
-            arg = (0, step_tree(sh.s5, lo, hi, 0, SortStats()))
+            arg = (0, step_tree(sh.ctx, lo, hi, 0))
         elif kind == "radix":
             arg = (0, 8)
         else:
-            arg = np.uint64(np.median(sh.cache[lo:hi]))
-        moving = [arr for arr in (sh.cur, sh.cache) if arr is not None]
+            arg = np.uint64(np.median(sh.ctx.cache[lo:hi]))
+        moving = [arr for arr in (sh.ctx.cur, sh.ctx.cache) if arr is not None]
         before = [arr.tobytes() for arr in moving]
-        want, summary = sh.buckets(sh, lo, hi, arg)
+        want, summary = sh.buckets(sh.ctx, lo, hi, arg)
         env = _IdleEnv()
         _phased_executor(sh, ("classify", lo, hi, arg), env)
         assert [arr.tobytes() for arr in moving] == before
         assert np.array_equal(sh.oracle[lo:hi], want) and len(np.unique(want)) > 1
         assert env.replies.get_nowait() == ("phase", (lo, summary)) and env.replies.empty()
+
+
+def _mixed_set():
+    """Repeated short strings, distinct ones, and a shared 8-character prefix
+    over half the strings, half of them repeated: every kind of bucket."""
+    rng = np.random.default_rng(27)
+    items = [b"%d" % (i % 40) for i in range(1200)]
+    items += [b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=400)]
+    items += [b"sharedpx" + b"%d" % (i % 300) for i in range(1600)]
+    items += [b"sharedpx" + b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=600)]
+    rng.shuffle(items)
+    return from_strings(items)
+
+
+class TestOneStepTwoClassifiers:
+    """Each sorter module's one step gives the same result with its
+    in-process classifier and with phased_step on a pool of p = 2."""
+
+    # case -> (shared state, step, in-process classifier, step context changes)
+    CASES = {
+        "s5": (lambda s: _s5_shared(s, False, 1), ssss.s5_step,
+               lambda ctx: local_classifier(ssss.s5_buckets, ctx), {}),
+        "s5_lcps": (lambda s: _s5_shared(s, True, 1), ssss.s5_step,
+                    lambda ctx: local_classifier(ssss.s5_buckets, ctx), {}),
+        "radix8": (_radix_shared, radix_mod.radix_step,
+                   lambda ctx: local_classifier(radix_mod.radix_buckets, ctx), {"wide": False}),
+        "radix16": (_radix_shared, radix_mod.radix_step,
+                    lambda ctx: local_classifier(radix_mod.radix_buckets, ctx), {}),
+        "mkqs": (_mkqs_shared, mkqs.mkqs_step, mkqs.partition_classifier, {"lcps": True}),
+    }
+
+    @staticmethod
+    def _step(case, s, lo, hi, pool_p):
+        """Run one step over [lo, hi) at depth 0: in process (pool_p None) or
+        on a pool; return everything it wrote or returned."""
+        shared, step, local, changes = TestOneStepTwoClassifiers.CASES[case]
+        sh = shared(s)
+        if changes.get("lcps"):  # mkqs's boundary LCPs, which pmkqs does not record
+            changes = {"lcps": np.full(len(s), LCP_UNDEF, dtype=np.int64)}
+        ctx = dataclasses.replace(sh.ctx, stats=SortStats(), **changes)
+        if pool_p is None:
+            rows = step(ctx, lo, hi, 0, local(ctx))
+        else:
+            with WorkPool(pool_p, _phased_executor, sh) as pool:
+                rows = step(ctx, lo, hi, 0, functools.partial(phased_step, pool, sh))
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        copy = lambda arr: None if arr is None else arr.copy()
+        return ctx.cur.copy(), copy(ctx.cache), rows, copy(ctx.lcps), ctx.stats.as_dict()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_step(self, monkeypatch, case):
+        monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 1024)  # radix16: a 16-bit step
+        s = _mixed_set()
+        lo, hi = 150, len(s) - 250
+        here = self._step(case, s, lo, hi, None)
+        pooled = self._step(case, s, lo, hi, 2)
+        cur, cache, rows, lcps, stats = here
+        assert len(rows) > 1 and not np.array_equal(cur, s.handles)
+        assert np.array_equal(cur[:lo], s.handles[:lo]) and np.array_equal(cur[hi:], s.handles[hi:])
+        if lcps is not None:
+            assert (lcps[lo + 1 : hi] != LCP_UNDEF).any()
+        for a, b in zip(here, pooled):
+            if isinstance(a, dict) or a is None:
+                assert a == b
+            else:
+                assert np.array_equal(a, b)
 
 
 class TestBatchRows:
@@ -379,7 +440,7 @@ class TestBatchRows:
         for rows in (np.array(self.RANGES, dtype=np.int64), list(self.RANGES)):
             sh = _phased_shared(kind, s)
             _phased_executor(sh, ("batch", rows), _IdleEnv(idle=0))
-            outs.append(sh.cur.copy())
+            outs.append(sh.ctx.cur.copy())
         assert np.array_equal(outs[0], outs[1])
         for lo, hi, _ in self.RANGES:
             want = sorted(ref_strings(s.with_handles(s.handles[lo:hi])))
@@ -449,17 +510,19 @@ class TestParallelS5:
         items += [b"sharedpx" + b"%x" % x for x in rng.integers(1 << 32, 1 << 44, size=600)]
         rng.shuffle(items)
         s = from_strings(items)
-        settled = []
-        finish = parallel.finish_buckets
+        settled = []  # the depths of the phased steps that settle equal strings
+        phased = parallel.phased_step
 
-        def recording(ctx, tree, bounds, lo, depth):
+        def recording(pool, sh, lo, hi, k, arg):
+            bounds, ranges = phased(pool, sh, lo, hi, k, arg)
+            depth, tree = arg
             final = np.zeros(tree.num_buckets, dtype=bool)
             final[1::2] = tree.eq_final
             if (final & (np.diff(bounds) > 1)).any():
                 settled.append(depth)
-            return finish(ctx, tree, bounds, lo, depth)
+            return bounds, ranges
 
-        monkeypatch.setattr(parallel, "finish_buckets", recording)
+        monkeypatch.setattr(parallel, "phased_step", recording)
         monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         res = parallel_s5(s, p=2, want_lcps=True)
         assert 0 in settled and WORD_CHARS in settled
@@ -501,7 +564,7 @@ class TestParallelS5:
         # stack pop; the leaves it keeps are still sorted by one flush
         monkeypatch.setattr(ssss, "T_MEDIUM", 256)
         s = random_set(20_000, seed=14)
-        sh = parallel._s5_shared(s, want_lcps=True, seed=1)
+        sh = _s5_shared(s, want_lcps=True, seed=1)
         env = _IdleEnv()
         calls = []
         leaves = mkqs.word_leaves
@@ -512,8 +575,8 @@ class TestParallelS5:
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
         want = sorted(ref_strings(s))
-        assert ref_strings(s.with_handles(sh.cur)) == want
-        assert list(sh.s5.lcps) == ref_lcps(want)
+        assert ref_strings(s.with_handles(sh.ctx.cur)) == want
+        assert list(sh.ctx.lcps) == ref_lcps(want)
 
 
 class TestParallelRadix:
@@ -529,11 +592,11 @@ class TestParallelRadix:
 
     @staticmethod
     def _coordinator_skips(monkeypatch):
-        """Record what the coordinator's skip_shared calls return."""
+        """Record what the skip_shared calls of this process, the coordinator, return."""
         found = []
-        skip = parallel.skip_shared
+        skip = radix_mod.skip_shared
         monkeypatch.setattr(
-            parallel, "skip_shared", lambda *args: found.append(skip(*args)) or found[-1]
+            radix_mod, "skip_shared", lambda *args: found.append(skip(*args)) or found[-1]
         )
         return found
 
@@ -588,19 +651,25 @@ class TestParallelRadix:
         heads = np.repeat([b"ax", b"ay", b"bx", b"by", b"cx"], [3600, 3600, 1800, 1800, 1200])
         rng.shuffle(heads)
         s = from_strings([h + bytes(rng.integers(97, 123, size=5, dtype=np.uint8)) for h in heads])
-        sh = _Phased.create(s, _radix_buckets, _radix_batch)
+        sh = _radix_shared(s)
         env = _IdleEnv()
         _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         assert env.stats.share_events > 0
         donated = [entry for job in env.queue for entry in job[1]]
         assert donated and all(len(entry) == 3 for entry in donated)
-        wide = []
-        digits16 = radix_mod._digits16
-        monkeypatch.setattr(radix_mod, "_digits16", lambda *a: wide.append(len(a[1])) or digits16(*a))
+        wide = []  # the ranges of the 16-bit steps
+        buckets = radix_mod.radix_buckets
+
+        def spy(ctx, lo, hi, arg):
+            if arg[1] == 16:
+                wide.append(hi - lo)
+            return buckets(ctx, lo, hi, arg)
+
+        monkeypatch.setattr(radix_mod, "radix_buckets", spy)
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
         assert wide and min(wide) >= 2048  # the donated 3600-string ranges
-        assert np.array_equal(sh.cur, radix16_adaptive(s).handles)
+        assert np.array_equal(sh.ctx.cur, radix16_adaptive(s).handles)
 
 
 class TestOneBucketSteps:
@@ -679,22 +748,20 @@ class TestParallelMkqs:
         # the donated ranges must sort on their cached words, not fetch them again
         s = random_set(3000, seed=12)
         seq = mkqs_cached(s)
-        sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
         # the coordinator fetches and charges the root's words; batches fetch none
-        sh.cache = extract_keys(s, s.handles, 0)
+        sh = _mkqs_shared(s)
         env = _IdleEnv()
         env.stats.word_fetches = len(s)
         _phased_executor(sh, ("batch", [(0, len(s), 0)]), env)
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
         assert env.stats.share_events > 0
-        assert np.array_equal(sh.cur, seq.set.handles)
+        assert np.array_equal(sh.ctx.cur, seq.set.handles)
         assert env.stats.word_fetches == seq.stats.word_fetches
 
     def test_sharing_batch_flushes_its_leaves_once(self, monkeypatch):
         s = random_set(20_000, seed=15)
-        sh = _Phased.create(s, _mkqs_buckets, _mkqs_batch)
-        sh.cache = extract_keys(s, s.handles, 0)
+        sh = _mkqs_shared(s)
         env = _IdleEnv()
         calls = []
         leaves = mkqs.word_leaves
@@ -704,7 +771,7 @@ class TestParallelMkqs:
         assert 1 <= len(calls) <= 1 + len(s) // LEAF_FLUSH
         while env.queue:
             _phased_executor(sh, env.queue.pop(), env)
-        assert ref_strings(s.with_handles(sh.cur)) == sorted(ref_strings(s))
+        assert ref_strings(s.with_handles(sh.ctx.cur)) == sorted(ref_strings(s))
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -780,10 +847,10 @@ class TestPartitionedMergeSort:
         assert list(out_l) == ref_lcps(want)
 
     def test_part_sort_failure_raises(self, monkeypatch):
-        def boom(shared, entries, env):
+        def boom(ctx, rows, share):
             raise ValueError("part sort exploded")
 
-        monkeypatch.setattr(parallel, "_s5_batch", boom)
+        monkeypatch.setattr(parallel, "s5_sort_items", boom)
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure, match="part sort exploded"):
             partitioned_merge_sort(random_set(4000), K=4, p=2)
@@ -809,7 +876,7 @@ def test_scheduler_share_event_with_single_root(monkeypatch):
 
     shared = _s5_shared(s, want_lcps=False, seed=1)
     stats = pool_run(4, [("batch", [(0, len(s), 0)])], _phased_executor, shared)
-    out = s.with_handles(shared.cur.copy())
+    out = s.with_handles(shared.ctx.cur.copy())
     assert verify(s, out).ok
     assert stats.share_events >= 1
     assert stats.jobs_executed == stats.jobs_enqueued + 1  # root included
@@ -912,6 +979,27 @@ class TestCoordinatorParticipates:
         assert time.monotonic() - t0 < 2.0
         assert not mp.active_children()
 
+    def test_worker_death_during_a_coordinator_job_raises_promptly(self):
+        # "die" runs only in the worker; "long" runs only in the coordinator
+        # and polls idle_workers() for 3 s, as share hooks and merge polls do
+        def run(ctx, job, env):
+            if job[0] == "die":
+                os._exit(3)
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                env.idle_workers()
+                time.sleep(0.005)
+
+        executor = _run_kind_in(_run_kind_in(run, "long", worker=False), "die")
+        t0 = time.monotonic()
+        with pytest.raises(WorkerFailure, match="exit code 3"):
+            with WorkPool(2, executor, None) as pool:
+                pool.submit(("long",))
+                pool.submit(("die",))
+                pool.wait_idle()
+        assert time.monotonic() - t0 < 2.0
+        assert not mp.active_children()
+
     def test_busy_worker_shares_with_the_idle_coordinator(self, monkeypatch):
         # the worker sorts the one root batch; the waiting coordinator counts
         # as idle, so the worker's share hook donates to it
@@ -932,7 +1020,7 @@ class TestCoordinatorParticipates:
             pool.wait_idle()
         assert "batch" in ran_here
         assert pool.stats.share_events >= 1
-        assert verify(s, s.with_handles(shared.cur.copy())).ok
+        assert verify(s, s.with_handles(shared.ctx.cur.copy())).ok
 
     @pytest.mark.parametrize("p, forks", [(1, 0), (2, 1)])
     @pytest.mark.parametrize("algo", SORTERS)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import all_equal_set, random_set, ref_strings
+from strsort import basecase
 from strsort import radix as radix_mod
 from strsort.bench import ALGORITHMS
 from strsort.counters import SortStats
@@ -199,14 +200,14 @@ def test_no_step_distributes_into_one_bucket(monkeypatch):
     s = from_strings(items)
     expect = s.handles[sorted(range(len(items)), key=items.__getitem__)]
     widths = []
-    orig = radix_mod.distribute
+    orig = basecase.distribute  # the in-process classifier's
 
     def spy(seg, digs, k):
         bounds = orig(seg, digs, k)
         widths.append((k.bit_length() - 1, int(np.count_nonzero(np.diff(bounds)))))
         return bounds
 
-    monkeypatch.setattr(radix_mod, "distribute", spy)
+    monkeypatch.setattr(basecase, "distribute", spy)
     assert np.array_equal(radix8_inplace(s).handles, expect)
     monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", 2048)  # 16-bit steps run
     assert np.array_equal(radix16_adaptive(s).handles, expect)
@@ -254,18 +255,13 @@ def test_width_follows_range_size(monkeypatch):
     items = [b"http://x/" + h + bytes(rng.integers(97, 123, size=6, dtype=np.uint8)) for h in heads]
     s = from_strings(items)
     sizes = {8: [], 16: []}
-    digits8, digits16 = radix_mod._digits8, radix_mod._digits16
+    buckets = radix_mod.radix_buckets
 
-    def spy8(sset, work, lo, hi, depth):
-        sizes[8].append(hi - lo)
-        return digits8(sset, work, lo, hi, depth)
+    def spy(ctx, lo, hi, arg):
+        sizes[arg[1]].append(hi - lo)  # the step's range and digit width
+        return buckets(ctx, lo, hi, arg)
 
-    def spy16(sset, seg, depth):
-        sizes[16].append(len(seg))
-        return digits16(sset, seg, depth)
-
-    monkeypatch.setattr(radix_mod, "_digits8", spy8)
-    monkeypatch.setattr(radix_mod, "_digits16", spy16)
+    monkeypatch.setattr(radix_mod, "radix_buckets", spy)
     assert ref_strings(radix8_inplace(s)) == sorted(items)
     assert sizes[8] and not sizes[16]
     sizes[8].clear()
@@ -273,3 +269,67 @@ def test_width_follows_range_size(monkeypatch):
     assert ref_strings(radix16_adaptive(s)) == sorted(items)
     assert sizes[16] and min(sizes[16]) >= 2048
     assert sizes[8] and max(sizes[8]) < 2048
+
+
+def one_bucket_edges(case):
+    """Ranges on the edge of the one-bucket rule: their first and last
+    strings share the step's digit while a middle string differs, or all
+    their strings are equal through the terminator."""
+    rng = np.random.default_rng(28)
+
+    def tail():
+        return bytes(rng.integers(97, 123, size=int(rng.integers(0, 5)), dtype=np.uint8))
+
+    if case == "ends_share_a_digit":
+        # the root's first and last strings share two characters, and so do
+        # the first and last of its "m" bucket, whose middle differs in the
+        # second; the root's middle differs in the first
+        middle = [bytes([int(rng.choice(list(b"kmo"))), int(rng.integers(97, 123))]) + tail()
+                  for _ in range(4000)]
+        return [b"mq" + tail()] + middle + [b"mq" + tail()]
+    if case == "ends_share_past_a_word":
+        # first and last share 11 characters; the middle differs in the 10th
+        middle = [b"abcdefghi" + bytes([int(rng.integers(97, 123))]) + tail() for _ in range(3000)]
+        return [b"abcdefghijk" + tail()] + middle + [b"abcdefghijk" + tail()]
+    if case == "equal_bucket":
+        # a bucket of 2500 equal strings, two words long, among others
+        items = [b"x" * 12] * 2500 + [b"xxxxxa" + tail() for _ in range(500)]
+        items += [b"y" + tail() for _ in range(1500)]
+        return [items[i] for i in rng.permutation(len(items))]
+    if case == "all_equal":
+        return [b"equal through the terminator"] * 3000
+    return [b""] * 3000  # all_empty
+
+
+@pytest.mark.parametrize("threshold", [None, 1024], ids=["8bit", "16bit"])
+@pytest.mark.parametrize(
+    "case", ["ends_share_a_digit", "ends_share_past_a_word", "equal_bucket", "all_equal", "all_empty"]
+)
+def test_one_bucket_edges_sort_alike(monkeypatch, case, threshold):
+    # radix8, radix16 and pradix at p = 1 and 2 are stable, so each returns
+    # the stable sorted order of the handles
+    from strsort.parallel import parallel_radix
+
+    if threshold is not None:  # 16-bit steps in radix16 and pradix
+        monkeypatch.setattr(radix_mod, "RADIX16_THRESHOLD", threshold)
+    items = one_bucket_edges(case)
+    s = from_strings(items)
+    expect = s.handles[sorted(range(len(items)), key=items.__getitem__)]
+    skips = []  # (depth, what skip_shared found) in this process
+    skip = radix_mod.skip_shared
+    monkeypatch.setattr(
+        radix_mod, "skip_shared", lambda sset, seg, d: skips.append((d, skip(sset, seg, d))) or skips[-1][1]
+    )
+    outs = {
+        "radix8": radix8_inplace(s),
+        "radix16": radix16_adaptive(s),
+        "pradix_p1": parallel_radix(s, p=1),
+        "pradix_p2": parallel_radix(s, p=2),
+    }
+    for name, out in outs.items():
+        assert ref_strings(out) == sorted(items), name
+        assert np.array_equal(out.handles, expect), name
+    if case.startswith("ends_share"):  # the ends share the step's digit, a middle string differs
+        assert any(found is not None for _, found in skips)
+    else:
+        assert any(found is None for _, found in skips)

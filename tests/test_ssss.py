@@ -11,7 +11,7 @@ from corpus import (
     shared_prefix_clusters,
 )
 from strsort import ssss
-from strsort.basecase import distribute
+from strsort.basecase import distribute, local_classifier
 from strsort.counters import SortStats
 from strsort.ssss import (
     S5Context,
@@ -20,9 +20,10 @@ from strsort.ssss import (
     classify_keys,
     draw_sample,
     finish_buckets,
+    s5_buckets,
     s5_sort,
-    s5_step,
     select_splitters,
+    step_tree,
     tree_capacity,
 )
 from strsort.strset import (
@@ -42,16 +43,16 @@ text_bytes = st.binary(min_size=0, max_size=12).map(
 
 
 def record_steps(monkeypatch) -> list:
-    """Record (lo, depth, bounds, child depths, tree) of every s5_step call."""
+    """Record (lo, depth, bounds, child depths, tree) of every step, as s5_step
+    hands them to finish_buckets."""
     records = []
-    step = ssss.s5_step
+    finish = ssss.finish_buckets
 
-    def recording(ctx, lo, hi, depth):
-        bounds, tree = step(ctx, lo, hi, depth)
+    def recording(ctx, tree, bounds, lo, depth):
         records.append((lo, depth, bounds, child_depths(tree, depth), tree))
-        return bounds, tree
+        return finish(ctx, tree, bounds, lo, depth)
 
-    monkeypatch.setattr(ssss, "s5_step", recording)
+    monkeypatch.setattr(ssss, "finish_buckets", recording)
     return records
 
 
@@ -305,7 +306,8 @@ class TestFinishBuckets:
         got, want = context(), context()
         results = []
         for ctx, finish in ((got, finish_buckets), (want, finish_per_bucket)):
-            bounds, tree = s5_step(ctx, lo, hi, 0)
+            tree = step_tree(ctx, lo, hi, 0)
+            bounds, _ = local_classifier(s5_buckets, ctx)(lo, hi, tree.num_buckets, (0, tree))
             results.append(finish(ctx, tree, bounds, lo, 0))
         assert results[0].dtype == np.int64 and results[0].shape == (len(results[1]), 3)
         assert results[0].tolist() == [list(child) for child in results[1]]
@@ -398,11 +400,14 @@ class TestS5Sort:
         steps = []
         step = ssss.s5_step
 
-        def recording(ctx, lo, hi, depth):
-            seg = ctx.cur[lo:hi].copy()
-            bounds, tree = step(ctx, lo, hi, depth)
-            steps.append((seg, ctx.cur[lo:hi].copy(), depth, tree))
-            return bounds, tree
+        def recording(ctx, lo, hi, depth, classify):
+            def spy(lo, hi, k, arg):
+                seg = ctx.cur[lo:hi].copy()
+                out = classify(lo, hi, k, arg)
+                steps.append((seg, ctx.cur[lo:hi].copy(), *arg))
+                return out
+
+            return step(ctx, lo, hi, depth, spy)
 
         monkeypatch.setattr(ssss, "s5_step", recording)
         monkeypatch.setattr(ssss, "T_MEDIUM", 1024)
