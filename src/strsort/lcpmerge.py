@@ -12,12 +12,18 @@ to end in one LcpRuns: one handle array, one LCP array and the position
 where each run starts.  split_merge_jobs cuts the runs into independent
 jobs by multiway splitting: splitters drawn by regular sampling, each
 found in every run by binary search over the buffer's bytes,
-O(K * m * log n) string reads for m jobs and no word fetch.  The strings
-of a job share the LCP of its two bounding values, so each job's
-run_merge_job splits it from that depth into groups of strings with equal
-words, level by level in numpy over all its runs at once, from the LCP
-array and one word fetch per block head and level, until every group is
-copied: a group from one run, or a group of equal strings, in run order.
+O(K * m * log n) string reads for m jobs and no word fetch; a read spans
+8 words and widens only while it matches, so its length follows the LCP,
+not the string.  The strings of a job share the LCP of its two bounding
+values, and run_merge_job refines the job from that depth into groups of
+strings with equal words, level by level over all its runs at once.  A
+level makes a fixed number of numpy passes over the block heads of every
+group still split: one word fetch per head, one stable sort, and a
+running sum of block sizes that places each block in the output.  Once
+every group is copied (a group from one run, or a group of equal
+strings, in run order), the job writes its blocks in one gather per
+stretch between polls.  Refinement ends before writing starts, so a job
+stopped at a poll hands over copying work only.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from .strset import (
     WORD_CHARS,
     StringSet,
     extract_keys,
+    first_diff_byte,
     first_zero_byte,
-    shared_chars,
 )
 
 SENTINEL = -1  # stream-exhausted handle; larger than every real string
@@ -88,8 +94,9 @@ class MergeJob:
     LCP to write at its first string; a pending group's first block holds
     the group's LCP.  The first block's LCP is the one to the string before
     the job.  A job of split_merge_jobs is one pending group, one block per
-    run at OUT 0, or one copied block; a job that pack_merge_jobs packs
-    from a refined table holds copied groups only.
+    run at OUT 0, or one copied block.  Refining it ends in a table of
+    copied groups only, sorted by OUT, and a job stopped at a poll hands
+    the rest of that table to pack_merge_jobs, so its jobs only copy.
     """
 
     blocks: np.ndarray
@@ -225,130 +232,142 @@ def _index_type(sset: StringSet):
     return np.int32 if len(sset.buffer) < 2**31 else np.int64
 
 
-def _split_levels(runs: LcpRuns, segs, parents, stats: SortStats) -> np.ndarray:
-    """Split groups of run segments to the end, one word level at a time.
+def _refine(runs: LcpRuns, pending: np.ndarray, stats: SortStats) -> np.ndarray:
+    """A job's blocks table with its pending group split to the end, one
+    word level at a time.
 
-    segs = (parent, lo, hi) arrays locate each group's segments, one per
-    run, as positions of the runs' arrays, each group's in run order;
-    parents = (start, lead, depth) arrays give each group's output start,
-    LCP to the string before it, and the depth of its next word.  A level
-    cuts every active segment into blocks from the LCP array alone: a
-    string joins its predecessor's block when their LCP reaches the
-    segment's depth + WORD_CHARS, or when both are the same string ending
-    at that LCP (in a sorted run the second holds exactly when the later
-    string ends there).  It fetches the word of every block head at its
-    depth in one extract_keys call, charged to stats.word_fetches, and
-    orders the heads by one stable lexsort of (parent, word), so equal
-    words keep run order.  Equal words form a group, and neighbouring
-    groups share depth + shared_chars(words) characters.  A group from one
-    run is one copied block.  When the word of a group from several runs
-    holds the terminator, its strings are all equal and its blocks are
-    copied in run order.  Otherwise the group recurses at depth +
-    WORD_CHARS.  Returns the blocks table of copied groups, sorted by OUT,
-    each group's blocks in run order.
+    pending holds the group's rows, one segment per run, with its OUT, LCP
+    and depth d, or copied groups only, which need no split.  A level
+    makes a fixed number of passes over the block heads of every group
+    still split, all at depth d.  A string heads a block unless its LCP to
+    its predecessor reaches d + WORD_CHARS, or it equals it (in a sorted
+    run, exactly when it ends at that LCP).  The heads' words at d are
+    fetched in one extract_keys call, charged to stats.word_fetches, and
+    sorted stably, after their group if there are several; equal words
+    form a new group, in run order.  In that order a running sum of block
+    sizes places each block, and its LCP is d plus the characters its word
+    shares with the word before, or its group's LCP where it starts the
+    group.  A group from one run is one copied block; a group from several
+    runs whose word holds the terminator holds equal strings, copied in
+    run order; any other group is split again at d + WORD_CHARS.  Returns
+    the copied groups' blocks table sorted by OUT, each group's blocks in
+    run order.  run_merge_job writes nothing before this returns.
     """
+    if pending[0, DEPTH] < 0:
+        return pending
     w = WORD_CHARS
-    sset = runs.sset
+    sset, itype = runs.sset, _index_type(runs.sset)
     chars = sset.char_array()
-    itype = _index_type(sset)
-    s_parent, s_lo, s_hi = (np.asarray(x, dtype=itype) for x in segs)
-    p_start, p_lead, p_depth = (np.asarray(x, dtype=itype) for x in parents)
-    tables = []
+    seg_lo, seg_len = pending[:, POS].astype(itype), pending[:, LEN].astype(itype)
+    # the groups split at a level, in output order: each one's first segment, OUT and LCP
+    p_seg, p_out, p_lead = np.zeros(1, dtype=np.intp), pending[:1, OUT], pending[:1, LCP]
+    depth, tables = int(pending[0, DEPTH]), []
     # each level frees its head-sized arrays once spent: the one job of
     # kway_lcp_merge spans the whole input, and its peak memory is the merge's
-    while len(s_lo):
-        lens = s_hi - s_lo
-        idx = concat_ranges(s_lo, lens)
-        first = np.cumsum(lens) - lens
-        # a string heads a block unless it shares the segment's word with
-        # its predecessor or equals it; a segment's first string heads one
+    while len(seg_lo):
+        idx = concat_ranges(seg_lo, seg_len)
+        first = np.cumsum(seg_len) - seg_len
         lcps = runs.lcps[idx]
-        head = lcps < np.repeat(p_depth[s_parent] + w, lens)
-        head[first] = False
-        cand = np.flatnonzero(head)
-        head[cand[chars[runs.handles[idx[cand]] + lcps[cand]] == 0]] = False
-        head[first] = True
-        del lcps, cand
-        at = np.flatnonzero(head)
-        del head
-        size = np.diff(at, append=len(idx)).astype(itype)
-        parent = s_parent[np.searchsorted(first, at, side="right") - 1]
-        pos = idx[at].astype(itype)
-        del idx, at, first
-        words = extract_keys(sset, runs.handles[pos], p_depth[parent])
-        stats.word_fetches += len(pos)
-        # the segments of a parent arrive in run order, each sorted
-        order = np.lexsort((words, parent))
-        pos, size, parent, words = (x[order] for x in (pos, size, parent, words))
+        lcps[first] = depth  # a segment's first string heads a block; its LCP is not read
+        cand = np.flatnonzero(lcps < depth + w)
+        handles = runs.handles[idx[cand]]
+        keep = chars[handles + lcps[cand]] != 0  # a string ending at its LCP equals its predecessor
+        keep[np.searchsorted(cand, first)] = True
+        at = cand[keep]
+        words = extract_keys(sset, handles[keep], depth)
+        stats.word_fetches += len(at)
+        pos, size, n = idx[at], np.empty(len(at), dtype=itype), len(at)
+        np.subtract(at[1:], at[:-1], out=size[:-1])
+        size[-1:] = len(idx) - at[-1]
+        first = first[p_seg]
+        pstart = np.searchsorted(at, first)  # each group's first head
+        shift = p_out - first  # from the level's running sum to output positions
+        del idx, lcps, cand, handles, keep, at
+        if len(pstart) == 1:
+            order = np.argsort(words, kind="stable")
+        else:
+            counts = np.diff(pstart, append=n)
+            ptype = np.uint16 if len(pstart) <= 1 << 16 else itype  # a 16-bit key sorts by radix
+            order = np.lexsort((words, np.repeat(np.arange(len(pstart), dtype=ptype), counts)))
+            shift = np.repeat(shift, counts)
+        pos, size, words = pos[order], size[order], words[order]
         del order
-        new = np.ones(len(pos), dtype=bool)
-        new[1:] = (parent[1:] != parent[:-1]) | (words[1:] != words[:-1])
-        first = np.flatnonzero(new)
-        gid = np.cumsum(new, dtype=itype) - 1
-        g_word = words[first]
-        del words
-        g_parent = parent[first]
-        del parent
-        g_depth = p_depth[g_parent]
-        g_lead = np.empty(len(first), dtype=itype)
-        g_lead[1:] = g_depth[1:] + shared_chars(g_word[:-1], g_word[1:])
-        g_runs = np.diff(first, append=len(pos)).astype(itype)
-        fz = first_zero_byte(g_word)
-        del g_word
-        g_depth += np.minimum(fz, w).astype(itype)
-        # output start: the parent's start plus the sizes of its earlier groups
-        g_size = np.add.reduceat(size, first)
-        g_start = np.cumsum(g_size, dtype=itype) - g_size
-        multi = g_runs > 1
-        equal = multi & (fz < w)
-        deeper = multi & ~equal
-        del fz, g_size, multi
-        pfirst = np.ones(len(first), dtype=bool)
-        pfirst[1:] = g_parent[1:] != g_parent[:-1]
-        g_start += p_start[g_parent] - g_start[np.maximum.accumulate(np.where(pfirst, np.arange(len(first)), 0))]
-        g_lead[pfirst] = p_lead[g_parent[pfirst]]
-        del pfirst, g_parent, first
-        # the blocks of deeper groups are the next level's segments
-        down = np.flatnonzero(deeper)
-        p_start, p_lead, p_depth = g_start[down], g_lead[down], g_depth[down]
-        rec = deeper[gid]
-        at = np.flatnonzero(rec)
-        s_parent = np.searchsorted(down, gid[at]).astype(itype)
-        s_lo = pos[at]
-        s_hi = s_lo + size[at]
-        del down, deeper, at
-        table = np.empty((len(pos), 5), dtype=itype)
-        table[:, POS] = pos
-        table[:, LEN] = size
-        del pos, size
-        table[:, OUT] = g_start[gid]
-        # a later run of an equal group follows strings equal to its own
-        table[:, LCP] = np.where(new, g_lead[gid], np.where(equal[gid], g_depth[gid], 0))
-        table[:, DEPTH] = -1
-        tables.append(table[~rec] if rec.any() else table)
-        del table, rec, gid, new, equal
-    if len(tables) == 1:  # parents are numbered in output order
+        out = np.cumsum(size, dtype=itype)
+        out += shift - size
+        lead = np.empty(n, dtype=itype)
+        lead[1:] = first_diff_byte(words[:-1], words[1:])
+        lead += depth
+        lead[pstart] = p_lead
+        same = words[1:] == words[:-1]
+        same[pstart[1:] - 1] = False  # no group spans two parents
+        dup = np.flatnonzero(same) + 1  # the later blocks of groups from several runs
+        seg_lo = seg_lo[:0]
+        if len(dup):
+            fz = first_zero_byte(words[dup])
+            lead[dup] = depth + fz  # after strings equal to its own, if the word ends
+            for _ in range(len(pending) - 1):  # a group's blocks share its OUT: at most one per run
+                out[dup] = out[dup - 1]
+            deep = dup[fz == w]
+            if len(deep):  # groups split again: 1 marks a group's first block, 2 a later one
+                mark = np.zeros(n, dtype=np.int8)
+                mark[deep - 1] = 1
+                mark[deep] = 2
+                rows = np.flatnonzero(mark)
+                p_seg = np.flatnonzero(mark[rows] == 1)
+                seg_lo, seg_len, p_out, p_lead = pos[rows], size[rows], out[rows[p_seg]], lead[rows[p_seg]]
+                copied = mark == 0
+                pos, size, out, lead = pos[copied], size[copied], out[copied], lead[copied]
+        del words, same, dup
+        table = np.empty((len(pos), 5), dtype=itype, order="F")  # contiguous columns
+        table[:, POS], table[:, LEN], table[:, OUT], table[:, LCP], table[:, DEPTH] = pos, size, out, lead, -1
+        tables.append(table)
+        depth += w
+    if len(tables) == 1:
         return tables[0]
     # deeper groups' blocks go between their neighbours; a group's blocks lie
     # in one level's table, in run order, and OUT differs between groups
     blocks = np.concatenate(tables)
-    del tables
     return blocks[np.argsort(blocks[:, OUT], kind="stable")]
 
 
-def _lcp_bytes(a: bytes, b: bytes) -> int:
-    """LCP of two strings read from their starts, each with its terminator
-    or further: the first position where the reads differ."""
-    n = min(len(a), len(b))
-    diff = np.frombuffer(a, np.uint8, n) != np.frombuffer(b, np.uint8, n)
-    # equal reads both end in their strings' terminator
-    return int(diff.argmax()) if diff.any() else n - 1
+class _Read:
+    """A string's first bytes, read 8 words at a time: cut after its
+    terminator once that is read, and read twice as far whenever a
+    comparison finds it equal to another read without one."""
+
+    __slots__ = ("buf", "h", "s")
+
+    def __init__(self, buf, h: int, width: int = 8 * WORD_CHARS):
+        self.buf, self.h, self.s = buf, h, buf[h : h + width]
+        end = self.s.find(0)
+        if end >= 0:
+            self.s = self.s[: end + 1]
+
+    def _common(self, other, same_ends=True) -> int:
+        """A length both reads reach, at which they differ or both end;
+        with same_ends, a string equals itself without reading on."""
+        while True:
+            n = min(len(self.s), len(other.s))
+            if self.s[:n] != other.s[:n] or self.s[n - 1] == 0 or (same_ends and self.h == other.h):
+                return n
+            for x in (self, other):
+                if len(x.s) == n:
+                    x.__init__(x.buf, x.h, 2 * n)
+
+    def __lt__(self, other) -> bool:
+        n = self._common(other)
+        return self.s[:n] < other.s[:n]
+
+    def __eq__(self, other) -> bool:
+        n = self._common(other)
+        return self.s[:n] == other.s[:n]
+
+    def lcp(self, other) -> int:
+        n = self._common(other, False)
+        return next((i for i, (a, b) in enumerate(zip(self.s, other.s[:n])) if a != b), n - 1)
 
 
-def split_merge_jobs(
-    runs: LcpRuns,
-    target_jobs: int,
-) -> list[MergeJob]:
+def split_merge_jobs(runs: LcpRuns, target_jobs: int) -> list[MergeJob]:
     """Split K sorted runs into independent merge jobs by sampled splitters.
 
     This is the first of two split stages.  With m = target_jobs (at most
@@ -366,9 +385,10 @@ def split_merge_jobs(
     the group's LCP to the string before the job is the largest LCP of the
     splitter to a run's string just before its lower bound; the first
     job's is 0, and the caller overwrites the output's first LCP.  The
-    split reads at most K * m * (ceil(log2 N) + 2) strings and fetches no
-    word.  The second stage, in run_merge_job, splits each job's pending
-    group to the end.
+    split fetches no word and makes about K * m * (log2 N + 2) reads, each
+    8 words long, or twice the LCP of the strings it compares where that
+    is longer.  The second stage, in run_merge_job, splits each job's
+    pending group to the end.
     """
     handles = runs.handles
     total = len(handles)
@@ -376,56 +396,51 @@ def split_merge_jobs(
         return []
     starts = runs.starts.tolist()
     spans = [(lo, hi) for lo, hi in zip(starts, starts[1:]) if lo < hi]
-    sset = runs.sset
-    itype = _index_type(sset)
+    itype, buf = _index_type(runs.sset), runs.sset.buffer
     if len(spans) == 1:
         ((lo, hi),) = spans
         return [MergeJob(np.array([[lo, hi - lo, 0, 0, -1]], dtype=itype))]
-    buf = sset.buffer
-
-    def read(hs) -> list[bytes]:
-        """Whole strings, terminators included."""
-        hs = np.asarray(hs, dtype=np.int64)
-        return [buf[h : e + 1] for h, e in zip(hs.tolist(), sset.ends(hs).tolist())]
-
     m = max(1, min(target_jobs, total))
     samples = [
-        (s, hi - lo)
+        (_Read(buf, h), hi - lo)
         for lo, hi in spans
-        for s in read(handles[lo + np.arange(1, m) * (hi - lo) // m])
+        for h in handles[lo + np.arange(1, m) * (hi - lo) // m].tolist()
     ]
+    samples.sort(key=lambda t: (t[0].s, t[1]))  # by their first reads
+    samples.sort()  # reads that tie without a terminator read on; else one pass
     splitters, reached, i = [], 0, 1
-    for s, weight in sorted(samples):
+    for s, weight in samples:
         reached += weight  # m times the strings the samples so far stand for
         while i < m and reached >= i * total:
             if not splitters or splitters[-1] != s:
                 splitters.append(s)
             i += 1
     # cuts[j][r]: where job j starts in the r-th non-empty run; leads[j]: its first LCP
-    cuts = [[lo for lo, _ in spans]]
-    leads = [0]
+    cuts, leads = [[lo for lo, _ in spans]], [0]
     for sp in splitters:
-        width = len(sp)
         cut, lead = list(cuts[-1]), 0
         for r, (lo, hi) in enumerate(spans):
-            # a string's first len(sp) bytes, read past its terminator if
-            # need be, order against sp as the string does: sp's one zero
-            # byte is its last
-            cut[r] = bisect_left(handles, sp, cut[r], hi, key=lambda h: buf[h : h + width])
+            # a string's first len(sp.s) bytes, read past its terminator, order against
+            # sp.s as the string does against sp, unless they equal it without one
+            while True:
+                key = sp.s
+                cut[r] = bisect_left(handles, key, cut[r], hi, key=lambda h: buf[h : h + len(key)])
+                if cut[r] == hi or key[-1] == 0 or not _Read(buf, int(handles[cut[r]])) < sp:
+                    break
+                cut[r] += 1
             if cut[r] > lo:
-                h = int(handles[cut[r] - 1])
-                lead = max(lead, _lcp_bytes(sp, buf[h : h + width]))
+                lead = max(lead, sp.lcp(_Read(buf, int(handles[cut[r] - 1]))))
         cuts.append(cut)
         leads.append(lead)
     cuts.append([hi for _, hi in spans])
-    bounds = [min(read(handles[[lo for lo, _ in spans]]))]
-    bounds += splitters + [max(read(handles[[hi - 1 for _, hi in spans]]))]
+    bounds = [min(_Read(buf, int(handles[lo])) for lo, _ in spans)]
+    bounds += splitters + [max(_Read(buf, int(handles[hi - 1])) for _, hi in spans)]
     jobs = []
     for j, lead in enumerate(leads):
         rows = [(a, b - a) for a, b in zip(cuts[j], cuts[j + 1]) if b > a]
         if not rows:  # only before the first splitter: each holds itself
             continue
-        depth = _lcp_bytes(bounds[j], bounds[j + 1]) if len(rows) > 1 else -1
+        depth = bounds[j].lcp(bounds[j + 1]) if len(rows) > 1 else -1
         jobs.append(MergeJob(np.array([(*r, 0, lead, depth) for r in rows], dtype=itype)))
     return jobs
 
@@ -448,20 +463,15 @@ def pack_merge_jobs(blocks: np.ndarray, target_jobs: int) -> list[MergeJob]:
 
 
 def run_merge_job(
-    runs: LcpRuns,
-    job: MergeJob,
-    stats: SortStats,
-    out_h: np.ndarray,
-    out_l: np.ndarray,
-    poll=None,
+    runs: LcpRuns, job: MergeJob, stats: SortStats, out_h: np.ndarray, out_l: np.ndarray, poll=None
 ) -> tuple[int, np.ndarray | None]:
     """Execute one merge job into out_h and out_l, job.size entries each.
 
     This is the second split stage.  _refine splits a pending group on
     from its depth until every group is copied: it comes from one run, or
-    its strings are all equal.  The groups are then written in one gather
-    per stretch between polls, with the LCP at each block start taken
-    from the table.  poll(emitted) is consulted whenever the output
+    its strings are all equal.  Only then are the groups written, in one
+    gather per stretch between polls, with the LCP at each block start
+    taken from the table.  poll(emitted) is consulted whenever the output
     crosses a multiple of MERGE_POLL_INTERVAL strings, at the end of the
     group that crosses it; a truthy return stops the job there.  Returns
     (emitted, rest).  rest is None when the job completed; when poll
@@ -470,42 +480,25 @@ def run_merge_job(
     """
     n = job.size
     blocks = _refine(runs, job.blocks, stats)
-    out = blocks[:, OUT]
+    out, size = blocks[:, OUT], blocks[:, LEN]
+    start = np.cumsum(size) - size  # the blocks tile the output in row order
+    src = np.repeat(blocks[:, POS] - start, size.astype(np.intp))  # each output string's position
+    src += np.arange(n)
     stops = [n]
     if poll is not None:
-        ends = np.append(out[1:][np.diff(out) > 0], n)  # where the groups end
-        marks = np.arange(MERGE_POLL_INTERVAL, n, MERGE_POLL_INTERVAL)
+        # a group ends where the next starts: at the first OUT at or past a mark
+        at = np.searchsorted(out, np.arange(MERGE_POLL_INTERVAL, n, MERGE_POLL_INTERVAL))
         # not np.unique: its first call imports numpy.ma, in every fresh worker
-        stops = sorted({*ends[np.searchsorted(ends, marks)].tolist(), n})
+        stops = sorted({*out[at[at < len(out)]].tolist(), n})
     done = emitted = 0
     for stop in stops:
         upto = int(np.searchsorted(out, stop))
-        _emit(runs, blocks[done:upto], out_h[emitted:stop], out_l[emitted:stop])
+        np.take(runs.handles, src[emitted:stop], out=out_h[emitted:stop])
+        np.take(runs.lcps, src[emitted:stop], out=out_l[emitted:stop])
+        out_l[start[done:upto]] = blocks[done:upto, LCP]
         done, emitted = upto, stop
         if stop < n and poll(stop):
             rest = blocks[upto:].copy()
             rest[:, OUT] -= stop
             return stop, rest
     return n, None
-
-
-def _refine(runs: LcpRuns, blocks: np.ndarray, stats: SortStats) -> np.ndarray:
-    """The blocks table with its pending group split to the end."""
-    if blocks[0, DEPTH] < 0:  # copied groups only
-        return blocks
-    return _split_levels(
-        runs,
-        (np.zeros(len(blocks)), blocks[:, POS], blocks[:, POS] + blocks[:, LEN]),
-        (blocks[:1, OUT], blocks[:1, LCP], blocks[:1, DEPTH]),
-        stats,
-    )
-
-
-def _emit(runs: LcpRuns, blocks: np.ndarray, out_h: np.ndarray, out_l: np.ndarray) -> None:
-    """Write the copied groups of a refined blocks table, whose blocks tile
-    out_h and out_l in row order, in one gather."""
-    size = blocks[:, LEN]
-    src = concat_ranges(blocks[:, POS], size)
-    out_h[:] = runs.handles[src]
-    out_l[:] = runs.lcps[src]
-    out_l[np.cumsum(size) - size] = blocks[:, LCP]

@@ -44,10 +44,13 @@ import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import threading
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as mp_wait
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -168,7 +171,8 @@ class WorkPool:
     coordinator that ran it, and a worker that dies aborts it with its exit
     code.  On shutdown each worker takes one None sentinel from the job
     queue, sends its stats and exits.  With no forked worker (p = 1) the
-    jobs stay in an in-process queue.
+    pool creates no multiprocessing queue, shared value or event: in-process
+    stand-ins take their place.
     """
 
     _coordinator_works = True
@@ -179,11 +183,13 @@ class WorkPool:
         self.executor = executor
         self.ctx = ctx
         forks = p - 1 if self._coordinator_works else p
-        self.jobs = fork.Queue() if forks else queue_mod.SimpleQueue()
-        self.replies = fork.Queue()
-        self.outstanding = fork.Value("q", 0)
-        self.idle = fork.Value("i", 0)
-        self.fail = fork.Event()
+        if forks:
+            self.jobs, self.replies = fork.Queue(), fork.Queue()
+            self.outstanding, self.idle, self.fail = fork.Value("q", 0), fork.Value("i", 0), fork.Event()
+        else:  # no other process to share them with
+            self.jobs, self.replies = queue_mod.SimpleQueue(), queue_mod.SimpleQueue()
+            self.outstanding, self.idle = (SimpleNamespace(value=0, get_lock=nullcontext) for _ in range(2))
+            self.fail = threading.Event()
         self.stats = SortStats()
         # the coordinator's own jobs reply in process and charge the pool's stats
         self._env = _Env(self.jobs, queue_mod.SimpleQueue(), self.outstanding, self.idle, self.fail,
@@ -231,7 +237,7 @@ class WorkPool:
         phases = []
         working = self._coordinator_works and not self._closed
         job_reader = self.jobs._reader if working and self.workers else None
-        readers = [self.replies._reader] + ([job_reader] if job_reader else [])
+        readers = ([self.replies._reader] + ([job_reader] if job_reader else [])) if self.workers else []
         contended = idle = False
         try:
             while not done(phases):
@@ -339,7 +345,7 @@ class WorkPool:
                 # jobs no worker took may still sit in the feeder's buffer
                 self.jobs.cancel_join_thread()
                 self.jobs.close()
-            self.replies.close()
+                self.replies.close()
 
 
 class _ForkedPool(WorkPool):

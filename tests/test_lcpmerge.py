@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, sorted_runs, url_like_set
+from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings, sorted_runs, suffix_set, url_like_set
 from strsort import lcpmerge, ssss
 from strsort.basecase import lcp_insertion_sort
 from strsort.counters import SortStats
@@ -426,14 +426,17 @@ class TestSplitMergeJobs:
 
 
 class CountingBytes(bytes):
-    """A character buffer that counts the slices read from it."""
+    """A character buffer that counts the slices read from it, and their bytes."""
 
     reads = 0
+    read_bytes = 0
 
     def __getitem__(self, key):
+        out = super().__getitem__(key)
         if isinstance(key, slice):
             self.reads += 1
-        return super().__getitem__(key)
+            self.read_bytes += len(out)
+        return out
 
 
 class TestSampledSplit:
@@ -508,6 +511,23 @@ class TestSampledSplit:
         k = np.count_nonzero(np.diff(runs.starts))
         assert 0 < buf.reads <= k * target * (math.ceil(math.log2(len(s))) + 2)
         check_partition(runs, jobs)
+
+    @pytest.mark.parametrize("target", [1, 4, 16, 1000])
+    def test_split_reads_suffixes_by_their_lcp(self, target):
+        # 20,000 suffixes of a random text, about 10,000 characters long on
+        # average but distinct after a few: a read is 8 words wide and
+        # doubles only while it equals the read it is compared with, so it
+        # holds at most twice the largest LCP, or 8 words
+        s = suffix_set(20_000, seed=5)
+        runs = sorted_runs(s, even(len(s), 4), sort=lambda part: ssss.s5_sort(part, want_lcps=True))
+        max_lcp = int(ssss.s5_sort(s, want_lcps=True).lcps.max())
+        buf = CountingBytes(s.buffer)
+        runs = LcpRuns(StringSet(buf, s.handles), runs.handles, runs.lcps, runs.starts)
+        buf.reads = buf.read_bytes = 0
+        jobs = split_merge_jobs(runs, target)
+        assert 0 < buf.reads <= 4 * target * (math.ceil(math.log2(len(s))) + 2)
+        assert buf.read_bytes <= buf.reads * max(8 * WORD_CHARS, 2 * max_lcp)
+        check_split(s, runs, jobs)
 
 
 class TestPackMergeJobs:

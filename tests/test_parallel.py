@@ -1034,6 +1034,29 @@ class TestCoordinatorParticipates:
         assert ref_strings(out) == ref_sorted_strings(s)
 
     @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("algo", SORTERS)
+    def test_no_multiprocessing_primitive_at_p1(self, monkeypatch, algo, p):
+        # at p = 1 no other process exists, so the pool creates no queue,
+        # shared value, event or lock; shared arrays it may still create.
+        # At p = 2 the same spy sees them, which shows that it works.
+        real, made = parallel._fork_context(), []
+
+        class Spy:
+            def __getattr__(self, name):
+                if name != "RawArray":
+                    made.append(name)
+                return getattr(real, name)
+
+        monkeypatch.setattr(parallel, "_fork_context", Spy)
+        s = random_set(5000, seed=41)
+        out = SORTERS[algo](s, p=p)
+        assert ref_strings(out) == ref_sorted_strings(s)
+        if p == 1:
+            assert made == []
+        else:
+            assert {"Queue", "Value", "Event", "Process"} <= set(made)
+
+    @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("workload", ["random", "url", "suffix"])
     def test_same_output_and_counters_as_forked_workers(self, monkeypatch, workload, p):
         # the reference pool forks p workers and its coordinator only waits
