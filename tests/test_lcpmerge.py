@@ -529,6 +529,18 @@ class TestSampledSplit:
         assert buf.read_bytes <= buf.reads * max(8 * WORD_CHARS, 2 * max_lcp)
         check_split(s, runs, jobs)
 
+    @pytest.mark.parametrize("target", [4, 16])
+    def test_samples_tied_on_their_first_read_are_ordered(self, target):
+        # every string shares 71 characters, more than a first read holds, so
+        # the samples tie on their first reads and only reading on orders them
+        rng = np.random.default_rng(13)
+        items = [b"w" * 70 + b"/%d" % v for v in rng.integers(0, 10**6, 2000)]
+        s = from_strings(items)
+        runs = sorted_runs(s, [700, 300, 600, 400])
+        jobs = split_merge_jobs(runs, target)
+        assert len(jobs) > 1
+        check_split(s, runs, jobs)
+
 
 class TestPackMergeJobs:
     @pytest.mark.parametrize("target", [1, 2, 3, 7, 64])

@@ -130,8 +130,8 @@ def merge_inputs(draw):
     elif shape == "spread":  # a few values, each in several runs
         values = draw(st.lists(text, min_size=1, max_size=4))
         items = draw(st.lists(st.sampled_from(values), max_size=60))
-    else:  # long shared prefixes
-        prefix = draw(st.sampled_from([b"p" * 8, b"shared-prefix-of-more-than-3-words/"]))
+    else:  # long shared prefixes, one longer than the split's first 8-word read
+        prefix = draw(st.sampled_from([b"p" * 8, b"shared-prefix-of-more-than-3-words/", b"w" * 70 + b"/"]))
         items = [prefix + t for t in draw(st.lists(text, max_size=60))]
     items = draw(st.permutations(items))
     cuts = sorted(draw(st.lists(st.integers(0, len(items)), min_size=1, max_size=5)))
