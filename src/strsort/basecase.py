@@ -9,8 +9,10 @@ L is the LCP sum of the sorted output.
 
 Every other sorter ends its small subproblems in word_leaves: a driver's
 LeafCollector gathers its ranges below LEAF_THRESHOLD strings, one at a
-time or a step's worth at once, and word_leaves sorts all of them
-together, one 8-character word per string and level, in numpy passes.
+time or a step's worth at once, and caching mkqs's ranges of up to
+LEAF_FLUSH strings whose sampled words are distinct; word_leaves sorts
+all of them together, one 8-character word per string and level, in
+numpy passes.
 Each level orders its strings by (range, word) with stable_word_order,
 two unstable numpy sorts in place of a two-key stable lexsort.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, shared_chars
 
-LEAF_THRESHOLD = 1024  # below this many strings, a range is a word_leaves leaf
+LEAF_THRESHOLD = 1024  # below this many strings, a range is always a word_leaves leaf
 LEAF_FLUSH = 1 << 16  # collected leaf strings that make a driver sort them before going on
 
 
@@ -269,7 +271,8 @@ def word_leaves(
 class LeafCollector:
     """Collects a driver's leaves and sorts them with word_leaves.
 
-    take() keeps one range below LEAF_THRESHOLD strings and take_many() the
+    take() keeps one range below LEAF_THRESHOLD strings, or of up to
+    LEAF_FLUSH whose words the driver finds distinct, and take_many() the
     leaf ranges of a step at once; the kept ranges are sorted together once
     LEAF_FLUSH strings are pending and by the final flush(), so the
     leaves' temporaries stay within LEAF_FLUSH + LEAF_THRESHOLD strings.
@@ -287,13 +290,21 @@ class LeafCollector:
     chunks: list = field(default_factory=list)  # (k, 3) arrays of them from take_many()
     pending: int = 0
 
-    def take(self, lo: int, hi: int, depth: int) -> bool:
-        """Keep the (lo, hi, depth) range if it is a leaf; return whether it is."""
-        if hi - lo >= LEAF_THRESHOLD:
-            return False
-        if hi - lo > 1:
+    def take(self, lo: int, hi: int, depth: int, distinct=None) -> bool:
+        """Keep the (lo, hi, depth) range if it is a leaf; return whether it is.
+
+        A leaf has fewer than LEAF_THRESHOLD strings, or at most LEAF_FLUSH
+        if the driver's distinct(lo, hi) holds; before keeping such a range,
+        the pending leaves it would take past LEAF_FLUSH are sorted."""
+        n = hi - lo
+        if n >= LEAF_THRESHOLD:
+            if distinct is None or n > LEAF_FLUSH or not distinct(lo, hi):
+                return False
+            if self.pending + n > LEAF_FLUSH:
+                self.flush()
+        if n > 1:
             self.items.append((lo, hi, depth))
-            self.pending += hi - lo
+            self.pending += n
             if self.pending >= LEAF_FLUSH:
                 self.flush()
         return True

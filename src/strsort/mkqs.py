@@ -7,16 +7,24 @@ buffer at most once per word: total random accesses stay within
 floor(D / WORD_CHARS) + n for distinguishing-prefix total D.  Its one step,
 mkqs_step, partitions with partition_classifier in mkqs_cached_items and
 on the pool in parallel.phased_sort.  Both variants collect their small
-ranges and sort them together with basecase.word_leaves.
+ranges and sort them together with basecase.word_leaves.  The caching
+variant also takes a range of up to LEAF_FLUSH strings as a leaf when a
+sample of its cached words holds no two equal: word_leaves sorts it one
+packed-key sort per word level, while each mkqs_step would cost a
+Python-level partition.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .basecase import LeafCollector, SortContext, SortedWithLcp, word_leaves
 from .counters import SortStats
 from .strset import LCP_UNDEF, WORD_CHARS, StringSet, extract_keys, first_zero_byte, shared_chars
+
+LEAF_SAMPLE = 64  # cached words distinct_words samples from a range
 
 
 def _median3(a: int, b: int, c: int) -> int:
@@ -156,6 +164,15 @@ def mkqs_step(ctx: SortContext, lo: int, hi: int, depth: int, classify) -> list:
     return rows
 
 
+def distinct_words(words: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether min(hi - lo, LEAF_SAMPLE) evenly spaced, distinct positions
+    of words[lo:hi] hold pairwise different words."""
+    n = hi - lo
+    k = min(n, LEAF_SAMPLE)
+    sample = np.sort(words[lo + np.arange(k) * n // k])
+    return bool((sample[1:] != sample[:-1]).all())
+
+
 def mkqs_cached_items(
     sset: StringSet,
     work_h: np.ndarray,
@@ -168,13 +185,16 @@ def mkqs_cached_items(
     """mkqs_cached_range seeded with several independent (lo, hi, depth)
     ranges, an (m, 3) array or a list of 3-tuples.
 
-    Ranges below LEAF_THRESHOLD are collected and sorted with word_leaves
-    when the loop ends, also when the share hook empties the stack: donated
-    ranges never overlap the collected leaves.  The others take mkqs_step.
+    Ranges below LEAF_THRESHOLD, and ranges of up to LEAF_FLUSH strings
+    whose sampled words distinct_words finds distinct, are collected and
+    sorted with word_leaves as LEAF_FLUSH strings gather and when the loop
+    ends, also when the share hook empties the stack: donated ranges never
+    overlap the collected leaves.  The others take mkqs_step.
     """
     ctx = SortContext(sset, work_h, work_c, lcps, stats)
     classify = partition_classifier(ctx)
     leaves = LeafCollector(sset, work_h, work_c, lcps, stats, word_leaves)
+    distinct = functools.partial(distinct_words, work_c)
     stack = np.asarray(items, dtype=np.int64).reshape(-1, 3).tolist()
     while stack:
         if share is not None:
@@ -182,7 +202,7 @@ def mkqs_cached_items(
             if not stack:
                 break
         lo, hi, d = stack.pop()
-        if not leaves.take(lo, hi, d):
+        if not leaves.take(lo, hi, d, distinct):
             stack += mkqs_step(ctx, lo, hi, d, classify)
     leaves.flush()
 

@@ -7,6 +7,7 @@ from corpus import random_set, ref_lcps, ref_sorted_strings, ref_strings
 from strsort import basecase, mkqs, radix
 from strsort.basecase import (
     LEAF_FLUSH,
+    LEAF_THRESHOLD,
     LeafCollector,
     insertion_sort,
     lcp_insertion_sort,
@@ -294,4 +295,21 @@ def test_take_many_flushes_where_take_would():
     big = sizes >= basecase.LEAF_THRESHOLD
     assert 0 < len(rest["one"]) == big.sum() < 400
     assert len(flushes["one"]) == 1 + int(sizes[~big & (sizes > 1)].sum()) // LEAF_FLUSH
-    assert all(sum(b - a for a, b, _ in rows) < LEAF_FLUSH + 1024 for rows in flushes["one"])
+    assert all(sum(b - a for a, b, _ in rows) < LEAF_FLUSH + LEAF_THRESHOLD for rows in flushes["one"])
+
+
+def test_distinct_leaves_keep_flushes_within_bound(monkeypatch):
+    # caching mkqs also keeps ranges of LEAF_THRESHOLD to LEAF_FLUSH strings
+    # whose sampled words are distinct, flushing the pending leaves first,
+    # so no flush sorts LEAF_FLUSH + LEAF_THRESHOLD strings
+    monkeypatch.setattr(basecase, "LEAF_THRESHOLD", 32)
+    monkeypatch.setattr(basecase, "LEAF_FLUSH", 256)
+    s = random_set(6000, seed=8)
+    calls = count_calls(monkeypatch, mkqs, "word_leaves")
+    res = mkqs_cached(s)
+    sizes = [[b - a for a, b, _ in np.asarray(args[3]).tolist()] for args in calls]
+    assert any(max(rows) >= basecase.LEAF_THRESHOLD for rows in sizes)
+    assert all(sum(rows) < basecase.LEAF_FLUSH + basecase.LEAF_THRESHOLD for rows in sizes)
+    want = ref_sorted_strings(s)
+    assert ref_strings(res.set) == want
+    assert list(res.lcps) == ref_lcps(want)

@@ -14,7 +14,7 @@ from corpus import (
     suffix_set,
     url_like_set,
 )
-from strsort import basecase, bench
+from strsort import basecase, bench, mkqs
 from strsort.bench import (
     ALGORITHMS,
     RunConfig,
@@ -26,7 +26,7 @@ from strsort.bench import (
 from strsort.cli import main
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs_cached
-from strsort.parallel import parallel_s5, partitioned_merge_sort
+from strsort.parallel import parallel_s5, partitioned_merge_sort, shared_array
 from strsort.ssss import s5_sort
 from strsort.strset import dist_stats, extract_keys, from_strings, lcp_array_oracle, verify
 
@@ -141,12 +141,26 @@ def small_corpus(corpus):
     return s.with_handles(s.handles[np.random.default_rng(5).permutation(len(s))])
 
 
+# the ids that end ranges in mkqs.mkqs_cached_items
+CACHING_MKQS = ("mkqs-cached", "s5-unroll", "s5-equal", "kway-merge", "ps5", "pmkqs", "pmergesort")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("corpus", sorted(SMALL))
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_every_id_sorts_at_small_thresholds(name, corpus, threads, small_knobs):
+def test_every_id_sorts_at_small_thresholds(name, corpus, threads, small_knobs, monkeypatch):
     # a differential test: with the knobs this small, a few hundred strings
-    # take phased steps, 16-bit and sample-sort steps, leaf flushes and merge polls
+    # take phased steps, 16-bit and sample-sort steps, leaf flushes, merge
+    # polls and caching-mkqs ranges of distinct words taken as leaves
+    leaf_ranges = shared_array(1, np.int64)  # forked workers count here too
+    distinct = mkqs.distinct_words
+
+    def counting(words, lo, hi):
+        found = distinct(words, lo, hi)
+        leaf_ranges[0] += found
+        return found
+
+    monkeypatch.setattr(mkqs, "distinct_words", counting)
     s = small_corpus(corpus)
     strings = ref_strings(s)
     out = ALGORITHMS[name](s, threads, 2, SortStats())
@@ -155,6 +169,8 @@ def test_every_id_sorts_at_small_thresholds(name, corpus, threads, small_knobs):
         assert np.array_equal(out.handles, stable)
     else:
         assert ref_strings(out) == sorted(strings)
+    if name in CACHING_MKQS and corpus not in ("all_equal", "empty_set"):
+        assert leaf_ranges[0] > 0
 
 
 LCP_SORTERS = {

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,10 +10,11 @@ from corpus import (
     ref_strings,
     url_like_set,
 )
-from strsort.basecase import LEAF_THRESHOLD
+from strsort import mkqs as mkqs_module
+from strsort.basecase import LEAF_FLUSH, LEAF_THRESHOLD
 from strsort.counters import SortStats
 from strsort.mkqs import mkqs, mkqs_cached
-from strsort.strset import WORD_CHARS, dist_stats, from_strings, verify
+from strsort.strset import WORD_CHARS, dist_stats, from_strings, lcp_array_oracle, verify
 
 text_bytes = st.binary(min_size=0, max_size=12).map(
     lambda b: bytes(c if c != 0 else 1 for c in b)
@@ -121,3 +123,65 @@ class TestMkqsCached:
         d = dist_stats(s)
         assert res.stats.word_fetches <= d.D // WORD_CHARS + len(s)
         assert ref_strings(res.set) == sorted(items)
+
+
+def distinct_words_set(n: int, repeat: bool) -> list[bytes]:
+    """n strings whose first words are distinct, in a seeded order; with
+    repeat, the string at the second sampled position gets the first
+    word of the string at the first, and a tail of its own."""
+    rng = np.random.default_rng(21)
+    heads = set()
+    while len(heads) < n:
+        heads.add(bytes(rng.integers(97, 123, size=WORD_CHARS, dtype=np.uint8)))
+    items = [h + bytes(rng.integers(33, 127, size=int(rng.integers(0, 12)), dtype=np.uint8)) for h in heads]
+    items = [items[i] for i in rng.permutation(n)]
+    if repeat:
+        k = min(n, mkqs_module.LEAF_SAMPLE)
+        items[n // k] = items[0][:WORD_CHARS] + b"~tail"
+    return items
+
+
+class TestDistinctWordsLeaf:
+    """A range of LEAF_THRESHOLD to LEAF_FLUSH strings whose sampled cached
+    words are distinct is a word_leaves leaf; it takes no mkqs_step."""
+
+    N = min(3 * LEAF_THRESHOLD, LEAF_FLUSH)
+
+    def sort_counting(self, monkeypatch, items):
+        calls = {"word_leaves": [], "mkqs_step": []}
+        for name, seen in calls.items():
+            fn = getattr(mkqs_module, name)
+            monkeypatch.setattr(
+                mkqs_module, name, lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args)
+            )
+        return mkqs_cached(from_strings(items)), calls
+
+    def test_distinct_range_is_one_leaf(self, monkeypatch):
+        res, calls = self.sort_counting(monkeypatch, distinct_words_set(self.N, repeat=False))
+        assert calls["mkqs_step"] == []
+        assert len(calls["word_leaves"]) == 1
+        assert np.asarray(calls["word_leaves"][0][3]).tolist() == [[0, self.N, 0]]
+
+    def test_a_repeated_word_partitions(self, monkeypatch):
+        res, calls = self.sort_counting(monkeypatch, distinct_words_set(self.N, repeat=True))
+        assert calls["mkqs_step"]
+        assert calls["mkqs_step"][0][1:4] == (0, self.N, 0)
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_output_and_fetch_bound(self, repeat):
+        items = distinct_words_set(self.N, repeat)
+        s = from_strings(items)
+        res = mkqs_cached(s)
+        assert ref_strings(res.set) == sorted(items)
+        assert np.array_equal(res.lcps, lcp_array_oracle(res.set))
+        assert res.stats.word_fetches <= dist_stats(s).D // WORD_CHARS + len(s)
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 65, 1000])
+    def test_sample_positions_are_distinct(self, n):
+        # every position is sampled while the range has at most LEAF_SAMPLE,
+        # so one repeat anywhere in a small range is seen
+        words = np.arange(n, dtype=np.uint64)
+        assert mkqs_module.distinct_words(words, 0, n)
+        if n <= mkqs_module.LEAF_SAMPLE:
+            words[n - 1] = words[0]
+            assert not mkqs_module.distinct_words(words, 0, n)
